@@ -30,11 +30,10 @@ from .numcore import (
     Tensor,
     batch_norm,
     dilated_conv1d,
-    same_length_padding,
 )
 from .numcore.functional import activation_fn
 
-__all__ = ["AtcnConfig", "AtcnEncoder", "required_padding", "receptive_field"]
+__all__ = ["AtcnConfig", "AtcnEncoder", "receptive_field"]
 
 
 @dataclass
@@ -82,16 +81,6 @@ class AtcnConfig:
     def mid_channels_of(self, block: int) -> int:
         """Bottleneck width of a separable block."""
         return max(1, self.in_channels_of(block) // self.bottleneck_divisor)
-
-
-def required_padding(out_len: int, in_len: int, stride: int, k: int, d: int) -> int:
-    """Per-side zero padding for a dilated conv to map in_len -> out_len.
-
-    ceil(((out_len-1)*stride + (k-1)*(d-1) - in_len + k) / 2), clamped at 0.
-    When the interior term is odd the padded output overshoots by one
-    element, which length-preserving convs crop from the right.
-    """
-    return same_length_padding(out_len, in_len, stride, k, d)
 
 
 def receptive_field(config: AtcnConfig) -> int:

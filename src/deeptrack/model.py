@@ -40,6 +40,7 @@ from .numcore import (
     stack,
 )
 from .numcore.functional import activation_fn
+from .numcore.tensor import no_grad
 
 __all__ = ["Batch", "collate", "DeepTrack", "SocialGeometry", "social_geometry"]
 
@@ -80,9 +81,10 @@ def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
         for n in s.neighbors:
             if n.cell is None:
                 continue
-            assert 0 <= n.cell[0] < config.grid_rows \
-                and 0 <= n.cell[1] < config.grid_cols, \
-                f"sample {s.sample_id}: neighbor cell {n.cell} outside the grid"
+            if not (0 <= n.cell[0] < config.grid_rows
+                    and 0 <= n.cell[1] < config.grid_cols):
+                raise ConfigurationError(
+                    f"sample {s.sample_id}: neighbor cell {n.cell} outside the grid")
             tracks.append(n.track.T.astype(dtype))
             owners.append(i)
             cells.append(n.cell)
@@ -309,10 +311,15 @@ class DeepTrack:
 
     def predict(self, samples: Sequence[TrajectorySample],
                 batch_size: int = 256) -> np.ndarray:
-        """Eval-mode predictions as a plain ``[N, horizon, 2]`` array."""
+        """Eval-mode predictions as a plain ``[N, horizon, 2]`` array.
+
+        No graph is recorded, so each batch's intermediates are freed as the
+        forward pass moves on.
+        """
         chunks = []
-        for lo in range(0, len(samples), batch_size):
-            batch = collate(samples[lo:lo + batch_size], self.config)
-            chunks.append(self.forward_batch(batch, "eval").data)
+        with no_grad():
+            for lo in range(0, len(samples), batch_size):
+                batch = collate(samples[lo:lo + batch_size], self.config)
+                chunks.append(self.forward_batch(batch, "eval").data)
         return np.concatenate(chunks, axis=0) if chunks else \
             np.zeros((0, self.config.horizon_steps, self.config.output_dim))

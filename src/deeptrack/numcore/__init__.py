@@ -17,8 +17,6 @@ from .functional import (
     relu,
     dense,
     dilated_conv1d,
-    depthwise_conv1d,
-    pointwise_conv1d,
     conv2d,
     max_pool2d,
     batch_norm,
@@ -35,8 +33,7 @@ __all__ = [
     "Tensor", "ConfigurationError", "GraphError", "NumericsError", "as_tensor",
     "Kernel1D", "RunningStats", "LstmWeights",
     "sigmoid", "tanh", "swish", "relu", "dense",
-    "dilated_conv1d", "depthwise_conv1d", "pointwise_conv1d",
-    "conv2d", "max_pool2d", "batch_norm", "lstm_cell",
+    "dilated_conv1d", "conv2d", "max_pool2d", "batch_norm", "lstm_cell",
     "concat", "stack", "scatter_grid", "same_length_padding",
     "AdamState", "adam_step", "global_grad_norm", "clip_gradients",
     "CheckpointData", "save_weights", "load_weights", "CHECKPOINT_MAGIC",

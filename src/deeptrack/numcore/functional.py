@@ -33,8 +33,6 @@ __all__ = [
     "relu",
     "dense",
     "dilated_conv1d",
-    "depthwise_conv1d",
-    "pointwise_conv1d",
     "conv2d",
     "max_pool2d",
     "batch_norm",
@@ -52,9 +50,16 @@ PAD_MODES = ("causal", "symmetric")
 # elementwise activations
 # ---------------------------------------------------------------------------
 
+def _logistic(v: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-v))``. Below v = -709 exp overflows to inf and the
+    result saturates at exactly 0, so the overflow warning is noise."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _logistic(x.data)
 
     def backward(g):
         x.accumulate_grad(g * s * (1.0 - s))
@@ -75,7 +80,7 @@ def tanh(x: Tensor) -> Tensor:
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotonic, bounded below by about -0.2785."""
     x = as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _logistic(x.data)
     out = x.data * s
 
     def backward(g):
@@ -214,6 +219,10 @@ def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tenso
     Output step s sums ``w[o, c, i] * x[c, s - i*d]`` over taps i and the
     channels of o's group, treating out-of-range history as zero (causal
     mode). Symmetric mode centers the same window and crops the surplus.
+
+    With groups == 1 the convolution runs as one matrix multiply over an
+    im2col matrix. Grouped kernels (the depthwise layers) keep a per-tap
+    multiply-add, which is faster at their few channels per group.
     """
     x = as_tensor(x)
     _conv1d_validate(x, kern, pad_mode)
@@ -232,6 +241,8 @@ def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tenso
     else:
         pad_left = pad_right = same_length_padding(length, length, 1, k, d)
     xp = np.pad(xd, ((0, 0), (0, 0), (pad_left, pad_right)))
+    if groups == 1:
+        return _dense_conv1d(x, kern, xp, length, pad_left, squeeze)
 
     wg = w.data.reshape(groups, og, cg, k)
     xg = xp.reshape(batch, groups, cg, length + pad_left + pad_right)
@@ -261,19 +272,38 @@ def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tenso
     return out_t
 
 
-def depthwise_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tensor:
-    """Per-channel dilated convolution: groups == in channels == out channels."""
-    if kern.groups != kern.out_channels or kern.weights.data.shape[1] != 1:
-        raise ConfigurationError(
-            "depthwise kernel needs groups == out channels and one input channel per group")
-    return dilated_conv1d(x, kern, pad_mode)
+def _dense_conv1d(x: Tensor, kern: Kernel1D, xp: np.ndarray, length: int,
+                  pad_left: int, squeeze: bool) -> Tensor:
+    """The groups == 1 case of :func:`dilated_conv1d` as one GEMM (im2col).
 
+    Row ``(b, t)`` of the column matrix holds ``xp[b, c, t + span - i*d]``
+    in ``(c, i)`` order, which is the order of ``weights.reshape(O, C*k)``.
+    """
+    w, b = kern.weights, kern.bias
+    batch, c_in, _ = xp.shape
+    c_out, d, k = kern.out_channels, kern.dilation, kern.k
+    span = (k - 1) * d
+    win = sliding_window_view(xp, span + 1, axis=2)[:, :, :length, ::-d]
+    cols = win.transpose(0, 2, 1, 3).reshape(batch * length, c_in * k)
+    w2 = w.data.reshape(c_out, c_in * k)
+    out = (cols @ w2.T).reshape(batch, length, c_out).transpose(0, 2, 1) \
+        + b.data[None, :, None]
 
-def pointwise_conv1d(x: Tensor, kern: Kernel1D) -> Tensor:
-    """1x1 convolution mixing channels at each step independently."""
-    if kern.k != 1 or kern.dilation != 1 or kern.groups != 1:
-        raise ConfigurationError("pointwise kernel needs k == 1, dilation 1, groups 1")
-    return dilated_conv1d(x, kern, "causal")
+    def backward(g):
+        gd = g[None] if squeeze else g
+        g2 = gd.transpose(0, 2, 1).reshape(batch * length, c_out)
+        w.accumulate_grad((g2.T @ cols).reshape(w.data.shape))
+        # col2im: tap i of row (b, t) came from padded step t + span - i*d
+        gcols = (g2 @ w2).reshape(batch, length, c_in, k)
+        gxp = np.zeros_like(xp)
+        for i in range(k):
+            lo = span - i * d
+            gxp[:, :, lo: lo + length] += gcols[:, :, :, i].transpose(0, 2, 1)
+        gx = gxp[:, :, pad_left: pad_left + length]
+        x.accumulate_grad(gx[0] if squeeze else gx)
+        b.accumulate_grad(gd.sum(axis=(0, 2)))
+
+    return Tensor._node(out[0] if squeeze else out, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +336,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ConfigurationError(
             f"conv2d window {(kh, kw)} larger than padded input {(height + 2 * ph, width + 2 * pw)}")
 
+    # im2col: row (b, i, j) holds the window under output (i, j) in (c, di, dj)
+    # order, the order of weight.reshape(O, C*kh*kw); one GEMM does the rest
     xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out = np.einsum("bcijhw,ochw->boij", win, weight.data)
+    h_out, w_out = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
+    w2 = weight.data.reshape(c_out, c_in * kh * kw)
+    out = (cols @ w2.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
@@ -317,16 +352,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 f"conv2d bias shape {bias.data.shape} does not match out channels {c_out}")
         out = out + bias.data[None, :, None, None]
         parents.append(bias)
-    h_out, w_out = out.shape[2], out.shape[3]
 
     def backward(g):
         gd = g[None] if squeeze else g
-        weight.accumulate_grad(np.einsum("boij,bcijhw->ochw", gd, win))
+        g2 = gd.transpose(0, 2, 3, 1).reshape(batch * h_out * w_out, c_out)
+        weight.accumulate_grad((g2.T @ cols).reshape(weight.data.shape))
+        # col2im: scatter each tap's column block back onto the padded input
+        gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
         gxp = np.zeros_like(xp)
         for di in range(kh):
             for dj in range(kw):
                 gxp[:, :, di: di + h_out * sh: sh, dj: dj + w_out * sw: sw] += \
-                    np.einsum("boij,oc->bcij", gd, weight.data[:, :, di, dj])
+                    gcols[..., di, dj].transpose(0, 3, 1, 2)
         gx = gxp[:, :, ph: ph + height, pw: pw + width]
         x.accumulate_grad(gx[0] if squeeze else gx)
         if bias is not None:
@@ -543,9 +580,13 @@ def scatter_grid(features: Tensor, batch_index: np.ndarray, cells: np.ndarray,
         raise ConfigurationError("scatter_grid index shapes do not match features")
     inside = ((bi >= 0) & (bi < batch) & (cl[:, 0] >= 0) & (cl[:, 0] < rows)
               & (cl[:, 1] >= 0) & (cl[:, 1] < cols))
-    assert inside.all(), "grid indices out of range; occupancy resolution must reject these"
-    targets = set(zip(bi.tolist(), cl[:, 0].tolist(), cl[:, 1].tolist()))
-    assert len(targets) == n, "duplicate grid cell targets; occupancy resolution must be applied"
+    if not inside.all():
+        raise ConfigurationError(
+            "scatter_grid indices out of range; occupancy resolution must reject these")
+    linear = (bi * rows + cl[:, 0]) * cols + cl[:, 1]
+    if np.unique(linear).size != n:
+        raise ConfigurationError(
+            "scatter_grid has duplicate cell targets; occupancy resolution must be applied")
 
     out = np.zeros(grid_shape, dtype=features.data.dtype)
     out[bi, :, cl[:, 0], cl[:, 1]] = features.data

@@ -7,12 +7,16 @@ topological order and accumulates gradients into every reachable leaf.
 
 Threading contract: tensors are immutable during inference and may be read
 concurrently; a training step is the single writer of parameter data and
-gradient slots.
+gradient slots. Whether ops record the graph is set per thread (see
+:func:`no_grad`), so inference in one thread does not stop a training step
+in another from recording.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +29,30 @@ __all__ = [
 ]
 
 DEFAULT_DTYPE = np.float64
+
+
+class _GraphSwitch(threading.local):
+    recording = True  # the default each thread starts with
+
+
+_graph = _GraphSwitch()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph nodes in this thread while the block runs.
+
+    Op results inside the block have no parents and do not require
+    gradients, so the arrays their backward closures would hold are freed as
+    soon as the forward pass stops using them. The previous setting comes
+    back on exit, also when the block raises.
+    """
+    previous = _graph.recording
+    _graph.recording = False
+    try:
+        yield
+    finally:
+        _graph.recording = previous
 
 
 class ConfigurationError(ValueError):
@@ -80,10 +108,11 @@ class Tensor:
 
         The backward closure receives the upstream gradient and is
         responsible for calling ``parent.accumulate_grad``. Nodes are only
-        recorded when at least one parent participates in the graph.
+        recorded when at least one parent participates in the graph, and
+        never inside :func:`no_grad`.
         """
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _graph.recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn

@@ -99,6 +99,27 @@ def naive_symmetric_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return shifted[:, span:span + length]
 
 
+def naive_conv2d(x: np.ndarray, w: np.ndarray, b, stride, padding) -> np.ndarray:
+    """Loop-per-output cross-correlation of ``[B, C, H, W]`` with zero padding.
+
+    out[n, o, i, j] = b[o] + sum(xp[n, :, i*sh : i*sh + kh, j*sw : j*sw + kw] * w[o])
+    """
+    (sh, sw), (ph, pw) = stride, padding
+    batch = x.shape[0]
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    h_out = (xp.shape[2] - kh) // sh + 1
+    w_out = (xp.shape[3] - kw) // sw + 1
+    out = np.zeros((batch, c_out, h_out, w_out), dtype=x.dtype)
+    for n in range(batch):
+        for o in range(c_out):
+            for i in range(h_out):
+                for j in range(w_out):
+                    patch = xp[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw]
+                    out[n, o, i, j] = np.sum(patch * w[o]) + (0.0 if b is None else b[o])
+    return out
+
+
 def numerical_gradient(fn: Callable[[], float], arr: np.ndarray,
                        step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t. ``arr`` in place."""

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from deeptrack.atcn import AtcnConfig, AtcnEncoder, receptive_field, required_padding
+from deeptrack.atcn import AtcnConfig, AtcnEncoder, receptive_field
 from deeptrack.numcore import (
     ConfigurationError,
     Kernel1D,
     Tensor,
     dilated_conv1d,
-    depthwise_conv1d,
-    pointwise_conv1d,
+    same_length_padding,
 )
 
 from helpers import check_gradients
@@ -23,18 +22,18 @@ EGO_CONFIG = AtcnConfig(input_channels=2, channels=(8, 16, 32),
 
 class TestPaddingMath:
     def test_length_preserving_cases(self):
-        assert required_padding(16, 16, 1, 2, 1) == 1
-        assert required_padding(16, 16, 1, 3, 2) == 2
-        assert required_padding(16, 16, 1, 1, 1) == 0
+        assert same_length_padding(16, 16, 1, 2, 1) == 1
+        assert same_length_padding(16, 16, 1, 3, 2) == 2
+        assert same_length_padding(16, 16, 1, 1, 1) == 0
 
     def test_negative_interior_clamps_to_zero(self):
-        assert required_padding(1, 16, 1, 1, 1) == 0
+        assert same_length_padding(1, 16, 1, 1, 1) == 0
 
     def test_covers_dilated_span(self):
         # 2 * padding must reach the kernel span for length preservation
         for k in (1, 2, 3, 4):
             for d in (1, 2, 3):
-                p = required_padding(16, 16, 1, k, d)
+                p = same_length_padding(16, 16, 1, k, d)
                 assert 2 * p >= (k - 1) * d
                 assert 2 * p - (k - 1) * d in (0, 1)
 
@@ -189,11 +188,11 @@ class TestSeparableEquivalence:
             Tensor(x), Kernel1D(Tensor(w_std), Tensor(np.zeros(2)), dilation=2)).data
 
         eye = np.eye(2)[:, :, None]
-        h = pointwise_conv1d(Tensor(x), Kernel1D(Tensor(eye), Tensor(np.zeros(2))))
+        h = dilated_conv1d(Tensor(x), Kernel1D(Tensor(eye), Tensor(np.zeros(2))))
         dw_w = np.tile(taps, (2, 1, 1))
-        h = depthwise_conv1d(h, Kernel1D(Tensor(dw_w), Tensor(np.zeros(2)),
-                                         dilation=2, groups=2))
-        h = pointwise_conv1d(h, Kernel1D(Tensor(a[:, :, None]), Tensor(np.zeros(2))))
+        h = dilated_conv1d(h, Kernel1D(Tensor(dw_w), Tensor(np.zeros(2)),
+                                       dilation=2, groups=2))
+        h = dilated_conv1d(h, Kernel1D(Tensor(a[:, :, None]), Tensor(np.zeros(2))))
         assert np.allclose(h.data, std, atol=1e-12)
 
 

@@ -11,11 +11,13 @@ from deeptrack.numcore import (
     Tensor,
     conv2d,
     dilated_conv1d,
-    depthwise_conv1d,
-    pointwise_conv1d,
 )
 
-from helpers import naive_dilated_conv1d, naive_symmetric_conv1d
+from helpers import (
+    check_gradients, naive_conv2d, naive_dilated_conv1d, naive_symmetric_conv1d,
+)
+
+PAD_MODES = ("causal", "symmetric")
 
 
 def random_instance(rng):
@@ -58,13 +60,28 @@ class TestCausalOracle:
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 3, 12))
-        kern = Kernel1D(Tensor(rng.normal(size=(4, 3, 2))), Tensor(rng.normal(size=4)),
-                        dilation=2)
-        batched = dilated_conv1d(Tensor(x), kern).data
-        for i in range(5):
-            single = dilated_conv1d(Tensor(x[i]), kern).data
-            assert np.allclose(batched[i], single, atol=1e-12)
+        x = rng.normal(size=(5, 4, 12))
+        naive = {"causal": naive_dilated_conv1d, "symmetric": naive_symmetric_conv1d}
+        for groups in (1, 2, 4):  # 4 == C: depthwise
+            w, b = rng.normal(size=(4, 4 // groups, 2)), rng.normal(size=4)
+            kern = Kernel1D(Tensor(w), Tensor(b), dilation=2, groups=groups)
+            for mode in PAD_MODES:
+                batched = dilated_conv1d(Tensor(x), kern, mode).data
+                for i in range(5):
+                    single = dilated_conv1d(Tensor(x[i]), kern, mode).data
+                    assert np.allclose(batched[i], single, atol=1e-12)
+                    want = naive[mode](x[i], w, b, 2, groups)
+                    assert np.max(np.abs(batched[i] - want)) < 1e-9
+
+    def test_batched_dense_gradients(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(3, 3, 9)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        kern = Kernel1D(w, b, dilation=2)
+        for mode in PAD_MODES:
+            check_gradients(lambda: (dilated_conv1d(x, kern, mode) ** 2.0).sum(),
+                            {"x": x, "w": w, "b": b})
 
 
 class TestWorkedValues:
@@ -107,14 +124,14 @@ class TestWorkedValues:
         w = np.zeros((2, 1, 2))
         w[:, 0, 1] = 1.0
         kern = Kernel1D(Tensor(w), Tensor(np.zeros(2)), dilation=1, groups=2)
-        out = depthwise_conv1d(x, kern).data
+        out = dilated_conv1d(x, kern).data
         assert np.allclose(out, [[0.0, 1.0, 2.0], [0.0, 4.0, 5.0]])
 
     def test_pointwise_column_mix(self):
         # 2 -> 1 channels, weights [2, 3], bias 1: column of ones maps to 6
         x = Tensor(np.ones((2, 4)))
         kern = Kernel1D(Tensor([[[2.0], [3.0]]]), Tensor([1.0]))
-        assert np.allclose(pointwise_conv1d(x, kern).data, np.full((1, 4), 6.0))
+        assert np.allclose(dilated_conv1d(x, kern).data, np.full((1, 4), 6.0))
 
     def test_grouped_halves_stay_separate(self):
         rng = np.random.default_rng(11)
@@ -142,16 +159,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Kernel1D(Tensor(np.ones((2, 1, 2))), Tensor(np.zeros(3)))
 
-    def test_depthwise_requires_matching_groups(self):
-        kern = Kernel1D(Tensor(np.ones((4, 2, 2))), Tensor(np.zeros(4)), groups=2)
-        with pytest.raises(ConfigurationError):
-            depthwise_conv1d(Tensor(np.ones((4, 8))), kern)
-
-    def test_pointwise_rejects_wide_kernels(self):
-        kern = Kernel1D(Tensor(np.ones((2, 2, 2))), Tensor(np.zeros(2)))
-        with pytest.raises(ConfigurationError):
-            pointwise_conv1d(Tensor(np.ones((2, 8))), kern)
-
     def test_unknown_pad_mode_rejected(self):
         kern = Kernel1D(Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
         with pytest.raises(ConfigurationError):
@@ -178,17 +185,52 @@ class TestConv2d:
         w = rng.normal(size=(3, 5, 3, 2))
         b = rng.normal(size=3)
         out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 1), padding=(1, 0)).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (0, 0)))
-        h_out = (6 + 2 - 3) // 2 + 1
-        w_out = 4 - 2 + 1
-        want = np.zeros((2, 3, h_out, w_out))
-        for n in range(2):
-            for o in range(3):
-                for i in range(h_out):
-                    for j in range(w_out):
-                        patch = xp[n, :, i * 2:i * 2 + 3, j:j + 2]
-                        want[n, o, i, j] = np.sum(patch * w[o]) + b[o]
+        want = naive_conv2d(x, w, b, (2, 1), (1, 0))
         assert np.max(np.abs(out - want)) < 1e-9
+
+    def test_120_random_instances_match_loop_reference(self):
+        rng = np.random.default_rng(2026)
+        shapes = set()
+        for case in range(120):
+            batch = int(rng.integers(1, 5))
+            kh, kw = (3, 3) if case % 4 == 0 else (3, 1) if case % 4 == 1 else \
+                (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+            c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            height = int(rng.integers(max(1, kh - 2 * padding[0]), 8))
+            width = int(rng.integers(max(1, kw - 2 * padding[1]), 6))
+            x = rng.normal(size=(batch, c_in, height, width))
+            w = rng.normal(size=(c_out, c_in, kh, kw))
+            b = rng.normal(size=c_out) if case % 3 else None
+            unbatched = case % 5 == 0
+            got = conv2d(Tensor(x[0] if unbatched else x), Tensor(w),
+                         None if b is None else Tensor(b), stride, padding).data
+            want = naive_conv2d(x, w, b, stride, padding)
+            if unbatched:
+                want = want[0]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-9, (case, x.shape, w.shape, stride, padding)
+            shapes.add((unbatched, kh, kw) + stride + padding)
+        # the sweep reaches the unbatched input, both model kernels, both
+        # strides and both paddings
+        assert any(s[0] for s in shapes)
+        assert any(s[1:3] == (3, 3) for s in shapes) and any(s[1:3] == (3, 1) for s in shapes)
+        assert {s[3:5] for s in shapes} >= {(1, 1), (2, 2)}
+        assert {s[5:7] for s in shapes} >= {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((2, 3, 5, 3), (4, 3, 3, 3), (1, 1), (1, 1)),
+        ((3, 2, 6, 3), (3, 2, 3, 1), (2, 1), (1, 0)),
+        ((2, 5, 4), (2, 2, 2, 2), (2, 2), (0, 1)),
+    ])
+    def test_gradients_match_finite_differences(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(sum(x_shape))
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=w_shape[0]), requires_grad=True)
+        check_gradients(lambda: (conv2d(x, w, b, stride, padding) ** 2.0).sum(),
+                        {"x": x, "w": w, "b": b})
 
     def test_oversized_window_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Layer ops: forward values, validation, and shape behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,13 @@ class TestActivations:
         out = swish(Tensor(x)).data
         diffs = np.diff(out)
         assert (diffs < 0).any() and (diffs > 0).any()
+
+    def test_saturation_raises_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(Tensor([-1000.0])).data[0] == 0.0
+            assert swish(Tensor([-1000.0])).data[0] == 0.0
+            assert sigmoid(Tensor([1000.0])).data[0] == 1.0
 
     def test_sigmoid_tanh_values(self):
         assert np.allclose(sigmoid(Tensor([0.0])).data, 0.5)
@@ -188,9 +197,13 @@ class TestStructural:
 
     def test_scatter_grid_rejects_duplicates_and_out_of_range(self):
         feats = Tensor(np.ones((2, 2)))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConfigurationError, match="duplicate"):
             scatter_grid(feats, np.array([0, 0]), np.array([[0, 0], [0, 0]]),
                          (1, 2, 3, 2))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConfigurationError, match="out of range"):
             scatter_grid(feats, np.array([0, 0]), np.array([[0, 0], [5, 0]]),
                          (1, 2, 3, 2))
+        # the same cell in two different samples is not a duplicate
+        out = scatter_grid(feats, np.array([0, 1]), np.array([[1, 1], [1, 1]]),
+                           (2, 2, 3, 2))
+        assert out.data.sum() == 4.0

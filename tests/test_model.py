@@ -1,5 +1,10 @@
 """Full predictor: shapes, invariances, state round-trips, gradients."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,7 +64,7 @@ class TestShapes:
         rng = np.random.default_rng(0)
         s = make_sample(cfg, rng, n_in_grid=1)
         s.neighbors[0].cell = (99, 0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConfigurationError, match="outside the grid"):
             collate([s], cfg)
 
 
@@ -216,6 +221,79 @@ class TestModes:
         # identical weights, different feedback: first step agrees, later diverge
         assert np.allclose(auto[0], quiet[0], atol=1e-12)
         assert not np.allclose(auto[1:], quiet[1:])
+
+
+class TestPredictRecordsNoGraph:
+    def _model_and_samples(self):
+        cfg = default_model_config()
+        model = DeepTrack(cfg, seed=3)
+        rng = np.random.default_rng(3)
+        return model, [make_sample(cfg, rng, vid=i, n_in_grid=i % 4) for i in range(6)]
+
+    def test_predict_equals_eval_forward_bit_for_bit(self):
+        model, samples = self._model_and_samples()
+        want = model.forward_batch(collate(samples, model.config), "eval").data
+        assert np.array_equal(model.predict(samples), want)
+
+    def test_predict_outputs_have_no_parents(self, monkeypatch):
+        model, samples = self._model_and_samples()
+        outputs = []
+        forward_batch = model.forward_batch
+
+        def spy(batch, mode="eval"):
+            outputs.append(forward_batch(batch, mode))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        model.predict(samples, batch_size=4)
+        assert len(outputs) == 2
+        for out in outputs:
+            assert out._parents == () and not out.requires_grad
+
+    def test_training_graph_survives_predict_that_raised(self):
+        model, samples = self._model_and_samples()
+        model.predict(samples)
+        bad = make_sample(model.config, np.random.default_rng(4))
+        bad.ego_history = bad.ego_history[:-1]
+        with pytest.raises(ConfigurationError):
+            model.predict(samples + [bad], batch_size=3)
+        batch = collate(samples, model.config)
+        model.zero_grad()
+        ((model.forward_batch(batch, "train") - batch.future) ** 2.0).mean().backward()
+        assert all(p.grad is not None for p in model.parameters().values())
+
+
+class TestInvariantsUnderOptimize:
+    """Invariant checks raise ConfigurationError, which ``python -O`` keeps."""
+
+    @pytest.mark.parametrize("call", [
+        "scatter_grid(Tensor(np.ones((1, 2))), np.array([0]), np.array([[5, 0]]), (1, 2, 3, 2))",
+        "scatter_grid(Tensor(np.ones((2, 2))), np.array([0, 0]), np.array([[1, 1], [1, 1]]),"
+        " (1, 2, 3, 2))",
+        "collate([bad], cfg)",
+    ], ids=["grid-out-of-range", "grid-duplicate", "collate-out-of-grid"])
+    def test_rejected_with_asserts_stripped(self, call):
+        script = "\n".join([
+            "import numpy as np",
+            "from deeptrack.configio import default_model_config",
+            "from deeptrack.model import collate",
+            "from deeptrack.numcore import ConfigurationError, Tensor, scatter_grid",
+            "from helpers import random_sample",
+            "cfg = default_model_config()",
+            "bad = random_sample(cfg, np.random.default_rng(0), n_in_grid=1)",
+            "bad.neighbors[0].cell = (99, 0)",
+            "try:",
+            f"    {call}",
+            "except ConfigurationError:",
+            "    print('rejected')",
+        ])
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "rejected"
 
 
 class TestFullModelGradients:

@@ -1,9 +1,12 @@
 """Tensor arithmetic, broadcasting, and backward-pass mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from deeptrack.numcore import GraphError, Tensor, as_tensor
+from deeptrack.numcore.tensor import no_grad
 
 from helpers import check_gradients
 
@@ -131,3 +134,34 @@ class TestOpGradients:
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         check_gradients(lambda: ((a @ b) ** 2.0).sum(), {"a": a, "b": b})
+
+
+class TestNoGrad:
+    def test_block_records_nothing_and_restores(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            out = (w * 2.0).sum()
+        assert not out.requires_grad and out._parents == ()
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        (w * 2.0).sum().backward()
+        assert np.array_equal(w.grad, np.full(3, 2.0))
+
+    def test_switch_is_per_thread(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+
+        def train_step():
+            loss = (w * w).sum()
+            seen.append(loss.requires_grad)
+            loss.backward()
+
+        with no_grad():
+            worker = threading.Thread(target=train_step)
+            worker.start()
+            worker.join(timeout=30)
+            assert not (w * w).sum().requires_grad
+        assert not worker.is_alive()
+        assert seen == [True]
+        assert np.array_equal(w.grad, np.full(3, 2.0))
