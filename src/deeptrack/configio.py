@@ -27,6 +27,7 @@ __all__ = [
     "config_hash",
     "load_config_file",
     "save_config_file",
+    "reject_unknown_keys",
 ]
 
 
@@ -55,6 +56,9 @@ class PoolSpec:
         self.window = (int(self.window[0]), int(self.window[1]))
         self.stride = (int(self.stride[0]), int(self.stride[1]))
         self.padding = (int(self.padding[0]), int(self.padding[1]))
+        if min(self.window) < 1 or min(self.stride) < 1 or not all(
+                0 <= p < w for p, w in zip(self.padding, self.window)):
+            raise ConfigurationError(f"invalid pool spec {self}")
 
 
 @dataclass
@@ -174,9 +178,24 @@ def model_config_to_dict(cfg: ModelConfig) -> Dict[str, Any]:
     }
 
 
+def reject_unknown_keys(d: Dict[str, Any], known, where: str) -> None:
+    """Raise when ``d`` has a key outside ``known``, so a typo cannot pass
+    silently as a default."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigurationError(f"unknown {where} settings: {unknown}")
+
+
 def model_config_from_dict(d: Dict[str, Any]) -> ModelConfig:
+    """Build a config from its JSON form; unknown keys at any level are errors."""
     base = default_model_config()
+    known = model_config_to_dict(base)
     try:
+        reject_unknown_keys(d, known, "model")
+        for section in ("neighborAtcn", "egoAtcn", "socialConv1", "socialConv2",
+                        "socialPool"):
+            if section in d:
+                reject_unknown_keys(d[section], known[section], section)
         pool = d.get("socialPool")
         return ModelConfig(
             neighbor_atcn=_atcn_from_dict(d["neighborAtcn"]) if "neighborAtcn" in d

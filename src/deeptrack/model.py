@@ -9,7 +9,7 @@ Forward pass over one batch:
    social feature; a second encoder plus a dense remap summarizes the ego
    history to the same width.
 3. Their concatenation seeds the LSTM decoder state through a two-layer
-   MLP; the decoder unrolls ``horizon_steps`` times feeding on zeros (or on
+   MLP; the decoder unrolls ``horizon_steps`` times without input (or on
    its own output when configured autoregressive), and one shared dense
    head maps each hidden state to an (x, y) offset.
 
@@ -286,7 +286,7 @@ class DeepTrack:
         h, c = z[:, :hidden], z[:, hidden:]
 
         if cfg.autoregressive:
-            prev = Tensor(np.zeros((b, cfg.output_dim), dtype=self.dtype))
+            prev = None  # nothing to feed back before the first step
             steps: List[Tensor] = []
             for _ in range(cfg.horizon_steps):
                 h, c = lstm_cell(prev, h, c, self.decoder)
@@ -295,10 +295,9 @@ class DeepTrack:
                 prev = y
             return stack(steps, axis=1)
 
-        quiet = Tensor(np.zeros((b, cfg.output_dim), dtype=self.dtype))
         hs: List[Tensor] = []
         for _ in range(cfg.horizon_steps):
-            h, c = lstm_cell(quiet, h, c, self.decoder)
+            h, c = lstm_cell(None, h, c, self.decoder)
             hs.append(h)
         flat_h = stack(hs, axis=1).reshape(b * cfg.horizon_steps, hidden)
         out = dense(flat_h, self.head_w, self.head_b)

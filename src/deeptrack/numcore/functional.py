@@ -434,39 +434,56 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     """Normalize per channel (axis after batch) over all other axes.
 
     Train mode uses batch statistics and folds them into ``running`` with
-    ``running = (1 - momentum) * running + momentum * batch``; eval mode is a
-    pure affine function of the running statistics.
+    ``running = (1 - momentum) * running + momentum * batch``; eval mode is
+    the per-channel affine ``x * a + (beta - mean * a)`` with
+    ``a = gamma / sqrt(var + eps)`` from the running statistics. The op is
+    one graph node; eval mode recomputes ``xhat`` in its backward.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    squeeze = x.data.ndim == 2
-    xx = x.reshape((1,) + x.data.shape) if squeeze else x
-    channels = xx.data.shape[1]
+    xd = x.data
+    c_axis = 0 if xd.ndim == 2 else 1  # a single [C, T] sequence has no batch axis
+    channels = xd.shape[c_axis]
     if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
         raise ConfigurationError(
             f"batch_norm scale/shift must have shape ({channels},), got {gamma.shape}, {beta.shape}")
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    bshape = (1, channels) + (1,) * (xx.data.ndim - 2)
-    reduce_axes = (0,) + tuple(range(2, xx.data.ndim))
+    axes = tuple(a for a in range(xd.ndim) if a != c_axis)
+    bshape = tuple(channels if a == c_axis else 1 for a in range(xd.ndim))
+    g, b = gamma.data.reshape(bshape), beta.data.reshape(bshape)
 
     if mode == "train":
-        mu = xx.mean(axis=reduce_axes, keepdims=True)
-        var = ((xx - mu) ** 2).mean(axis=reduce_axes, keepdims=True)
-        xhat = (xx - mu) / (var + eps).sqrt()
+        mean = xd.mean(axis=axes, keepdims=True)
+        xhat = xd - mean
+        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        inv_sd = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_sd
+        out = xhat * g + b
         if running is not None:
             m = float(momentum)
-            running.mean[:] = (1.0 - m) * running.mean + m * mu.data.reshape(channels)
-            running.var[:] = (1.0 - m) * running.var + m * var.data.reshape(channels)
+            running.mean[:] = (1.0 - m) * running.mean + m * mean.reshape(channels)
+            running.var[:] = (1.0 - m) * running.var + m * var.reshape(channels)
     else:
         if running is None:
             raise ConfigurationError(
                 "batch_norm eval mode needs running statistics; none were recorded")
-        mu = running.mean.reshape(bshape).astype(xx.data.dtype)
-        sd = np.sqrt(running.var.reshape(bshape).astype(xx.data.dtype) + eps)
-        xhat = (xx - mu) * (1.0 / sd)
+        mean = running.mean.reshape(bshape).astype(xd.dtype)
+        inv_sd = 1.0 / np.sqrt(running.var.reshape(bshape).astype(xd.dtype) + eps)
+        xhat = None
+        out = xd * (g * inv_sd)
+        out += b - mean * g * inv_sd
 
-    out = xhat * gamma.reshape(bshape) + beta.reshape(bshape)
-    return out.reshape(x.data.shape) if squeeze else out
+    def backward(grad):
+        xh = (xd - mean) * inv_sd if xhat is None else xhat
+        gsum = grad.sum(axis=axes, keepdims=True)
+        gdot = (grad * xh).sum(axis=axes, keepdims=True)
+        gamma.accumulate_grad(gdot.reshape(channels))
+        beta.accumulate_grad(gsum.reshape(channels))
+        if xhat is not None:  # in train mode the batch statistics depend on x too
+            grad = grad - (gsum + xh * gdot) * (channels / xd.size)
+        x.accumulate_grad(grad * (g * inv_sd))
+
+    return Tensor._node(out, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +520,26 @@ class LstmWeights:
         return self.w_ih.data.shape[1]
 
 
-def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
+def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
               weights: LstmWeights) -> Tuple[Tensor, Tensor]:
-    """One LSTM step over a batch: returns (h_t, c_t)."""
-    x_t, h_prev, c_prev = as_tensor(x_t), as_tensor(h_prev), as_tensor(c_prev)
+    """One LSTM step over a batch: returns (h_t, c_t).
+
+    ``x_t=None`` stands for a zero input: the gates start from
+    ``h_prev @ w_hh.T + bias`` and ``w_ih`` takes no part in the step.
+    """
+    x_t = None if x_t is None else as_tensor(x_t)
+    h_prev, c_prev = as_tensor(h_prev), as_tensor(c_prev)
     h = weights.hidden
-    if x_t.data.ndim != 2 or h_prev.data.shape != (x_t.data.shape[0], h) \
-            or c_prev.data.shape != h_prev.data.shape:
+    rows = h_prev.data.shape[:1]  # dense checks that x_t is [rows, in]
+    if (x_t is not None and x_t.data.shape[:1] != rows) \
+            or h_prev.data.shape != rows + (h,) or c_prev.data.shape != h_prev.data.shape:
         raise ConfigurationError(
-            f"lstm_cell shapes: x {x_t.shape}, h {h_prev.shape}, c {c_prev.shape}, hidden {h}")
-    gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
+            f"lstm_cell shapes: x {None if x_t is None else x_t.shape}, "
+            f"h {h_prev.shape}, c {c_prev.shape}, hidden {h}")
+    if x_t is None:
+        gates = dense(h_prev, weights.w_hh, weights.bias)
+    else:
+        gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
     i = sigmoid(gates[:, 0 * h:1 * h])
     f = sigmoid(gates[:, 1 * h:2 * h])
     g = tanh(gates[:, 2 * h:3 * h])

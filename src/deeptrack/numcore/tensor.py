@@ -151,13 +151,6 @@ class Tensor:
             raise GraphError(f"item() needs a single value, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only while a graph is alive."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -254,41 +247,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            self.accumulate_grad(g * 0.5 / np.sqrt(self.data))
-
-        return Tensor._node(out_data, (self,), backward)
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self.accumulate_grad(g * out_data)
-
-        return Tensor._node(out_data, (self,), backward)
-
-    def __matmul__(self, other):
-        other = as_tensor(other, dtype=self.data.dtype)
-        a, b = self.data, other.data
-        out_data = a @ b
-
-        def backward(g):
-            if b.ndim == 1:
-                ga = np.outer(g, b) if a.ndim == 2 else g[..., None] * b
-            else:
-                ga = g @ np.swapaxes(b, -1, -2)
-            if a.ndim == 1:
-                gb = np.outer(a, g) if b.ndim == 2 else a[..., None] * g
-            else:
-                gb = np.swapaxes(a, -1, -2) @ g
-            self.accumulate_grad(ga)
-            other.accumulate_grad(gb)
-
-        return Tensor._node(out_data, (self, other), backward)
-
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -321,26 +279,19 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        axes = tuple(a % self.data.ndim for a in axes)
-        inverse = np.argsort(axes)
-        out_data = self.data.transpose(axes)
-
-        def backward(g):
-            self.accumulate_grad(g.transpose(inverse))
-
-        return Tensor._node(out_data, (self,), backward)
-
     def __getitem__(self, key) -> "Tensor":
+        """Basic indexing only (ints, slices, ``Ellipsis``, ``None``): it names
+        each element at most once, so the gradient is one slice assignment."""
+        parts = key if isinstance(key, tuple) else (key,)
+        if not all(isinstance(p, (int, np.integer, slice, type(None), type(...)))
+                   and not isinstance(p, bool) for p in parts):
+            raise ConfigurationError(
+                f"Tensor indexing takes ints, slices, Ellipsis and None, got {key!r}")
         out_data = self.data[key]
 
         def backward(g):
             gx = np.zeros_like(self.data)
-            np.add.at(gx, key, g)
+            gx[key] = g
             self.accumulate_grad(gx)
 
         return Tensor._node(out_data, (self,), backward)

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .configio import reject_unknown_keys
 from .ingest import TrajectorySample
 from .model import DeepTrack, collate
 from .numcore import (
@@ -24,6 +25,7 @@ from .numcore import (
     adam_step,
     relu,
 )
+from .numcore.tensor import no_grad
 
 __all__ = [
     "TrainConfig", "EpochRecord", "TrainResult", "TrainingDiverged",
@@ -112,9 +114,7 @@ _TRAIN_KEYS = {
 
 
 def train_config_from_dict(d: Dict) -> TrainConfig:
-    unknown = sorted(set(d) - set(_TRAIN_KEYS))
-    if unknown:
-        raise ConfigurationError(f"unknown train settings: {unknown}")
+    reject_unknown_keys(d, _TRAIN_KEYS, "train")
     return TrainConfig(**{attr: d[key] for key, attr in _TRAIN_KEYS.items() if key in d})
 
 
@@ -168,12 +168,13 @@ def history_to_text(history: Sequence[EpochRecord]) -> str:
 
 def _epoch_loss(model: DeepTrack, samples: Sequence[TrajectorySample],
                 batch_size: int, loss: Callable) -> float:
-    """Eval-mode mean loss over ``samples`` (no gradients, no stat updates)."""
+    """Eval-mode mean loss over ``samples`` (no graph, no stat updates)."""
     terms: List[float] = []
-    for lo in range(0, len(samples), batch_size):
-        batch = collate(samples[lo:lo + batch_size], model.config)
-        value = loss(model.forward_batch(batch, "eval"), batch.future).item()
-        terms.append(value * batch.size)
+    with no_grad():
+        for lo in range(0, len(samples), batch_size):
+            batch = collate(samples[lo:lo + batch_size], model.config)
+            value = loss(model.forward_batch(batch, "eval"), batch.future).item()
+            terms.append(value * batch.size)
     return math.fsum(terms) / len(samples)
 
 
@@ -220,8 +221,9 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
             if not math.isfinite(value.item()):
                 raise diverged(f"loss {value.item()} in epoch {epoch}")
             value.backward()
-            # a batch without a single in-grid neighbor leaves the neighbor
-            # encoder out of the graph; its parameters sit this step out
+            # parameters outside the graph sit this step out: decoder.w_ih
+            # when the decoder runs without input, the neighbor encoder on a
+            # batch without a single in-grid neighbor
             active = {name: t for name, t in params.items() if t.grad is not None}
             grads = {name: t.grad for name, t in active.items()}
             try:

@@ -1,5 +1,6 @@
-"""Shared test oracles: naive convolution loops, finite-difference checks,
-and a small model configuration reused across suites.
+"""Shared test oracles: naive convolution and batch-norm loops,
+finite-difference checks, and a small model configuration reused across
+suites.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -118,6 +119,32 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b, stride, padding) -> np.ndarray
                     patch = xp[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw]
                     out[n, o, i, j] = np.sum(patch * w[o]) + (0.0 if b is None else b[o])
     return out
+
+
+def naive_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                     mean: np.ndarray, var: np.ndarray, mode: str,
+                     momentum: float = 0.1, eps: float = 1e-5):
+    """Per-channel batch norm with an explicit loop over channels.
+
+    The channel axis is 0 for ``[C, T]`` and 1 otherwise. Returns
+    ``(out, new_mean, new_var)``; eval mode returns the statistics unchanged,
+    train mode folds the population statistics of the batch into them.
+    """
+    axis = 0 if x.ndim == 2 else 1
+    xc = np.moveaxis(x, axis, 0)
+    out = np.empty_like(xc)
+    new_mean, new_var = mean.copy(), var.copy()
+    for c in range(xc.shape[0]):
+        values = xc[c]
+        if mode == "train":
+            mu = values.sum() / values.size
+            sigma2 = ((values - mu) ** 2).sum() / values.size
+            new_mean[c] = (1.0 - momentum) * mean[c] + momentum * mu
+            new_var[c] = (1.0 - momentum) * var[c] + momentum * sigma2
+        else:
+            mu, sigma2 = mean[c], var[c]
+        out[c] = gamma[c] * (values - mu) / math.sqrt(sigma2 + eps) + beta[c]
+    return np.moveaxis(out, 0, axis), new_mean, new_var
 
 
 def numerical_gradient(fn: Callable[[], float], arr: np.ndarray,

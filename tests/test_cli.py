@@ -189,3 +189,22 @@ class TestComplexity:
         assert payload["totalParams"] == 173_530
         assert payload["totalMacs"] == 1_674_512
         assert (tmp_path / "envroot" / "complexity" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"decoderHiden": 8},
+        {"neighborAtcn": {**model_config_to_dict(default_model_config())["neighborAtcn"],
+                          "kernelSize": 3}},
+        {"egoAtcn": {**model_config_to_dict(default_model_config())["egoAtcn"],
+                     "dilation": [1, 1, 1]}},
+        {"socialConv1": {"outChannels": 64, "kernel": [3, 3], "strides": [1, 1]}},
+        {"socialConv2": {"outChannels": 16, "kernel": [3, 1], "pad": [0, 0]}},
+        {"socialPool": {"window": [2, 1], "stride": [2, 1], "paddding": [1, 0]}},
+        {"socialPool": {"window": [0, 1], "stride": [0, 1]}},
+        {"socialPool": {"window": [2, 1], "stride": [2, 1], "padding": [2, 0]}},
+    ], ids=["top", "neighborAtcn", "egoAtcn", "socialConv1", "socialConv2",
+            "socialPool", "pool-zero-window", "pool-padding-covers-window"])
+    def test_config_typos_and_bad_pool_are_exit_2(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["complexity", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -23,6 +23,8 @@ from deeptrack.numcore import (
     tanh,
 )
 
+from helpers import naive_batch_norm
+
 
 class TestActivations:
     def test_swish_at_one(self):
@@ -106,6 +108,30 @@ class TestBatchNorm:
                    stats, mode="eval")
         assert np.array_equal(stats.mean, before.mean)
         assert np.array_equal(stats.var, before.var)
+
+    @pytest.mark.parametrize("shape", [(3, 9), (5, 3, 9), (4, 3, 5, 2)],
+                             ids=["CT", "BCT", "BCHW"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_naive_loop(self, shape, mode):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(loc=2.0, scale=3.0, size=shape)
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        stats = RunningStats(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+        want, want_mean, want_var = naive_batch_norm(
+            x, gamma, beta, stats.mean, stats.var, mode, momentum=0.2, eps=1e-3)
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), stats, mode,
+                         momentum=0.2, eps=1e-3)
+        assert out.shape == shape
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stats.mean, want_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stats.var, want_var, rtol=0, atol=1e-12)
+
+    def test_one_node_per_call(self):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3))
+        for mode in ("train", "eval"):
+            out = batch_norm(x, gamma, beta, RunningStats.fresh(3), mode)
+            assert out._parents == (x, gamma, beta)
 
     def test_gamma_shape_checked(self):
         with pytest.raises(ConfigurationError):

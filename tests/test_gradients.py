@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from deeptrack.numcore import (
+    ConfigurationError,
     Kernel1D,
     LstmWeights,
     RunningStats,
@@ -98,19 +99,25 @@ class TestPoolingGradients:
 
 
 class TestBatchNormGradients:
-    def test_train_mode(self):
-        x, gamma, beta = t((4, 3, 6)), t((3,)), t((3,))
-        stats = RunningStats.fresh(3)
+    @staticmethod
+    def check(shape, mode):
+        x, gamma, beta = t(shape), t((3,)), t((3,))
+        stats = RunningStats(np.abs(RNG.normal(size=3)), np.abs(RNG.normal(size=3)) + 0.5)
+        running = stats if mode == "eval" else None
         check_gradients(
-            lambda: (batch_norm(x, gamma, beta, None, "train") ** 2.0).sum(),
+            lambda: (batch_norm(x, gamma, beta, running, mode) ** 2.0).sum(),
             {"x": x, "gamma": gamma, "beta": beta})
 
+    def test_train_mode(self):
+        self.check((4, 3, 6), "train")
+
     def test_eval_mode(self):
-        x, gamma, beta = t((4, 3, 6)), t((3,)), t((3,))
-        stats = RunningStats(np.abs(RNG.normal(size=3)), np.abs(RNG.normal(size=3)) + 0.5)
-        check_gradients(
-            lambda: (batch_norm(x, gamma, beta, stats, "eval") ** 2.0).sum(),
-            {"x": x, "gamma": gamma, "beta": beta})
+        self.check((4, 3, 6), "eval")
+
+    def test_channels_by_time_input(self):
+        # a single [C, T] sequence normalizes each channel over time
+        self.check((3, 7), "train")
+        self.check((3, 7), "eval")
 
 
 class TestLstmGradients:
@@ -127,6 +134,28 @@ class TestLstmGradients:
             return (h ** 2.0).sum() + (c ** 2.0).sum()
 
         check_gradients(loss, tensors)
+
+    def test_no_input_step(self):
+        # x_t=None is a zero input: w_ih gets no gradient, the rest match
+        hidden = 3
+        h0, c0 = t((2, hidden)), t((2, hidden))
+        weights = LstmWeights(t((4 * hidden, 2)), t((4 * hidden, hidden)),
+                              t((4 * hidden,)))
+        tensors = {"h0": h0, "c0": c0, "w_hh": weights.w_hh, "bias": weights.bias}
+
+        def loss():
+            h, c = lstm_cell(None, h0, c0, weights)
+            return (h ** 2.0).sum() + (c ** 2.0).sum()
+
+        check_gradients(loss, tensors)
+        weights.w_ih.zero_grad()
+        loss().backward()
+        assert weights.w_ih.grad is None
+        zero_in = lstm_cell(Tensor(np.zeros((2, 2))), h0, c0, weights)
+        for got, want in zip(lstm_cell(None, h0, c0, weights), zero_in):
+            assert np.array_equal(got.data, want.data)
+        with pytest.raises(ConfigurationError):
+            lstm_cell(None, h0, c0[:1], weights)
 
     def test_unrolled_three_steps(self):
         hidden, n_in = 2, 2

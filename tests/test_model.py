@@ -17,6 +17,8 @@ from deeptrack.configio import (
 from deeptrack.ingest import NeighborTrack, TrajectorySample
 from deeptrack.model import DeepTrack, collate, social_geometry
 from deeptrack.numcore import ConfigurationError, save_weights, load_weights
+from deeptrack.synthetic import constant_velocity_samples
+from deeptrack.trainer import mse_loss
 
 from helpers import check_gradients, random_sample as make_sample
 from helpers import tiny_model_config as tiny_config
@@ -260,7 +262,30 @@ class TestPredictRecordsNoGraph:
         batch = collate(samples, model.config)
         model.zero_grad()
         ((model.forward_batch(batch, "train") - batch.future) ** 2.0).mean().backward()
-        assert all(p.grad is not None for p in model.parameters().values())
+        # the decoder runs without input, so w_ih never enters the graph
+        without = {name for name, p in model.parameters().items() if p.grad is None}
+        assert without == {"decoder.w_ih"}
+
+
+def graph_nodes(root):
+    """Tensors reachable from ``root`` through ``_parents``, ``root`` included."""
+    seen = {id(root)}
+    todo = [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+class TestGraphSize:
+    def test_default_train_step_node_count(self):
+        # each of the 14 batch norms is one node; the decoder takes no input
+        model = DeepTrack(default_model_config(), seed=0)
+        batch = collate(constant_velocity_samples(32, seed=0), model.config)
+        loss = mse_loss(model.forward_batch(batch, "train"), batch.future)
+        assert graph_nodes(loss) == 491
 
 
 class TestInvariantsUnderOptimize:

@@ -163,6 +163,22 @@ class TestTrainLoop:
         for name, arr in before.items():
             assert np.array_equal(model.parameters()[name].data, arr), name
 
+    def test_validation_records_no_graph(self, monkeypatch):
+        model = DeepTrack(tiny_model_config(), seed=0)
+        outputs = {"train": [], "eval": []}
+        forward_batch = model.forward_batch
+
+        def spy(batch, mode="eval"):
+            outputs[mode].append(forward_batch(batch, mode))
+            return outputs[mode][-1]
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        train(model, dataset(16), dataset(12, seed=1), TrainConfig(epochs=2, batch_size=8))
+        assert len(outputs["train"]) == 4 and len(outputs["eval"]) == 4
+        assert all(out._parents for out in outputs["train"])
+        for out in outputs["eval"]:
+            assert out._parents == () and not out.requires_grad
+
     def test_empty_sets_rejected(self):
         model = DeepTrack(tiny_model_config(), seed=0)
         with pytest.raises(ConfigurationError):
