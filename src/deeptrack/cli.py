@@ -23,11 +23,9 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .complexity import SampleShape, complexity_report
 from .configio import (
-    ModelConfig,
     config_hash,
     default_model_config,
     load_config_file,
-    model_config_to_dict,
     save_config_file,
 )
 from .ingest import WindowConfig, load_samples, parse_tracks, save_samples, \
@@ -35,7 +33,6 @@ from .ingest import WindowConfig, load_samples, parse_tracks, save_samples, \
 from .model import DeepTrack
 from .numcore import ConfigurationError, NumericsError, load_weights, save_weights
 from .trainer import (
-    TrainConfig,
     TrainingDiverged,
     evaluate,
     history_to_text,

@@ -17,7 +17,7 @@ test pins the parameter total to the actual tensor sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .atcn import AtcnConfig

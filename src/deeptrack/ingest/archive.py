@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import IO, List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
@@ -79,15 +79,15 @@ def _save_text(path, samples: Sequence[TrajectorySample]) -> None:
 
 def _load_text(path) -> List[TrajectorySample]:
     out: List[TrajectorySample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(_sample_from_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: bad sample record: {err}") from err
+    line_no = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if line.strip():
+                    out.append(_sample_from_obj(json.loads(line)))
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ConfigurationError(f"{path}:{line_no}: bad sample record: {err}") from err
     return out
 
 
@@ -119,9 +119,10 @@ def _save_binary(path, samples: Sequence[TrajectorySample]) -> None:
 def _load_binary(path) -> List[TrajectorySample]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    off = len(SAMPLE_MAGIC)
-    version, count = struct.unpack_from("<IQ", blob, off)
-    off += 12
+    off = len(SAMPLE_MAGIC) + 12
+    if len(blob) < off:
+        raise ConfigurationError(f"{path}: truncated sample archive header")
+    version, count = struct.unpack_from("<IQ", blob, len(SAMPLE_MAGIC))
     if version != SAMPLE_VERSION:
         raise ConfigurationError(
             f"{path}: sample archive version {version} unsupported (expected {SAMPLE_VERSION})")
@@ -149,8 +150,8 @@ def _load_binary(path) -> List[TrajectorySample]:
                 cell = (row, col) if row >= 0 else None
                 neighbors.append(NeighborTrack(nvid, cell, track, valid))
             samples.append(TrajectorySample(dataset_id, vid, t0, ego, fut, neighbors))
-    except (struct.error, ValueError) as err:
-        raise ConfigurationError(f"{path}: truncated sample archive: {err}") from err
+    except (struct.error, ValueError) as err:  # UnicodeDecodeError is a ValueError
+        raise ConfigurationError(f"{path}: corrupt sample archive: {err}") from err
     if off != len(blob):
         raise ConfigurationError(f"{path}: trailing bytes after last sample")
     return samples

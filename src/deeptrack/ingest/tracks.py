@@ -9,9 +9,8 @@ downstream is metric. Frames tick at 10 Hz.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Tuple, Union
+from typing import IO, List, Tuple, Union
 
 from ..numcore import ConfigurationError
 

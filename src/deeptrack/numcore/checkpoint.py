@@ -17,6 +17,7 @@ bit-exactly, so save/load round-trips are bit-identical at either precision.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, Mapping, Union
@@ -74,7 +75,8 @@ def save_weights(path, params: Mapping[str, Union[Tensor, np.ndarray]],
 
 
 def load_weights(path) -> CheckpointData:
-    """Read a checkpoint written by :func:`save_weights`."""
+    """Read a checkpoint written by :func:`save_weights`; a truncated or
+    corrupt file raises ConfigurationError before any oversized read."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 32 + 4 or not blob.startswith(CHECKPOINT_MAGIC):
@@ -92,19 +94,23 @@ def load_weights(path) -> CheckpointData:
 
     params: Dict[str, np.ndarray] = {}
     buffers: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        kind, name_len = struct.unpack_from("<BH", blob, off)
-        off += 3
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off) if ndim else ()
-        off += 4 * ndim
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off += 8 * n
-        (params if kind == _KIND_PARAM else buffers)[name] = arr
+    try:
+        for _ in range(count):
+            kind, name_len = struct.unpack_from("<BH", blob, off)
+            name = blob[off + 3:off + 3 + name_len].decode("utf-8")
+            off += 3 + name_len
+            (ndim,) = struct.unpack_from("<B", blob, off)
+            shape = struct.unpack_from(f"<{ndim}I", blob, off + 1)
+            off += 1 + 4 * ndim
+            n = math.prod(shape)
+            if kind not in (_KIND_PARAM, _KIND_BUFFER) or 8 * n > len(blob) - off:
+                raise ValueError(f"record {name!r}: kind {kind}, {n} values, "
+                                 f"{len(blob) - off} bytes left")
+            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape).copy()
+            off += 8 * n
+            (params if kind == _KIND_PARAM else buffers)[name] = arr
+    except (struct.error, ValueError) as err:  # UnicodeDecodeError is a ValueError
+        raise ConfigurationError(f"{path}: corrupt checkpoint: {err}") from err
     if off != len(blob):
         raise ConfigurationError(f"{path}: trailing bytes after last record")
     return CheckpointData(params=params, buffers=buffers,

@@ -4,24 +4,28 @@ Sequence layout is channels-first: ``[C, T]`` for a single sequence or
 ``[B, C, T]`` batched; grids are ``[B, C, H, W]``. Convolution kernels use
 lag-major tap order: tap ``i`` of a 1-d kernel multiplies the input
 ``i * dilation`` steps in the past, so tap 0 is the current step. Padding
-is handled inside the conv ops and both modes preserve sequence length:
+is handled inside the conv ops; both modes add the span ``(k-1)*d`` of
+zeros, so they preserve sequence length:
 
-* ``"causal"``   — ``(k-1)*d`` zeros on the left; output at time t never
-  sees input later than t.
-* ``"symmetric"`` — ``ceil(((k-1)*(d-1) + k - 1) / 2)`` zeros on each side,
-  then the rightmost surplus outputs are dropped.
+* ``"causal"``   — all of it on the left; output at time t never sees
+  input later than t.
+* ``"symmetric"`` — ``ceil((k-1)*d / 2)`` zeros on the left, the rest on
+  the right.
+
+Every convolution is one call of ``_conv``; ``_tap_window`` alone maps
+kernel taps to input cells, for it and for max pooling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ConfigurationError, GraphError, Tensor, as_tensor
+from .tensor import ConfigurationError, Tensor, as_tensor
 
 __all__ = [
     "Kernel1D",
@@ -195,22 +199,11 @@ def same_length_padding(out_len: int, in_len: int, stride: int, k: int, d: int) 
 
     ceil(((out_len - 1) * stride + (k - 1) * (d - 1) - in_len + k) / 2),
     clamped at zero. With out_len == in_len and stride 1 the interior is
-    (k - 1) * d, so padding covers half the receptive-field overhang and the
-    caller crops the surplus output element when the interior is odd.
+    (k - 1) * d, so this is the left padding of a symmetric convolution and
+    the rest of the span goes on the right.
     """
     interior = (out_len - 1) * stride + (k - 1) * (d - 1) - in_len + k
     return max(0, math.ceil(interior / 2))
-
-
-def _conv1d_validate(x: Tensor, kern: Kernel1D, pad_mode: str) -> None:
-    if pad_mode not in PAD_MODES:
-        raise ConfigurationError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
-    if x.data.ndim not in (2, 3):
-        raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
-    c_in = x.data.shape[-2]
-    if c_in != kern.in_channels:
-        raise ConfigurationError(
-            f"input has {c_in} channels but kernel expects {kern.in_channels}")
 
 
 def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tensor:
@@ -218,92 +211,21 @@ def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tenso
 
     Output step s sums ``w[o, c, i] * x[c, s - i*d]`` over taps i and the
     channels of o's group, treating out-of-range history as zero (causal
-    mode). Symmetric mode centers the same window and crops the surplus.
-
-    With groups == 1 the convolution runs as one matrix multiply over an
-    im2col matrix. Grouped kernels (the depthwise layers) keep a per-tap
-    multiply-add, which is faster at their few channels per group.
+    mode). Symmetric mode centers the same window. Either way the sequence,
+    padded by the span ``(k-1)*d``, runs through :func:`_conv` as a height-1
+    grid with window step ``-d``.
     """
     x = as_tensor(x)
-    _conv1d_validate(x, kern, pad_mode)
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-
-    w, b = kern.weights, kern.bias
-    batch, c_in, length = xd.shape
-    groups, d, k = kern.groups, kern.dilation, kern.k
-    c_out = kern.out_channels
-    og, cg = c_out // groups, c_in // groups
-
+    if pad_mode not in PAD_MODES:
+        raise ConfigurationError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
+    if x.data.ndim not in (2, 3):
+        raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
+    length = x.data.shape[-1]
+    k, d = kern.k, kern.dilation
     span = (k - 1) * d
-    if pad_mode == "causal":
-        pad_left, pad_right = span, 0
-    else:
-        pad_left = pad_right = same_length_padding(length, length, 1, k, d)
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad_left, pad_right)))
-    if groups == 1:
-        return _dense_conv1d(x, kern, xp, length, pad_left, squeeze)
-
-    wg = w.data.reshape(groups, og, cg, k)
-    xg = xp.reshape(batch, groups, cg, length + pad_left + pad_right)
-    out = np.zeros((batch, groups, og, length), dtype=xd.dtype)
-    # tap i reads the window starting span - i*d into the padded sequence
-    for i in range(k):
-        seg = xg[:, :, :, span - i * d: span - i * d + length]
-        out += np.einsum("goc,bgct->bgot", wg[:, :, :, i], seg)
-    out = out.reshape(batch, c_out, length) + b.data[None, :, None]
-
-    def backward(g):
-        gd = g[None] if squeeze else g
-        gg = gd.reshape(batch, groups, og, length)
-        gxp = np.zeros_like(xp).reshape(batch, groups, cg, -1)
-        gw = np.zeros_like(w.data).reshape(groups, og, cg, k)
-        for i in range(k):
-            lo = span - i * d
-            seg = xg[:, :, :, lo: lo + length]
-            gw[:, :, :, i] = np.einsum("bgot,bgct->goc", gg, seg)
-            gxp[:, :, :, lo: lo + length] += np.einsum("goc,bgot->bgct", wg[:, :, :, i], gg)
-        gx = gxp.reshape(batch, c_in, -1)[:, :, pad_left: pad_left + length]
-        x.accumulate_grad(gx[0] if squeeze else gx)
-        w.accumulate_grad(gw.reshape(w.data.shape))
-        b.accumulate_grad(gd.sum(axis=(0, 2)))
-
-    out_t = Tensor._node(out[0] if squeeze else out, (x, w, b), backward)
-    return out_t
-
-
-def _dense_conv1d(x: Tensor, kern: Kernel1D, xp: np.ndarray, length: int,
-                  pad_left: int, squeeze: bool) -> Tensor:
-    """The groups == 1 case of :func:`dilated_conv1d` as one GEMM (im2col).
-
-    Row ``(b, t)`` of the column matrix holds ``xp[b, c, t + span - i*d]``
-    in ``(c, i)`` order, which is the order of ``weights.reshape(O, C*k)``.
-    """
-    w, b = kern.weights, kern.bias
-    batch, c_in, _ = xp.shape
-    c_out, d, k = kern.out_channels, kern.dilation, kern.k
-    span = (k - 1) * d
-    win = sliding_window_view(xp, span + 1, axis=2)[:, :, :length, ::-d]
-    cols = win.transpose(0, 2, 1, 3).reshape(batch * length, c_in * k)
-    w2 = w.data.reshape(c_out, c_in * k)
-    out = (cols @ w2.T).reshape(batch, length, c_out).transpose(0, 2, 1) \
-        + b.data[None, :, None]
-
-    def backward(g):
-        gd = g[None] if squeeze else g
-        g2 = gd.transpose(0, 2, 1).reshape(batch * length, c_out)
-        w.accumulate_grad((g2.T @ cols).reshape(w.data.shape))
-        # col2im: tap i of row (b, t) came from padded step t + span - i*d
-        gcols = (g2 @ w2).reshape(batch, length, c_in, k)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            lo = span - i * d
-            gxp[:, :, lo: lo + length] += gcols[:, :, :, i].transpose(0, 2, 1)
-        gx = gxp[:, :, pad_left: pad_left + length]
-        x.accumulate_grad(gx[0] if squeeze else gx)
-        b.accumulate_grad(gd.sum(axis=(0, 2)))
-
-    return Tensor._node(out[0] if squeeze else out, (x, w, b), backward)
+    left = span if pad_mode == "causal" else same_length_padding(length, length, 1, k, d)
+    return _conv(x, kern.weights, kern.bias, ((0, 0), (left, span - left)),
+                 kern.groups, step=(1, -d))
 
 
 # ---------------------------------------------------------------------------
@@ -321,93 +243,159 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """Cross-correlating 2-d convolution over ``[B, C, H, W]`` (zero padding)."""
     x, weight = as_tensor(x), as_tensor(weight)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or weight.data.ndim != 4:
+    if x.data.ndim not in (3, 4) or weight.data.ndim != 4:
         raise ConfigurationError(
             f"conv2d expects x [B, C, H, W] and weight [O, C, kh, kw], got {x.shape}, {weight.shape}")
-    sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    batch, c_in, height, width = xd.shape
-    c_out, wc, kh, kw = weight.data.shape
-    if wc != c_in:
-        raise ConfigurationError(f"conv2d input has {c_in} channels, weight expects {wc}")
+    height, width = x.data.shape[-2:]
+    c_out, _, kh, kw = weight.data.shape
     if height + 2 * ph < kh or width + 2 * pw < kw:
         raise ConfigurationError(
             f"conv2d window {(kh, kw)} larger than padded input {(height + 2 * ph, width + 2 * pw)}")
-
-    # im2col: row (b, i, j) holds the window under output (i, j) in (c, di, dj)
-    # order, the order of weight.reshape(O, C*kh*kw); one GEMM does the rest
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    h_out, w_out = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
-    w2 = weight.data.reshape(c_out, c_in * kh * kw)
-    out = (cols @ w2.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.data.shape != (c_out,):
             raise ConfigurationError(
                 f"conv2d bias shape {bias.data.shape} does not match out channels {c_out}")
-        out = out + bias.data[None, :, None, None]
-        parents.append(bias)
-
-    def backward(g):
-        gd = g[None] if squeeze else g
-        g2 = gd.transpose(0, 2, 3, 1).reshape(batch * h_out * w_out, c_out)
-        weight.accumulate_grad((g2.T @ cols).reshape(weight.data.shape))
-        # col2im: scatter each tap's column block back onto the padded input
-        gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
-        gxp = np.zeros_like(xp)
-        for di in range(kh):
-            for dj in range(kw):
-                gxp[:, :, di: di + h_out * sh: sh, dj: dj + w_out * sw: sw] += \
-                    gcols[..., di, dj].transpose(0, 3, 1, 2)
-        gx = gxp[:, :, ph: ph + height, pw: pw + width]
-        x.accumulate_grad(gx[0] if squeeze else gx)
-        if bias is not None:
-            bias.accumulate_grad(gd.sum(axis=(0, 2, 3)))
-
-    return Tensor._node(out[0] if squeeze else out, parents, backward)
+    return _conv(x, weight, bias, ((ph, ph), (pw, pw)), stride=_pair(stride))
 
 
 def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
     """Max pooling over ``[B, C, H, W]``; padded cells are -inf, never selected
-    unless a window contains only padding (rejected as a configuration error)."""
+    unless a window contains only padding (rejected as a configuration error).
+    Each window's gradient goes to its first maximum."""
     x = as_tensor(x)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
+    if x.data.ndim not in (3, 4):
         raise ConfigurationError(f"max_pool2d expects [B, C, H, W], got {x.shape}")
     wh, ww = _pair(window)
     sh, sw = _pair(stride if stride is not None else window)
     ph, pw = _pair(padding)
     if ph >= wh or pw >= ww:
         raise ConfigurationError("pool padding must be smaller than the window")
-    batch, chans, height, width = xd.shape
-    if height + 2 * ph < wh or width + 2 * pw < ww:
+    height, width = x.data.shape[-2:]
+    if min(height, width) < 1 or height + 2 * ph < wh or width + 2 * pw < ww:
         raise ConfigurationError(
-            f"pool window {(wh, ww)} larger than padded input {(height + 2 * ph, width + 2 * pw)}")
+            f"pool window {(wh, ww)} does not fit input {(height, width)} padded by {(ph, pw)}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    win = sliding_window_view(xp, (wh, ww), axis=(2, 3))[:, :, ::sh, ::sw]
-    h_out, w_out = win.shape[2], win.shape[3]
-    flat = win.reshape(batch, chans, h_out, w_out, wh * ww)
+    xd = x.data if x.data.ndim == 4 else x.data[None]
+    xp = _padded(xd, ((ph, ph), (pw, pw)), -np.inf)
+    win = _tap_window(xp, (wh, ww), (sh, sw))
+    flat = win.reshape(win.shape[:4] + (wh * ww,))
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        gd = g[None] if squeeze else g
         gxp = np.zeros_like(xp)
-        bi, ci, ii, ji = np.indices(idx.shape)
-        hi = ii * sh + idx // ww
-        wi = ji * sw + idx % ww
-        np.add.at(gxp, (bi, ci, hi, wi), gd)
-        gx = gxp[:, :, ph: ph + height, pw: pw + width]
-        x.accumulate_grad(gx[0] if squeeze else gx)
+        gwin = _tap_window(gxp, (wh, ww), (sh, sw))
+        for tap, (p, q) in enumerate(product(range(wh), range(ww))):
+            gwin[..., p, q] += np.where(idx == tap, g.reshape(idx.shape), 0.0)
+        x.accumulate_grad(gxp[:, :, ph: ph + height, pw: pw + width].reshape(x.data.shape))
 
-    return Tensor._node(out[0] if squeeze else out, (x,), backward)
+    return Tensor._node(out.reshape(x.data.shape[:-2] + out.shape[2:]), (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# the convolution core
+# ---------------------------------------------------------------------------
+
+def _padded(xd: np.ndarray, pads, fill: float = 0.0) -> np.ndarray:
+    """C-contiguous ``[B, C, H, W]`` framed by ``((top, bottom), (left, right))`` fill cells."""
+    (top, bottom), (left, right) = pads
+    batch, chans, height, width = xd.shape
+    shape = (batch, chans, top + height + bottom, left + width + right)
+    xp = np.full(shape, fill, xd.dtype) if fill else np.zeros(shape, xd.dtype)
+    xp[:, :, top: top + height, left: left + width] = xd
+    return xp
+
+
+def _tap_window(xp: np.ndarray, taps, stride, step=(1, 1)) -> np.ndarray:
+    """The view ``win[b, c, i, j, p, q]`` of the C-contiguous ``xp`` cell that
+    tap (p, q) of output (i, j) reads: the one place taps are laid out.
+
+    Along each axis output i starts ``i * stride`` cells in and tap p lies
+    ``p * step`` further; a negative step counts back from the far end of
+    the ``(taps - 1) * |step|`` span. Backward passes add into the same view
+    of the input gradient, one tap at a time (a tap meets a cell once).
+    """
+    batch, chans, height, width = xp.shape
+    (kh, kw), (sh, sw), (eh, ew) = taps, stride, step
+    span_h, span_w = (kh - 1) * abs(eh), (kw - 1) * abs(ew)
+    s_b, s_c, s_h, s_w = xp.strides
+    start = (span_h * s_h if eh < 0 else 0) + (span_w * s_w if ew < 0 else 0)
+    shape = (batch, chans, (height - span_h - 1) // sh + 1, (width - span_w - 1) // sw + 1,
+             kh, kw)
+    # an empty buffer takes no offset, and an empty view reads nothing
+    return np.ndarray(shape, xp.dtype, xp, start if xp.size else 0,
+                      (s_b, s_c, sh * s_h, sw * s_w, eh * s_h, ew * s_w))
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int = 1,
+          stride=(1, 1), step=(1, 1)) -> Tensor:
+    """Every convolution, as one graph node: ``x`` ``[B, C, *S]`` or ``[C, *S]``
+    zero-padded by ``pads`` and correlated with ``weight`` ``[O, C // groups, *K]``,
+    S and K both a grid or both a sequence (run as height 1). With groups == 1
+    the tap window is an im2col matrix, row (b, i, j) in (c, p, q) order like
+    ``weight.reshape(O, -1)``, and one GEMM does the rest. Grouped kernels (the
+    depthwise layers) keep a per-tap multiply-add, faster at their few
+    channels per group.
+    """
+    xd, wd = x.data, weight.data
+    n_spatial = wd.ndim - 2
+    lead, lift = xd.shape[:xd.ndim - n_spatial - 1], (1,) * (2 - n_spatial)
+    c_out, cg = wd.shape[:2]
+    c_in = cg * groups
+    if xd.shape[-n_spatial - 1] != c_in:
+        raise ConfigurationError(
+            f"input has {xd.shape[-n_spatial - 1]} channels but the weight expects {c_in}")
+    x4 = xd.reshape((lead or (1,)) + (c_in,) + lift + xd.shape[-n_spatial:])
+    xp = _padded(x4, pads)
+    kh, kw = taps = lift + wd.shape[2:]
+    win = _tap_window(xp, taps, stride, step)
+    batch, _, h_out, w_out = win.shape[:4]
+    if groups == 1:
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
+        w2 = wd.reshape(c_out, c_in * kh * kw)
+        out = (cols @ w2.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+    else:
+        og = c_out // groups
+        wg = wd.reshape(groups, og, cg, kh, kw)
+        out = np.zeros((batch, groups, og, h_out * w_out), dtype=xd.dtype)
+        for p, q in product(range(kh), range(kw)):
+            out += np.einsum("goc,bgct->bgot", wg[..., p, q],
+                             win[..., p, q].reshape(batch, groups, cg, h_out * w_out))
+        out = out.reshape(batch, c_out, h_out, w_out)
+    if bias is not None:
+        out = out + bias.data[:, None, None]
+
+    def backward(g):
+        g4 = g.reshape(batch, c_out, h_out, w_out)
+        gxp = np.zeros_like(xp)
+        gwin = _tap_window(gxp, taps, stride, step)
+        if groups == 1:
+            g2 = g4.transpose(0, 2, 3, 1).reshape(batch * h_out * w_out, c_out)
+            gw = g2.T @ cols
+            # col2im: each tap's column block goes back where the tap read it
+            gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
+            for p, q in product(range(kh), range(kw)):
+                gwin[..., p, q] += gcols[..., p, q].transpose(0, 3, 1, 2)
+        else:
+            gg = g4.reshape(batch, groups, og, h_out * w_out)
+            gw = np.empty_like(wg)
+            for p, q in product(range(kh), range(kw)):
+                gw[..., p, q] = np.einsum("bgot,bgct->goc", gg,
+                                          win[..., p, q].reshape(batch, groups, cg, h_out * w_out))
+                gwin[..., p, q] += np.einsum("goc,bgot->bgct", wg[..., p, q], gg) \
+                    .reshape(batch, c_in, h_out, w_out)
+        (top, _), (left, _) = pads
+        x.accumulate_grad(gxp[:, :, top: top + x4.shape[2], left: left + x4.shape[3]]
+                          .reshape(xd.shape))
+        weight.accumulate_grad(gw.reshape(wd.shape))
+        if bias is not None:
+            bias.accumulate_grad(g4.sum(axis=(0, 2, 3)))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._node(out.reshape(lead + (c_out,) + (h_out, w_out)[2 - n_spatial:]),
+                        parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Shared test oracles: naive convolution and batch-norm loops,
-finite-difference checks, and a small model configuration reused across
-suites.
+"""Shared test oracles: naive convolution, pooling and batch-norm loops,
+finite-difference checks, a corrupt-file probe, and a small model
+configuration reused across suites.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -16,7 +16,7 @@ import numpy as np
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
 from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
-from deeptrack.numcore import Tensor
+from deeptrack.numcore import ConfigurationError, Tensor
 
 
 def tiny_model_config(**overrides) -> ModelConfig:
@@ -121,6 +121,33 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b, stride, padding) -> np.ndarray
     return out
 
 
+def naive_max_pool2d(x: np.ndarray, window, stride, padding, upstream: np.ndarray):
+    """Loop-per-window max pooling of ``[B, C, H, W]`` and its gradient.
+
+    Padding cells never win; among equal values the first in row-major
+    window order does. Returns ``(out, grad)`` with grad the gradient of
+    ``sum(out * upstream)``: each window adds its upstream value at its
+    first maximum, so overlapping windows sum.
+    """
+    (wh, ww), (sh, sw), (ph, pw) = window, stride, padding
+    batch, chans, height, width = x.shape
+    h_out = (height + 2 * ph - wh) // sh + 1
+    w_out = (width + 2 * pw - ww) // sw + 1
+    out = np.zeros((batch, chans, h_out, w_out), dtype=x.dtype)
+    grad = np.zeros_like(x)
+    for n, c, i, j in np.ndindex(batch, chans, h_out, w_out):
+        best = None
+        for di in range(wh):
+            for dj in range(ww):
+                r, q = i * sh + di - ph, j * sw + dj - pw
+                if 0 <= r < height and 0 <= q < width and (
+                        best is None or x[n, c, r, q] > x[n, c, best[0], best[1]]):
+                    best = (r, q)
+        out[n, c, i, j] = x[n, c, best[0], best[1]]
+        grad[n, c, best[0], best[1]] += upstream[n, c, i, j]
+    return out, grad
+
+
 def naive_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                      mean: np.ndarray, var: np.ndarray, mode: str,
                      momentum: float = 0.1, eps: float = 1e-5):
@@ -195,3 +222,18 @@ def check_gradients(build_loss: Callable[[], Tensor],
         errors[name] = err
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e} >= {tol}"
     return errors
+
+
+def loads_or_rejects(load: Callable, blob: bytes, path) -> bool:
+    """Write ``blob`` to ``path`` and read it back with ``load``.
+
+    True if it loads, False if ``load`` raises ConfigurationError; any other
+    exception propagates and fails the calling test.
+    """
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    try:
+        load(path)
+    except ConfigurationError:
+        return False
+    return True

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deeptrack.numcore import (
     CHECKPOINT_MAGIC,
@@ -12,6 +14,8 @@ from deeptrack.numcore import (
     load_weights,
     save_weights,
 )
+
+from helpers import loads_or_rejects
 
 HASH = hashlib.sha256(b"config").hexdigest()
 
@@ -98,9 +102,47 @@ class TestFormatChecks:
         path = tmp_path / "w.bin"
         save_weights(path, params, buffers, HASH)
         path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises((ConfigurationError, Exception)):
+        with pytest.raises(ConfigurationError):
             load_weights(path)
 
     def test_bad_hash_string_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             save_weights(tmp_path / "w.bin", {}, {}, "abcd")
+
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The bytes of a small checkpoint, and a path to write altered copies to."""
+    directory = tmp_path_factory.mktemp("corrupt")
+    save_weights(directory / "w.bin", *sample_state(np.random.default_rng(5)), HASH)
+    return (directory / "w.bin").read_bytes(), directory / "altered.bin"
+
+
+class TestCorruptFiles:
+    """A cut or a flipped byte either still loads or raises ConfigurationError."""
+
+    def test_every_cut_is_rejected(self, saved):
+        blob, path = saved
+        for length in range(len(blob)):
+            assert not loads_or_rejects(load_weights, blob[:length], path), length
+
+    def test_huge_dimension_is_rejected_before_reading(self, saved):
+        blob, path = saved
+        altered = bytearray(blob)
+        # the first record follows the 48-byte header: kind u8, name_len u16,
+        # name, ndim u8, then its first dimension
+        name_len = int.from_bytes(altered[49:51], "little")
+        altered[52 + name_len:56 + name_len] = (2 ** 32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(altered))
+        with pytest.raises(ConfigurationError, match="bytes left"):
+            load_weights(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_flipped_byte_loads_or_is_rejected(self, saved, data):
+        blob, path = saved
+        altered = bytearray(blob)
+        at = data.draw(st.integers(0, len(blob) - 1))
+        altered[at] ^= data.draw(st.integers(1, 255))
+        loads_or_rejects(load_weights, bytes(altered), path)

@@ -11,9 +11,11 @@ from deeptrack.configio import (
     default_model_config,
     load_config_file,
     model_config_to_dict,
+    save_config_file,
 )
 from deeptrack.ingest import load_samples, save_samples
-from deeptrack.numcore import load_weights
+from deeptrack.model import DeepTrack
+from deeptrack.numcore import load_weights, save_weights
 from deeptrack.synthetic import constant_velocity_samples, write_tracks_csv
 
 
@@ -173,6 +175,15 @@ class TestEvalAndPredict:
     def test_missing_checkpoint_is_exit_2(self, tmp_path, ingested):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                      "--data", str(ingested)]) == 2
+
+    def test_truncated_checkpoint_is_exit_2(self, tmp_path, ingested, capsys):
+        model = DeepTrack(seed=0)
+        path = tmp_path / "half.bin"
+        save_weights(path, model.parameters(), model.buffers(), model.config_digest)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        save_config_file(tmp_path / "config.json", model.config)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(ingested)]) == 2
+        assert "corrupt checkpoint" in capsys.readouterr().err
 
 
 class TestComplexity:

@@ -74,14 +74,16 @@ class TestCausalOracle:
                     assert np.max(np.abs(batched[i] - want)) < 1e-9
 
     def test_batched_dense_gradients(self):
+        # ungrouped (one GEMM) and grouped (per-tap) paths; 4 == C: depthwise
         rng = np.random.default_rng(31)
-        x = Tensor(rng.normal(size=(3, 3, 9)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=2), requires_grad=True)
-        kern = Kernel1D(w, b, dilation=2)
-        for mode in PAD_MODES:
-            check_gradients(lambda: (dilated_conv1d(x, kern, mode) ** 2.0).sum(),
-                            {"x": x, "w": w, "b": b})
+        x = Tensor(rng.normal(size=(3, 4, 9)), requires_grad=True)
+        for groups in (1, 2, 4):
+            w = Tensor(rng.normal(size=(4, 4 // groups, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=4), requires_grad=True)
+            kern = Kernel1D(w, b, dilation=2, groups=groups)
+            for mode in PAD_MODES:
+                check_gradients(lambda: (dilated_conv1d(x, kern, mode) ** 2.0).sum(),
+                                {"x": x, "w": w, "b": b})
 
 
 class TestWorkedValues:
@@ -105,6 +107,18 @@ class TestWorkedValues:
                                 Tensor(np.zeros(3)), dilation=d)
                 for mode in ("causal", "symmetric"):
                     assert dilated_conv1d(x, kern, mode).shape == (3, 16)
+
+    def test_empty_batch_keeps_its_shape(self):
+        x = Tensor(np.zeros((0, 2, 7)), requires_grad=True)
+        for groups in (1, 2):
+            kern = Kernel1D(Tensor(np.ones((2, 2 // groups, 3))), Tensor(np.zeros(2)),
+                            dilation=2, groups=groups)
+            for mode in PAD_MODES:
+                x.zero_grad()
+                out = dilated_conv1d(x, kern, mode)
+                assert out.shape == (0, 2, 7)
+                out.sum().backward()
+                assert x.grad.shape == (0, 2, 7)
 
     def test_causality_future_perturbation_invisible(self):
         rng = np.random.default_rng(5)

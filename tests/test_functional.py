@@ -23,7 +23,7 @@ from deeptrack.numcore import (
     tanh,
 )
 
-from helpers import naive_batch_norm
+from helpers import naive_batch_norm, naive_max_pool2d
 
 
 class TestActivations:
@@ -204,6 +204,37 @@ class TestMaxPool:
     def test_padding_must_be_smaller_than_window(self):
         with pytest.raises(ConfigurationError):
             max_pool2d(Tensor(np.ones((1, 1, 4, 4))), window=(2, 2), padding=(2, 0))
+
+    def test_window_of_padding_only_rejected(self):
+        # a zero-height grid padded by 1 would give a window of padding alone
+        with pytest.raises(ConfigurationError):
+            max_pool2d(Tensor(np.ones((1, 1, 0, 1))), window=(2, 1), stride=(2, 1), padding=(1, 0))
+
+    def test_sweep_matches_loop_reference(self):
+        # every window and stride from 1 to 3 per axis, padding below the
+        # window; every other case draws small integers, so windows tie
+        rng = np.random.default_rng(55)
+        overlapping = ties = 0
+        for window in np.ndindex(3, 3):
+            for stride in np.ndindex(3, 3):
+                (wh, ww), (sh, sw) = np.add(window, 1), np.add(stride, 1)
+                ph, pw = int(rng.integers(0, wh)), int(rng.integers(0, ww))
+                shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)),
+                         int(rng.integers(max(1, wh - 2 * ph), 7)),
+                         int(rng.integers(max(1, ww - 2 * pw), 7)))
+                integer = (wh * 3 + sh) % 2 == 0
+                x = rng.integers(-2, 3, size=shape).astype(float) if integer \
+                    else rng.normal(size=shape)
+                xt = Tensor(x, requires_grad=True)
+                out = max_pool2d(xt, (wh, ww), (sh, sw), (ph, pw))
+                up = rng.normal(size=out.shape)
+                (out * Tensor(up)).sum().backward()
+                want, want_grad = naive_max_pool2d(x, (wh, ww), (sh, sw), (ph, pw), up)
+                assert np.array_equal(out.data, want), (window, stride)
+                assert np.max(np.abs(xt.grad - want_grad)) < 1e-12, (window, stride)
+                overlapping += sh < wh or sw < ww
+                ties += integer
+        assert overlapping >= 20 and ties >= 20
 
 
 class TestStructural:

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deeptrack.ingest import (
     FEET_TO_METERS,
@@ -20,6 +22,8 @@ from deeptrack.ingest import (
     window_samples,
 )
 from deeptrack.numcore import ConfigurationError
+
+from helpers import loads_or_rejects
 
 HEADER = "Vehicle_ID,Frame_ID,Local_X,Local_Y,Lane_ID\n"
 
@@ -355,3 +359,34 @@ class TestArchives:
             loaded = load_samples(path)
             assert loaded[0].neighbors[-1].cell is None
             assert loaded == samples
+
+
+@pytest.fixture(scope="module")
+def binary_archive(tmp_path_factory):
+    """The bytes of a two-sample binary archive (one neighbor each), and a
+    path to write altered copies to."""
+    rows = straight_track(1, range(81)) + straight_track(2, range(81), y0_ft=90.0, lane=3)
+    samples, _ = window_samples(parse_tracks(table(rows))[0], WindowConfig(), dataset_id="u")
+    directory = tmp_path_factory.mktemp("archive")
+    save_samples(directory / "s.bin", samples)
+    assert len(samples) == 2 and all(len(s.neighbors) == 1 for s in samples)
+    return (directory / "s.bin").read_bytes(), directory / "altered.bin"
+
+
+class TestCorruptArchives:
+    """A cut or a flipped byte either still loads or raises ConfigurationError."""
+
+    def test_every_cut_is_rejected(self, binary_archive):
+        blob, path = binary_archive
+        # the empty cut is left out: it is an empty text archive, which is valid
+        for length in range(1, len(blob)):
+            assert not loads_or_rejects(load_samples, blob[:length], path), length
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_flipped_byte_loads_or_is_rejected(self, binary_archive, data):
+        blob, path = binary_archive
+        altered = bytearray(blob)
+        at = data.draw(st.integers(0, len(blob) - 1))
+        altered[at] ^= data.draw(st.integers(1, 255))
+        loads_or_rejects(load_samples, bytes(altered), path)

@@ -1,0 +1,48 @@
+"""Source hygiene: no module under src/ imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name the module never reads.
+
+    A name counts as read when it appears as a name in the code or in a
+    string that parses as an expression, which covers quoted annotations
+    and the entries of ``__all__`` (re-exports).
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value.strip(), mode="eval")
+            except (SyntaxError, ValueError):
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_finds_unused_and_keeps_used_names():
+    source = ('import os\nimport numpy as np\nfrom typing import List, Tuple\n'
+              'from .tensor import Tensor\n__all__ = ["Tensor"]\n'
+              'def f(x: "List[int]") -> None:\n    return np.zeros(3)\n')
+    assert unused_imports(source) == [(1, "os"), (3, "Tuple")]
+
+
+def test_no_unused_imports_in_src():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "unused imports:\n" + "\n".join(found)
