@@ -294,8 +294,9 @@ def cmd_predict(args) -> int:
     started = _now()
     model, cfg, ckpt_path = _resolve_checkpoint(args)
     samples, data_path = _load_part(Path(args.data), "test")
-    if args.limit:
-        samples = samples[:args.limit]
+    if args.limit is not None and args.limit < 1:
+        raise ConfigurationError(f"--limit must be >= 1, got {args.limit}")
+    samples = samples[:args.limit]
     pred = model.predict(samples)
 
     out = _out_dir(args, "predict", required=True)

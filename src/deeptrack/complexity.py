@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 from .atcn import AtcnConfig
 from .configio import ModelConfig
 from .model import social_geometry
+from .numcore import ConfigurationError
 
 __all__ = [
     "SampleShape",
@@ -78,6 +79,10 @@ class SampleShape:
     """Input extent used for MAC counting."""
     history_steps: int = 16
     neighbor_count: int = 1
+
+    def __post_init__(self):
+        if self.history_steps < 1 or self.neighbor_count < 0:
+            raise ConfigurationError(f"need history_steps >= 1 and neighbor_count >= 0: {self}")
 
 
 @dataclass

@@ -186,10 +186,6 @@ class Kernel1D:
         return self.weights.data.shape[0]
 
     @property
-    def in_channels(self) -> int:
-        return self.weights.data.shape[1] * self.groups
-
-    @property
     def k(self) -> int:
         return self.weights.data.shape[2]
 
@@ -510,31 +506,47 @@ class LstmWeights:
 
 def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
               weights: LstmWeights) -> Tuple[Tensor, Tensor]:
-    """One LSTM step over a batch: returns (h_t, c_t).
+    """One LSTM step over a batch: returns (h_t, c_t), the halves of one node.
 
     ``x_t=None`` stands for a zero input: the gates start from
     ``h_prev @ w_hh.T + bias`` and ``w_ih`` takes no part in the step.
     """
     x_t = None if x_t is None else as_tensor(x_t)
     h_prev, c_prev = as_tensor(h_prev), as_tensor(c_prev)
-    h = weights.hidden
-    rows = h_prev.data.shape[:1]  # dense checks that x_t is [rows, in]
-    if (x_t is not None and x_t.data.shape[:1] != rows) \
+    h, rows = weights.hidden, h_prev.data.shape[:1]
+    if (x_t is not None and x_t.data.shape != rows + (weights.input_size,)) \
             or h_prev.data.shape != rows + (h,) or c_prev.data.shape != h_prev.data.shape:
         raise ConfigurationError(
-            f"lstm_cell shapes: x {None if x_t is None else x_t.shape}, "
-            f"h {h_prev.shape}, c {c_prev.shape}, hidden {h}")
-    if x_t is None:
-        gates = dense(h_prev, weights.w_hh, weights.bias)
-    else:
-        gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
-    i = sigmoid(gates[:, 0 * h:1 * h])
-    f = sigmoid(gates[:, 1 * h:2 * h])
-    g = tanh(gates[:, 2 * h:3 * h])
-    o = sigmoid(gates[:, 3 * h:4 * h])
-    c_t = f * c_prev + i * g
-    h_t = o * tanh(c_t)
-    return h_t, c_t
+            f"lstm_cell shapes: x {None if x_t is None else x_t.shape}, h {h_prev.shape}, "
+            f"c {c_prev.shape}, input {weights.input_size}, hidden {h}")
+    w_ih, w_hh, bias = weights.w_ih, weights.w_hh, weights.bias
+    # ops run in the composed cell's order, so every bit matches it forward and back
+    gates = h_prev.data @ w_hh.data.T + bias.data if x_t is None else \
+        (x_t.data @ w_ih.data.T + bias.data) + h_prev.data @ w_hh.data.T
+    i, f, o = (_logistic(gates[:, k * h:(k + 1) * h]) for k in (0, 1, 3))
+    g = np.tanh(gates[:, 2 * h:3 * h])
+    out = np.empty((2,) + h_prev.data.shape, np.result_type(gates, c_prev.data))
+    c_t = np.multiply(f, c_prev.data, out=out[1])
+    c_t += i * g
+    tc = np.tanh(c_t)
+    np.multiply(o, tc, out=out[0])
+
+    def backward(grad):
+        dh = grad[0]
+        dc = grad[1] + dh * o * (1.0 - tc * tc)
+        da = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev.data * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        c_prev.accumulate_grad(dc * f)
+        h_prev.accumulate_grad(da @ w_hh.data)
+        w_hh.accumulate_grad(da.T @ h_prev.data)
+        bias.accumulate_grad(da.sum(axis=0))
+        if x_t is not None:
+            x_t.accumulate_grad(da @ w_ih.data)
+            w_ih.accumulate_grad(da.T @ x_t.data)
+
+    parents = (h_prev, c_prev, w_hh, bias) + (() if x_t is None else (x_t, w_ih))
+    step = Tensor._node(out, parents, backward)
+    return step[0], step[1]
 
 
 # ---------------------------------------------------------------------------

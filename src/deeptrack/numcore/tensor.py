@@ -134,18 +134,6 @@ class Tensor:
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise GraphError(f"item() needs a single value, got shape {self.shape}")
@@ -214,27 +202,11 @@ class Tensor:
         return self._binary(other, lambda a, b: a - b,
                             lambda g, a, b: g, lambda g, a, b: -g)
 
-    def __rsub__(self, other):
-        return as_tensor(other, dtype=self.data.dtype) - self
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b,
                             lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b,
-                            lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b))
-
-    def __rtruediv__(self, other):
-        return as_tensor(other, dtype=self.data.dtype) / self
-
-    def __neg__(self):
-        def backward(g):
-            self.accumulate_grad(-g)
-        return Tensor._node(-self.data, (self,), backward)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):

@@ -23,7 +23,6 @@ from .numcore import (
     NumericsError,
     Tensor,
     adam_step,
-    relu,
 )
 from .numcore.tensor import no_grad
 
@@ -41,19 +40,27 @@ DEFAULT_METRIC_STEPS = (5, 10, 15, 20, 25)
 # losses
 # ---------------------------------------------------------------------------
 
+def _mean_loss(pred: Tensor, target: np.ndarray, term: Callable, slope: Callable) -> Tensor:
+    """Mean of ``term(d)``, ``d = pred - target``, as one node; ``slope`` is term's derivative."""
+    d = pred.data - np.asarray(target, dtype=pred.data.dtype)
+    scale = np.array([1.0 / d.size], dtype=d.dtype)
+
+    def backward(g):
+        pred.accumulate_grad(slope(d) * (g * scale))
+
+    return Tensor._node(term(d).sum() * scale, (pred,), backward)
+
+
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = pred - Tensor(np.asarray(target, dtype=pred.data.dtype))
-    return (diff * diff).mean()
+    return _mean_loss(pred, target, lambda d: d * d, lambda d: 2.0 * d)
 
 
 def smooth_l1_loss(pred: Tensor, target: np.ndarray, beta: float = 1.0) -> Tensor:
     """Quadratic inside ``|d| < beta``, linear outside; C1 at the seam."""
-    diff = pred - Tensor(np.asarray(target, dtype=pred.data.dtype))
-    absd = relu(diff) + relu(-diff)
-    near = (np.abs(diff.data) < beta).astype(diff.data.dtype)
-    quadratic = diff * diff * (0.5 / beta)
-    linear = absd - 0.5 * beta
-    return (quadratic * near + linear * (1.0 - near)).mean()
+    return _mean_loss(
+        pred, target,
+        lambda d: np.where(np.abs(d) < beta, d * d * (0.5 / beta), np.abs(d) - 0.5 * beta),
+        lambda d: np.where(np.abs(d) < beta, d / beta, np.sign(d)))
 
 
 _LOSSES: Dict[str, Callable[[Tensor, np.ndarray], Tensor]] = {
@@ -95,6 +102,8 @@ class TrainConfig:
             raise ConfigurationError("plateau_factor must be in (0, 1)")
         if self.plateau_patience < 1:
             raise ConfigurationError("plateau_patience must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         loss_fn(self.loss)
 
 

@@ -1,6 +1,7 @@
-"""Shared test oracles: naive convolution, pooling and batch-norm loops,
-finite-difference checks, a corrupt-file probe, and a small model
-configuration reused across suites.
+"""Shared test oracles: naive convolution, pooling and batch-norm loops, an
+LSTM step composed from public ops, finite-difference checks, a graph-node
+count, a corrupt-file probe, and a small model configuration reused across
+suites.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -16,7 +17,7 @@ import numpy as np
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
 from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
-from deeptrack.numcore import ConfigurationError, Tensor
+from deeptrack.numcore import ConfigurationError, Tensor, dense, sigmoid, tanh
 
 
 def tiny_model_config(**overrides) -> ModelConfig:
@@ -172,6 +173,35 @@ def naive_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             mu, sigma2 = mean[c], var[c]
         out[c] = gamma[c] * (values - mu) / math.sqrt(sigma2 + eps) + beta[c]
     return np.moveaxis(out, 0, axis), new_mean, new_var
+
+
+def composed_lstm_cell(x_t, h_prev, c_prev, weights):
+    """One LSTM step built from public ops, gate order (input, forget, cell,
+    output): a graph of about fourteen nodes. ``x_t=None`` leaves out the
+    input term."""
+    h = weights.hidden
+    if x_t is None:
+        gates = dense(h_prev, weights.w_hh, weights.bias)
+    else:
+        gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
+    i = sigmoid(gates[:, 0 * h:1 * h])
+    f = sigmoid(gates[:, 1 * h:2 * h])
+    g = tanh(gates[:, 2 * h:3 * h])
+    o = sigmoid(gates[:, 3 * h:4 * h])
+    c_t = f * c_prev + i * g
+    return o * tanh(c_t), c_t
+
+
+def graph_nodes(*roots) -> int:
+    """Tensors reachable from ``roots`` through ``_parents``, roots included."""
+    seen = {id(root) for root in roots}
+    todo = list(roots)
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
 
 
 def numerical_gradient(fn: Callable[[], float], arr: np.ndarray,

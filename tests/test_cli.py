@@ -108,6 +108,16 @@ class TestTrain:
         assert raw["neighborAtcn"]["padMode"] == "symmetric"
         assert raw["egoAtcn"]["padMode"] == "symmetric"
 
+    def test_negative_seed_is_exit_2(self, tmp_path, ingested, capsys):
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "neg"),
+                     "--epochs", "1", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        path = tmp_path / "config.json"
+        save_config_file(path, default_model_config(), {"seed": -1})
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "cfg"),
+                     "--config", str(path)]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_divergence_keeps_last_good_weights(self, tmp_path):
         samples = constant_velocity_samples(12, seed=0)
         samples[0].future[5, 1] = np.inf
@@ -172,6 +182,15 @@ class TestEvalAndPredict:
         history = [(float(r[5]), float(r[6])) for r in rows if r[3] == "history"]
         assert np.array_equal(np.array(history), sample.ego_history)
 
+    def test_limit_below_one_is_exit_2(self, tmp_path, ingested, trained, capsys):
+        for limit in ("-1", "0"):
+            out = tmp_path / f"pred{limit}"
+            assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
+                         "--data", str(ingested), "--out", str(out),
+                         "--limit", limit]) == 2
+            assert "--limit" in capsys.readouterr().err
+            assert not (out / "predictions.csv").exists()
+
     def test_missing_checkpoint_is_exit_2(self, tmp_path, ingested):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                      "--data", str(ingested)]) == 2
@@ -200,6 +219,12 @@ class TestComplexity:
         assert payload["totalParams"] == 173_530
         assert payload["totalMacs"] == 1_674_512
         assert (tmp_path / "envroot" / "complexity" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("neighbors", ["-3", "-1"])
+    def test_negative_neighbor_count_is_exit_2(self, capsys, neighbors):
+        assert main(["complexity", "--neighbors", neighbors]) == 2
+        captured = capsys.readouterr()
+        assert "neighbor_count" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("config", [
         {"decoderHiden": 8},

@@ -23,7 +23,7 @@ from deeptrack.numcore import (
     tanh,
 )
 
-from helpers import naive_batch_norm, naive_max_pool2d
+from helpers import composed_lstm_cell, graph_nodes, naive_batch_norm, naive_max_pool2d
 
 
 class TestActivations:
@@ -185,6 +185,69 @@ class TestLstmCell:
         with pytest.raises(ConfigurationError):
             LstmWeights(Tensor(np.zeros((8, 2))), Tensor(np.zeros((8, 3))),
                         Tensor(np.zeros(8)))
+
+    @staticmethod
+    def chain(cell, with_input, batch, hidden, steps, dtype, seed):
+        """Outputs of ``steps`` chained calls of ``cell`` and the gradients of
+        x, h0, c0, w_ih, w_hh and bias under a seeded linear loss."""
+        rng = np.random.default_rng(seed)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+        n_in = 3
+        weights = LstmWeights(leaf(4 * hidden, n_in), leaf(4 * hidden, hidden),
+                              leaf(4 * hidden))
+        xs = [leaf(batch, n_in) if with_input else None for _ in range(steps)]
+        h0, c0 = leaf(batch, hidden), leaf(batch, hidden)
+        h, c, loss, outputs = h0, c0, None, []
+        for x in xs:
+            h, c = cell(x, h, c, weights)
+            outputs += [h.data, c.data]
+            term = (h * Tensor(rng.normal(size=(batch, hidden)).astype(dtype))).sum()
+            loss = term if loss is None else loss + term
+        loss = loss + (c * Tensor(rng.normal(size=(batch, hidden)).astype(dtype))).sum()
+        loss.backward()
+        leaves = [x for x in xs if x is not None] + [h0, c0, weights.w_ih,
+                                                     weights.w_hh, weights.bias]
+        return outputs, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_input", [True, False], ids=["input", "no-input"])
+    def test_sweep_matches_composed_step(self, with_input, dtype):
+        for case, (batch, hidden, steps) in enumerate(
+                (b, h, n) for b in (1, 3) for h in (1, 4) for n in (1, 2, 3, 4)):
+            args = (with_input, batch, hidden, steps, dtype, case)
+            got_out, got_grads = self.chain(lstm_cell, *args)
+            want_out, want_grads = self.chain(composed_lstm_cell, *args)
+            for got, want in zip(got_out, want_out):
+                assert got.dtype == want.dtype and np.array_equal(got, want), args
+            for got, want in zip(got_grads, want_grads):
+                if want is None:  # w_ih takes no part without an input
+                    assert got is None, args
+                else:
+                    assert got.dtype == want.dtype, args
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(args))
+
+    def test_one_node_and_two_slices_per_call(self):
+        weights = LstmWeights(Tensor(np.ones((8, 3)), requires_grad=True),
+                              Tensor(np.ones((8, 2)), requires_grad=True),
+                              Tensor(np.zeros(8), requires_grad=True))
+        h0 = Tensor(np.ones((4, 2)), requires_grad=True)
+        c0 = Tensor(np.ones((4, 2)), requires_grad=True)
+        x = Tensor(np.ones((4, 3)))
+        for x_t, leaves in ((x, 6), (None, 4)):
+            h, c = lstm_cell(x_t, h0, c0, weights)
+            assert h._parents == c._parents and len(h._parents) == 1
+            assert graph_nodes(h, c) == leaves + 3
+
+    def test_input_width_checked(self):
+        weights = LstmWeights(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))),
+                              Tensor(np.zeros(8)))
+        h0, c0 = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
+        for x in (np.zeros((1, 2)), np.zeros((1, 4)), np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(ConfigurationError):
+                lstm_cell(Tensor(x), h0, c0, weights)
 
 
 class TestMaxPool:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module under src/ imports a name it never uses."""
+"""Source hygiene: no module under src/ imports a name it never uses or
+relies on an ``assert``, which ``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,22 @@ def test_no_unused_imports_in_src():
              for path in sorted(SRC.rglob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def assert_lines(source: str):
+    """Line of every ``assert`` statement in the module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_checker_finds_nested_asserts_only():
+    source = ('assert_ok = "assert x"\ndef f(x):\n    if x:\n        assert x > 0, "x"\n'
+              '    return x\nclass C:\n    def g(self):\n        assert self\n')
+    assert assert_lines(source) == [4, 8]
+
+
+def test_no_asserts_in_src():
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line in assert_lines(path.read_text(encoding="utf-8"))]
+    assert not found, "assert statements (stripped by python -O):\n" + "\n".join(found)

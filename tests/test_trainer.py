@@ -64,6 +64,35 @@ class TestLosses:
         with pytest.raises(ConfigurationError):
             loss_fn("l0")
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mse_equals_composed_mean_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        pred = Tensor(rng.normal(size=(4, 5, 2)).astype(dtype), requires_grad=True)
+        target = rng.normal(size=(4, 5, 2)).astype(dtype)
+        loss = mse_loss(pred, target)
+        loss.backward()
+        grad, pred.grad = pred.grad, None
+        t = Tensor(target)
+        want = ((pred - t) * (pred - t)).mean()
+        want.backward()
+        assert loss.shape == want.shape == (1,)
+        assert loss.data.dtype == want.data.dtype and np.array_equal(loss.data, want.data)
+        assert grad.dtype == pred.grad.dtype and np.array_equal(grad, pred.grad)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_smooth_l1_gradient_at_zero_and_seam(self, beta):
+        # slope d / beta inside |d| < beta, sign(d) on the seam and outside
+        d = np.array([0.0, beta / 2, -beta / 4, beta, -beta, 3 * beta, -2 * beta, beta / 8])
+        pred = Tensor(d.copy(), requires_grad=True)
+        smooth_l1_loss(pred, np.zeros_like(d), beta=beta).backward()
+        slope = np.array([0.0, 0.5, -0.25, 1.0, -1.0, 1.0, -1.0, 0.125])
+        assert np.array_equal(pred.grad, slope / d.size)
+
+    @pytest.mark.parametrize("loss", [mse_loss, smooth_l1_loss])
+    def test_one_node_per_loss(self, loss):
+        pred = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert loss(pred, np.zeros((2, 3)))._parents == (pred,)
+
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -79,6 +108,13 @@ class TestTrainConfig:
             TrainConfig(plateau_factor=1.5)
         with pytest.raises(ConfigurationError):
             TrainConfig(loss="nope")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(seed=seed)
+        with pytest.raises(ConfigurationError):
+            train_config_from_dict({"seed": seed})
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01,
