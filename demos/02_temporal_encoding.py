@@ -8,7 +8,9 @@ sequence length and never read the future. The stack's receptive field obeys
     rf = 1 + sum_l (k_l - 1) * d_l
 
 and this script confirms the formula empirically by wiggling single input
-steps and watching the summary vector.
+steps and watching the newest output step. In eval mode, ``summary`` uses
+the formula directly: it runs the stack on the last rf steps only, so the
+probe reads the full-length ``forward`` instead.
 """
 
 import numpy as np
@@ -28,14 +30,21 @@ print("configured receptive field:", rf)
 
 t = 16
 x = np.random.default_rng(1).normal(size=(2, t))
-base = encoder.summary(Tensor(x), "eval").data
+
+
+def newest(v):
+    return encoder.forward(Tensor(v), "eval").data[:, -1]
+
+
+base = newest(x)
+assert np.allclose(encoder.summary(Tensor(x), "eval").data, base, rtol=0, atol=1e-12)
 
 for offset in range(1, 7):
     poked = x.copy()
     poked[:, t - offset] += 1.0
-    moved = not np.allclose(encoder.summary(Tensor(poked), "eval").data, base)
+    moved = not np.allclose(newest(poked), base)
     marker = "inside " if offset <= rf else "outside"
-    print(f"  wiggle t-{offset}: summary moved = {moved}   ({marker} the window)")
+    print(f"  wiggle t-{offset}: newest step moved = {moved}   ({marker} the window)")
     assert moved == (offset <= rf)
 
 # -- causality ---------------------------------------------------------------

@@ -181,9 +181,16 @@ class AtcnEncoder:
         return out
 
     def summary(self, x: Tensor, mode: str = "eval") -> Tensor:
-        """Encode and keep the newest step: ``[B, C, T] -> [B, C]``."""
-        encoded = self.forward(x, mode)
-        return encoded[..., -1]
+        """Encode and keep the newest step: ``[B, C, T] -> [B, C]``.
+
+        A causal eval-mode summary reads only the last
+        ``receptive_field(config)`` steps, the only ones the newest output
+        depends on. Train mode, whose batch statistics span all T steps, and
+        symmetric mode run every step.
+        """
+        if mode == "eval" and self.config.pad_mode == "causal":
+            x = x[..., -receptive_field(self.config):]
+        return self.forward(x, mode)[..., -1]
 
     def parameters(self) -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}

@@ -12,7 +12,10 @@ Counting conventions:
 * max pooling: free.
 
 The layer walk below mirrors the model constructor line by line; a unit
-test pins the parameter total to the actual tensor sizes.
+test pins the parameter total to the actual tensor sizes. Encoder MACs are
+counted over all T history steps, as the paper reports them; a causal
+eval-mode summary runs only the last ``receptive_field`` steps, so it does
+fewer.
 """
 
 from __future__ import annotations

@@ -85,10 +85,14 @@ def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
                     and 0 <= n.cell[1] < config.grid_cols):
                 raise ConfigurationError(
                     f"sample {s.sample_id}: neighbor cell {n.cell} outside the grid")
-            tracks.append(n.track.T.astype(dtype))
+            if n.track.shape != (h, 2):
+                raise ConfigurationError(
+                    f"sample {s.sample_id}: neighbor {n.vehicle_id} track has shape "
+                    f"{n.track.shape}, expected ({h}, 2)")
+            tracks.append(n.track)
             owners.append(i)
             cells.append(n.cell)
-    nbr_tracks = (np.stack(tracks) if tracks
+    nbr_tracks = (np.stack(tracks).transpose(0, 2, 1).astype(dtype) if tracks
                   else np.zeros((0, 2, h), dtype=dtype))
     return Batch(ego=ego, future=future, nbr_tracks=nbr_tracks,
                  nbr_batch=np.asarray(owners, dtype=np.int64),

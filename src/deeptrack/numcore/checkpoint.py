@@ -10,15 +10,18 @@ Layout (all integers little-endian):
               name_len u16, name utf-8
               ndim u8, dims u32 * ndim
               values float64 little-endian, C order
+    crc32     u32      zlib.crc32 of every byte before it (version 2 only)
 
-Values are always stored as float64; float32 weights promote and recover
-bit-exactly, so save/load round-trips are bit-identical at either precision.
+Version 1 files, which end after the last record, still load. Values are
+always stored as float64; float32 weights promote and recover bit-exactly,
+so save/load round-trips are bit-identical at either precision.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Mapping, Union
 
@@ -29,7 +32,8 @@ from .tensor import ConfigurationError, Tensor
 __all__ = ["CheckpointData", "save_weights", "load_weights", "CHECKPOINT_MAGIC"]
 
 CHECKPOINT_MAGIC = b"DTRKWTS\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 _KIND_PARAM = 0
 _KIND_BUFFER = 1
@@ -70,23 +74,32 @@ def save_weights(path, params: Mapping[str, Union[Tensor, np.ndarray]],
                       value.data if isinstance(value, Tensor) else value)
     for name in sorted(buffers):
         _write_record(chunks, _KIND_BUFFER, name, buffers[name])
+    blob = b"".join(chunks)
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(blob)
+        fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_weights(path) -> CheckpointData:
     """Read a checkpoint written by :func:`save_weights`; a truncated or
-    corrupt file raises ConfigurationError before any oversized read."""
+    corrupt file raises ConfigurationError before any oversized read, and a
+    version 2 file whose checksum fails before any record is parsed."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 32 + 4 or not blob.startswith(CHECKPOINT_MAGIC):
+    header = len(CHECKPOINT_MAGIC) + 4 + 32 + 4
+    if len(blob) < header or not blob.startswith(CHECKPOINT_MAGIC):
         raise ConfigurationError(f"{path}: not a weight checkpoint")
     off = len(CHECKPOINT_MAGIC)
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
-    if version != CHECKPOINT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ConfigurationError(
-            f"{path}: checkpoint format version {version} is not supported (expected {CHECKPOINT_VERSION})")
+            f"{path}: checkpoint format version {version} is not supported "
+            f"(expected one of {_READABLE_VERSIONS})")
+    if version == 2:
+        blob, trailer = blob[:-4], blob[-4:]
+        if len(blob) < header or zlib.crc32(blob) != int.from_bytes(trailer, "little"):
+            raise ConfigurationError(f"{path}: corrupt checkpoint: checksum mismatch")
     config_hash = blob[off:off + 32].hex()
     off += 32
     (count,) = struct.unpack_from("<I", blob, off)

@@ -166,17 +166,20 @@ def test_criterion_3_receptive_field_and_padding():
     assert rf == 4  # 1 + (2-1)*1 * 3 layers
 
     # empirical probe: in eval mode, wiggling the newest in-reach step moves
-    # the last summary; one step earlier does not
+    # the last summary; one step earlier does not. The summary reads only the
+    # last rf steps, so the same probe also runs on the full-length forward.
     encoder = AtcnEncoder(config, np.random.default_rng(0))
     t = 16
     x = np.random.default_rng(1).normal(size=(2, t))
-    base = encoder.summary(Tensor(x), "eval").data
     inside = x.copy()
     inside[:, t - rf] += 1.0
     outside = x.copy()
     outside[:, t - rf - 1] += 1.0
-    assert not np.allclose(encoder.summary(Tensor(inside), "eval").data, base)
-    assert np.array_equal(encoder.summary(Tensor(outside), "eval").data, base)
+    for newest in (lambda v: encoder.summary(Tensor(v), "eval").data,
+                   lambda v: encoder.forward(Tensor(v), "eval").data[:, -1]):
+        base = newest(x)
+        assert not np.allclose(newest(inside), base)
+        assert np.array_equal(newest(outside), base)
 
     assert same_length_padding(16, 16, 1, 2, 1) == 1
     assert same_length_padding(16, 16, 1, 1, 3) == 0

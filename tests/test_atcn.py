@@ -231,3 +231,87 @@ class TestModesAndGradients:
             return (enc.forward(x, mode) ** 2.0).mean()
 
         check_gradients(loss, params)
+
+
+def _random_causal_encoder(rng, dtype):
+    """An encoder of random shape with non-trivial weights and running stats."""
+    depth = int(rng.integers(1, 5))
+    cfg = AtcnConfig(
+        input_channels=int(rng.integers(1, 4)),
+        channels=tuple(int(c) for c in rng.integers(1, 7, size=depth)),
+        kernel_sizes=tuple(int(k) for k in rng.integers(1, 4, size=depth)),
+        dilations=tuple(int(d) for d in rng.integers(1, 4, size=depth)),
+        bottleneck_divisor=int(rng.integers(1, 4)),
+        activation=str(rng.choice(["swish", "relu", "tanh", "sigmoid", "identity"])))
+    enc = AtcnEncoder(cfg, rng, dtype=dtype)
+    for unit in enc.units:
+        c = unit.kern.out_channels
+        unit.gamma.data[:] = rng.uniform(0.5, 2.0, size=c)
+        unit.beta.data[:] = rng.normal(size=c)
+        unit.stats.mean[:] = rng.normal(size=c)
+        unit.stats.var[:] = rng.uniform(0.2, 3.0, size=c)
+    return enc
+
+
+class TestReceptiveFieldSummary:
+    """A causal eval-mode summary runs only the last receptive_field steps."""
+
+    def test_causal_eval_summary_matches_full_forward(self):
+        rng = np.random.default_rng(1803)
+        shapes = [(1,), (5,), (17,), (300,), ()]
+        for trial in range(120):
+            dtype = (np.float64, np.float32)[trial % 2]
+            enc = _random_causal_encoder(rng, dtype)
+            rf = receptive_field(enc.config)
+            t = int(rng.integers(1, rf)) if trial % 3 == 0 and rf > 1 \
+                else rf + int(rng.integers(0, 12))
+            lead = shapes[trial % len(shapes)]
+            x = Tensor(rng.normal(size=lead + (enc.config.input_channels, t)).astype(dtype))
+            full = enc.forward(x, "eval").data[..., -1]
+            summ = enc.summary(x, "eval").data
+            assert summ.shape == full.shape and summ.dtype == full.dtype
+            bound = 16 * np.finfo(dtype).eps * max(float(np.abs(full).max()), 1e-30)
+            assert float(np.abs(summ - full).max()) <= bound, (trial, enc.config, t, lead)
+
+    @pytest.mark.parametrize("pad_mode,mode", [("causal", "train"),
+                                               ("symmetric", "eval"),
+                                               ("symmetric", "train")])
+    def test_other_modes_equal_full_forward_bit_for_bit(self, pad_mode, mode):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            enc = _random_causal_encoder(rng, np.float64)
+            enc.config.pad_mode = pad_mode
+            stats = {k: v.copy() for k, v in enc.buffers().items()}
+            x = Tensor(rng.normal(size=(5, enc.config.input_channels, 16)))
+            full = enc.forward(x, mode).data[..., -1]
+            enc.load_buffers({k: v.copy() for k, v in stats.items()})
+            assert enc.summary(x, mode).data.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("t", [2, 3, 16])
+    @pytest.mark.parametrize("pad_mode,mode", [("causal", "eval"), ("causal", "train"),
+                                               ("symmetric", "eval")])
+    def test_every_convolution_sees_the_expected_steps(self, monkeypatch, pad_mode,
+                                                       mode, t):
+        import deeptrack.atcn as atcn
+        seen = []
+
+        def spy(x, kern, pad_mode="causal"):
+            seen.append(x.data.shape[-1])
+            return dilated_conv1d(x, kern, pad_mode)
+
+        monkeypatch.setattr(atcn, "dilated_conv1d", spy)
+        cfg = AtcnConfig(2, (16, 32, 64), (2, 2, 2), (1, 1, 1), pad_mode=pad_mode)
+        enc = AtcnEncoder(cfg, np.random.default_rng(0))
+        enc.summary(Tensor(np.ones((3, 2, t))), mode)
+        sliced = (pad_mode, mode) == ("causal", "eval")
+        want = min(t, receptive_field(cfg)) if sliced else t
+        assert seen == [want] * len(enc.units)
+
+    def test_gradients_through_sliced_summary(self):
+        cfg = AtcnConfig(2, (3, 4), (2, 2), (1, 1))
+        rng = np.random.default_rng(10)
+        enc = AtcnEncoder(cfg, rng)
+        x = Tensor(rng.normal(size=(2, 2, 6)), requires_grad=True)
+        check_gradients(lambda: (enc.summary(x, "eval") ** 2.0).mean(),
+                        dict(enc.parameters(), x=x))
+        assert not x.grad[..., :6 - receptive_field(cfg)].any()

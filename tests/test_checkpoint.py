@@ -1,6 +1,8 @@
 """Binary weight checkpoints: round-trips, versioning, corruption handling."""
 
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,11 @@ from deeptrack.numcore import (
 from helpers import loads_or_rejects
 
 HASH = hashlib.sha256(b"config").hexdigest()
+
+
+def resealed(body: bytes) -> bytes:
+    """A version 2 file body followed by its own valid CRC32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def sample_state(rng, dtype=np.float64):
@@ -105,6 +112,28 @@ class TestFormatChecks:
         with pytest.raises(ConfigurationError):
             load_weights(path)
 
+    def test_version_2_ends_in_crc32_of_the_rest(self, tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(path, *sample_state(np.random.default_rng(6)), HASH)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC)) == (2,)
+        assert blob == resealed(blob[:-4])
+
+    def test_version_1_still_loads(self, tmp_path):
+        """A version 1 file is the version 2 layout without the trailer."""
+        params, buffers = sample_state(np.random.default_rng(7))
+        path = tmp_path / "w.bin"
+        save_weights(path, params, buffers, HASH)
+        blob = bytearray(path.read_bytes()[:-4])
+        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        loaded = load_weights(path)
+        assert loaded.version == 1 and loaded.config_hash == HASH
+        for name, tensor in params.items():
+            assert loaded.params[name].tobytes() == tensor.data.tobytes()
+        for name, arr in buffers.items():
+            assert loaded.buffers[name].tobytes() == arr.tobytes()
+
     def test_bad_hash_string_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             save_weights(tmp_path / "w.bin", {}, {}, "abcd")
@@ -134,9 +163,21 @@ class TestCorruptFiles:
         # name, ndim u8, then its first dimension
         name_len = int.from_bytes(altered[49:51], "little")
         altered[52 + name_len:56 + name_len] = (2 ** 32 - 1).to_bytes(4, "little")
-        path.write_bytes(bytes(altered))
+        # a matching checksum gets the dimension past the CRC to the bound check
+        path.write_bytes(resealed(bytes(altered[:-4])))
         with pytest.raises(ConfigurationError, match="bytes left"):
             load_weights(path)
+
+    def test_every_flipped_byte_is_rejected(self, saved):
+        """A CRC32 catches every error burst up to 32 bits, so no flipped byte
+        anywhere in the file (header, records or trailer) loads: each byte is
+        flipped by every single-bit mask and by 0x5A and 0xFF."""
+        blob, path = saved
+        for at in range(len(blob)):
+            for mask in (1, 2, 4, 8, 16, 32, 64, 128, 0x5A, 0xFF):
+                altered = bytearray(blob)
+                altered[at] ^= mask
+                assert not loads_or_rejects(load_weights, bytes(altered), path), (at, mask)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

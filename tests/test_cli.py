@@ -205,6 +205,21 @@ class TestEvalAndPredict:
         assert "corrupt checkpoint" in capsys.readouterr().err
 
 
+    def test_predict_with_short_neighbor_track_is_exit_2(self, tmp_path, capsys):
+        model = DeepTrack(seed=0)
+        save_weights(tmp_path / "checkpoint.bin", model.parameters(), model.buffers(),
+                     model.config_digest)
+        save_config_file(tmp_path / "config.json", model.config)
+        samples = constant_velocity_samples(4, seed=0)
+        short = next(n for s in samples for n in s.neighbors if n.cell is not None)
+        short.track = short.track[2:]
+        archive = tmp_path / "test_samples.jsonl"
+        save_samples(archive, samples, fmt="text")
+        assert main(["predict", "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--data", str(archive), "--out", str(tmp_path / "pred")]) == 2
+        assert "track has shape" in capsys.readouterr().err
+
+
 class TestComplexity:
     def test_prints_costs(self, capsys):
         assert main(["complexity"]) == 0

@@ -70,6 +70,39 @@ class TestShapes:
             collate([s], cfg)
 
 
+class TestCollate:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_arrays_equal_a_per_neighbor_construction(self, dtype):
+        cfg = tiny_config(dtype=dtype)
+        rng = np.random.default_rng(4)
+        samples = [make_sample(cfg, rng, vid=i, n_in_grid=i % 4, n_outside=1)
+                   for i in range(6)]
+        batch = collate(samples, cfg)
+        want = np.stack([n.track.T.astype(np.dtype(dtype))
+                         for s in samples for n in s.neighbors if n.cell is not None])
+        assert batch.nbr_tracks.dtype == want.dtype
+        assert np.array_equal(batch.nbr_tracks, want)
+        assert batch.nbr_batch.tolist() == [i for i, s in enumerate(samples)
+                                            for n in s.neighbors if n.cell is not None]
+        assert batch.ego.tobytes() == np.stack(
+            [s.ego_history.T for s in samples]).astype(np.dtype(dtype)).tobytes()
+
+    @pytest.mark.parametrize("cut", [(0, 1), (1, 1)], ids=["all-short", "mixed"])
+    def test_short_neighbor_track_rejected(self, cut):
+        cfg = default_model_config()
+        s = make_sample(cfg, np.random.default_rng(0), n_in_grid=2)
+        for n, drop in zip(s.neighbors, cut):
+            n.track = n.track[drop * 3:]
+        with pytest.raises(ConfigurationError, match="track has shape"):
+            collate([s], cfg)
+
+    def test_out_of_grid_track_is_not_checked(self):
+        cfg = default_model_config()
+        s = make_sample(cfg, np.random.default_rng(0), n_in_grid=1, n_outside=1)
+        s.neighbors[1].track = s.neighbors[1].track[:3]
+        assert collate([s], cfg).nbr_tracks.shape == (1, 2, cfg.history_steps)
+
+
 class TestZeroWeights:
     def test_all_zero_parameters_predict_zero(self):
         cfg = tiny_config()
