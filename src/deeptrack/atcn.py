@@ -29,6 +29,7 @@ from .numcore import (
     RunningStats,
     Tensor,
     batch_norm,
+    check_fields,
     dilated_conv1d,
 )
 from .numcore.functional import activation_fn
@@ -51,9 +52,7 @@ class AtcnConfig:
     bn_epsilon: float = 1e-5
 
     def __post_init__(self):
-        self.channels = tuple(int(c) for c in self.channels)
-        self.kernel_sizes = tuple(int(k) for k in self.kernel_sizes)
-        self.dilations = tuple(int(d) for d in self.dilations)
+        check_fields(self)
         n = len(self.channels)
         if n == 0:
             raise ConfigurationError("encoder needs at least one block")
@@ -127,10 +126,11 @@ class _ConvUnit:
         return activation_fn(cfg.activation)(out)
 
     def parameters(self) -> Dict[str, Tensor]:
-        out = {f"{self.name}.w": self.kern.weights, f"{self.name}.b": self.kern.bias}
+        """This unit's tensors keyed by suffix: ``w``, ``b``, ``bn.gamma``, ``bn.beta``."""
+        out = {"w": self.kern.weights, "b": self.kern.bias}
         if self.gamma is not None:
-            out[f"{self.name}.bn.gamma"] = self.gamma
-            out[f"{self.name}.bn.beta"] = self.beta
+            out["bn.gamma"] = self.gamma
+            out["bn.beta"] = self.beta
         return out
 
     def buffers(self) -> Dict[str, np.ndarray]:
@@ -193,10 +193,8 @@ class AtcnEncoder:
         return self.forward(x, mode)[..., -1]
 
     def parameters(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        for unit in self.units:
-            out.update(unit.parameters())
-        return out
+        return {f"{unit.name}.{suffix}": t for unit in self.units
+                for suffix, t in unit.parameters().items()}
 
     def buffers(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from .atcn import AtcnConfig
-from .numcore import ConfigurationError
+from .numcore import ConfigurationError, check_fields
 
 __all__ = [
     "Conv2dSpec",
@@ -39,9 +39,7 @@ class Conv2dSpec:
     padding: Tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        self.kernel = (int(self.kernel[0]), int(self.kernel[1]))
-        self.stride = (int(self.stride[0]), int(self.stride[1]))
-        self.padding = (int(self.padding[0]), int(self.padding[1]))
+        check_fields(self)
         if self.out_channels < 1 or min(self.kernel) < 1 or min(self.stride) < 1:
             raise ConfigurationError(f"invalid conv spec {self}")
 
@@ -53,9 +51,7 @@ class PoolSpec:
     padding: Tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        self.window = (int(self.window[0]), int(self.window[1]))
-        self.stride = (int(self.stride[0]), int(self.stride[1]))
-        self.padding = (int(self.padding[0]), int(self.padding[1]))
+        check_fields(self)
         if min(self.window) < 1 or min(self.stride) < 1 or not all(
                 0 <= p < w for p, w in zip(self.padding, self.window)):
             raise ConfigurationError(f"invalid pool spec {self}")
@@ -82,6 +78,7 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        check_fields(self)
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ConfigurationError("grid dimensions must be positive")
         if self.cell_length <= 0:
@@ -129,16 +126,16 @@ def _atcn_to_dict(cfg: AtcnConfig) -> Dict[str, Any]:
 def _atcn_from_dict(d: Dict[str, Any]) -> AtcnConfig:
     try:
         return AtcnConfig(
-            input_channels=int(d["inputChannels"]),
-            channels=tuple(d["outputFeatures"]),
-            kernel_sizes=tuple(d["kernelSizes"]),
-            dilations=tuple(d["dilationRates"]),
+            input_channels=d["inputChannels"],
+            channels=d["outputFeatures"],
+            kernel_sizes=d["kernelSizes"],
+            dilations=d["dilationRates"],
             pad_mode=d.get("padMode", "causal"),
-            bottleneck_divisor=int(d.get("bottleneckDivisor", 2)),
+            bottleneck_divisor=d.get("bottleneckDivisor", 2),
             activation=d.get("activation", "swish"),
-            use_batch_norm=bool(d.get("batchNorm", True)),
-            bn_momentum=float(d.get("bnMomentum", 0.1)),
-            bn_epsilon=float(d.get("bnEpsilon", 1e-5)),
+            use_batch_norm=d.get("batchNorm", True),
+            bn_momentum=d.get("bnMomentum", 0.1),
+            bn_epsilon=d.get("bnEpsilon", 1e-5),
         )
     except KeyError as missing:
         raise ConfigurationError(f"encoder config missing field {missing}") from None
@@ -150,9 +147,8 @@ def _conv2d_to_dict(spec: Conv2dSpec) -> Dict[str, Any]:
 
 
 def _conv2d_from_dict(d: Dict[str, Any]) -> Conv2dSpec:
-    return Conv2dSpec(out_channels=int(d["outChannels"]), kernel=tuple(d["kernel"]),
-                      stride=tuple(d.get("stride", (1, 1))),
-                      padding=tuple(d.get("padding", (0, 0))))
+    return Conv2dSpec(out_channels=d["outChannels"], kernel=d["kernel"],
+                      stride=d.get("stride", (1, 1)), padding=d.get("padding", (0, 0)))
 
 
 def model_config_to_dict(cfg: ModelConfig) -> Dict[str, Any]:
@@ -201,23 +197,22 @@ def model_config_from_dict(d: Dict[str, Any]) -> ModelConfig:
             neighbor_atcn=_atcn_from_dict(d["neighborAtcn"]) if "neighborAtcn" in d
             else base.neighbor_atcn,
             ego_atcn=_atcn_from_dict(d["egoAtcn"]) if "egoAtcn" in d else base.ego_atcn,
-            grid_rows=int(d.get("gridRows", base.grid_rows)),
-            grid_cols=int(d.get("gridCols", base.grid_cols)),
-            cell_length=float(d.get("cellLength", base.cell_length)),
+            grid_rows=d.get("gridRows", base.grid_rows),
+            grid_cols=d.get("gridCols", base.grid_cols),
+            cell_length=d.get("cellLength", base.cell_length),
             social_conv1=_conv2d_from_dict(d["socialConv1"]) if "socialConv1" in d
             else base.social_conv1,
             social_conv2=_conv2d_from_dict(d["socialConv2"]) if "socialConv2" in d
             else base.social_conv2,
-            social_pool=PoolSpec(tuple(pool["window"]), tuple(pool["stride"]),
-                                 tuple(pool.get("padding", (0, 0)))) if pool
-            else base.social_pool,
-            ego_dense_out=int(d.get("egoDenseOut", base.ego_dense_out)),
-            decoder_init_hidden=int(d.get("decoderInitHidden", base.decoder_init_hidden)),
-            decoder_hidden=int(d.get("decoderHidden", base.decoder_hidden)),
-            horizon_steps=int(d.get("horizonSteps", base.horizon_steps)),
-            history_steps=int(d.get("historySteps", base.history_steps)),
-            output_dim=int(d.get("outputDim", base.output_dim)),
-            autoregressive=bool(d.get("autoregressive", False)),
+            social_pool=PoolSpec(pool["window"], pool["stride"], pool.get("padding", (0, 0)))
+            if pool else base.social_pool,
+            ego_dense_out=d.get("egoDenseOut", base.ego_dense_out),
+            decoder_init_hidden=d.get("decoderInitHidden", base.decoder_init_hidden),
+            decoder_hidden=d.get("decoderHidden", base.decoder_hidden),
+            horizon_steps=d.get("horizonSteps", base.horizon_steps),
+            history_steps=d.get("historySteps", base.history_steps),
+            output_dim=d.get("outputDim", base.output_dim),
+            autoregressive=d.get("autoregressive", False),
             dtype=d.get("dtype", "float64"),
         )
     except (TypeError, ValueError, KeyError) as err:

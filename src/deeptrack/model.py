@@ -159,52 +159,45 @@ class DeepTrack:
         ctx = self.geometry.flat + cfg.ego_dense_out
         hidden = cfg.decoder_hidden
 
-        def conv_init(c_out, c_in, kh, kw):
-            bound = 1.0 / math.sqrt(c_in * kh * kw)
-            return (Tensor(_uniform(rng, bound, (c_out, c_in, kh, kw), self.dtype),
-                           requires_grad=True),
-                    Tensor(_uniform(rng, bound, (c_out,), self.dtype), requires_grad=True))
+        def param(shape, bound) -> Tensor:
+            return Tensor(_uniform(rng, bound, shape, self.dtype), requires_grad=True)
 
-        def dense_init(out_w, in_w):
-            bound = 1.0 / math.sqrt(in_w)
-            return (Tensor(_uniform(rng, bound, (out_w, in_w), self.dtype),
-                           requires_grad=True),
-                    Tensor(_uniform(rng, bound, (out_w,), self.dtype), requires_grad=True))
+        def weight_and_bias(c_out: int, *fan_in) -> Dict[str, Tensor]:
+            """A dense (``fan_in`` = width) or conv2d (``c_in, kh, kw``) layer."""
+            bound = 1.0 / math.sqrt(math.prod(fan_in))
+            return {"w": param((c_out, *fan_in), bound), "b": param((c_out,), bound)}
 
+        # One ordered table of every layer's tensors, in construction (and so
+        # seeding) order; checkpoint names, Adam's order and the cost model
+        # all read it.
         c1, c2 = cfg.social_conv1, cfg.social_conv2
-        self.social_conv1_w, self.social_conv1_b = conv_init(
-            c1.out_channels, nbr_c, *c1.kernel)
-        self.social_conv2_w, self.social_conv2_b = conv_init(
-            c2.out_channels, c1.out_channels, *c2.kernel)
-        self.ego_remap_w, self.ego_remap_b = dense_init(cfg.ego_dense_out, ego_c)
-        self.init_fc1_w, self.init_fc1_b = dense_init(cfg.decoder_init_hidden, ctx)
-        self.init_fc2_w, self.init_fc2_b = dense_init(2 * hidden, cfg.decoder_init_hidden)
-
         bound = 1.0 / math.sqrt(hidden)
-        w_ih = _uniform(rng, bound, (4 * hidden, cfg.output_dim), self.dtype)
-        w_hh = _uniform(rng, bound, (4 * hidden, hidden), self.dtype)
-        bias = _uniform(rng, bound, (4 * hidden,), self.dtype)
-        bias[hidden:2 * hidden] += 1.0  # open the forget gate at the start
-        self.decoder = LstmWeights(Tensor(w_ih, requires_grad=True),
-                                   Tensor(w_hh, requires_grad=True),
-                                   Tensor(bias, requires_grad=True))
-        self.head_w, self.head_b = dense_init(cfg.output_dim, hidden)
-
-        self._params: Dict[str, Tensor] = {}
-        for prefix, enc in (("neighbor_encoder", self.neighbor_encoder),
-                            ("ego_encoder", self.ego_encoder)):
-            for name, t in enc.parameters().items():
-                self._params[f"{prefix}.{name}"] = t
-        self._params.update({
-            "social.conv1.w": self.social_conv1_w, "social.conv1.b": self.social_conv1_b,
-            "social.conv2.w": self.social_conv2_w, "social.conv2.b": self.social_conv2_b,
-            "ego_remap.w": self.ego_remap_w, "ego_remap.b": self.ego_remap_b,
-            "decoder_init.fc1.w": self.init_fc1_w, "decoder_init.fc1.b": self.init_fc1_b,
-            "decoder_init.fc2.w": self.init_fc2_w, "decoder_init.fc2.b": self.init_fc2_b,
-            "decoder.w_ih": self.decoder.w_ih, "decoder.w_hh": self.decoder.w_hh,
-            "decoder.bias": self.decoder.bias,
-            "head.w": self.head_w, "head.b": self.head_b,
+        self.layers: Dict[str, Dict[str, Tensor]] = {
+            f"{prefix}.{unit.name}": unit.parameters()
+            for prefix, enc in (("neighbor_encoder", self.neighbor_encoder),
+                                ("ego_encoder", self.ego_encoder))
+            for unit in enc.units}
+        self.layers.update({
+            "social.conv1": weight_and_bias(c1.out_channels, nbr_c, *c1.kernel),
+            "social.conv2": weight_and_bias(c2.out_channels, c1.out_channels, *c2.kernel),
+            "ego_remap": weight_and_bias(cfg.ego_dense_out, ego_c),
+            "decoder_init.fc1": weight_and_bias(cfg.decoder_init_hidden, ctx),
+            "decoder_init.fc2": weight_and_bias(2 * hidden, cfg.decoder_init_hidden),
+            "decoder": {"w_ih": param((4 * hidden, cfg.output_dim), bound),
+                        "w_hh": param((4 * hidden, hidden), bound),
+                        "bias": param((4 * hidden,), bound)},
+            "head": weight_and_bias(cfg.output_dim, hidden),
         })
+        self.layers["decoder"]["bias"].data[hidden:2 * hidden] += 1.0  # open the forget gate
+
+        # the same tensors under the names forward_batch and perfbench/layers.py use
+        self.social_conv1_w, self.social_conv1_b = self.layers["social.conv1"].values()
+        self.social_conv2_w, self.social_conv2_b = self.layers["social.conv2"].values()
+        self.ego_remap_w, self.ego_remap_b = self.layers["ego_remap"].values()
+        self.init_fc1_w, self.init_fc1_b = self.layers["decoder_init.fc1"].values()
+        self.init_fc2_w, self.init_fc2_b = self.layers["decoder_init.fc2"].values()
+        self.decoder = LstmWeights(**self.layers["decoder"])
+        self.head_w, self.head_b = self.layers["head"].values()
 
     # -- state ------------------------------------------------------------
 
@@ -213,7 +206,9 @@ class DeepTrack:
         return config_hash(self.config)
 
     def parameters(self) -> Dict[str, Tensor]:
-        return dict(self._params)
+        """Every learnable tensor as ``{layer}.{suffix}``, in table order."""
+        return {f"{layer}.{suffix}": t for layer, tensors in self.layers.items()
+                for suffix, t in tensors.items()}
 
     def buffers(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
@@ -224,12 +219,12 @@ class DeepTrack:
         return out
 
     def state_copy(self) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        return ({k: t.data.copy() for k, t in self._params.items()},
+        return ({k: t.data.copy() for k, t in self.parameters().items()},
                 {k: v.copy() for k, v in self.buffers().items()})
 
     def load_state(self, params: Dict[str, np.ndarray],
                    buffers: Dict[str, np.ndarray]) -> None:
-        own = self._params
+        own = self.parameters()
         missing = sorted(set(own) - set(params))
         extra = sorted(set(params) - set(own))
         if missing or extra:
@@ -252,8 +247,9 @@ class DeepTrack:
                               if name.startswith(prefix + ".")})
 
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
+        for tensors in self.layers.values():
+            for t in tensors.values():
+                t.zero_grad()
 
     # -- forward ----------------------------------------------------------
 

@@ -6,6 +6,7 @@ from .tensor import (
     GraphError,
     NumericsError,
     as_tensor,
+    check_fields,
 )
 from .functional import (
     Kernel1D,
@@ -30,7 +31,7 @@ from .optim import AdamState, adam_step, global_grad_norm, clip_gradients
 from .checkpoint import CheckpointData, save_weights, load_weights, CHECKPOINT_MAGIC
 
 __all__ = [
-    "Tensor", "ConfigurationError", "GraphError", "NumericsError", "as_tensor",
+    "Tensor", "ConfigurationError", "GraphError", "NumericsError", "as_tensor", "check_fields",
     "Kernel1D", "RunningStats", "LstmWeights",
     "sigmoid", "tanh", "swish", "relu", "dense",
     "dilated_conv1d", "conv2d", "max_pool2d", "batch_norm", "lstm_cell",

@@ -7,7 +7,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .tensor import NumericsError, ConfigurationError, Tensor
+from .tensor import NumericsError, ConfigurationError, Tensor, check_fields
 
 __all__ = ["AdamState", "adam_step", "global_grad_norm", "clip_gradients"]
 
@@ -28,11 +28,16 @@ class AdamState:
     second_moment: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_fields(self)
         if self.clip_mode not in CLIP_MODES:
             raise ConfigurationError(
                 f"clip_mode must be one of {CLIP_MODES}, got {self.clip_mode!r}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigurationError(f"learning rate must be positive, got {self.lr}")
+        # a negative bound flips the sign of every clipped gradient, so the
+        # step would climb the loss
+        if not self.clip_norm > 0:
+            raise ConfigurationError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:

@@ -14,6 +14,8 @@ in another from recording.
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
@@ -26,6 +28,7 @@ __all__ = [
     "GraphError",
     "NumericsError",
     "as_tensor",
+    "check_fields",
 ]
 
 DEFAULT_DTYPE = np.float64
@@ -65,6 +68,41 @@ class GraphError(RuntimeError):
 
 class NumericsError(ArithmeticError):
     """Non-finite values appeared where finite values are required."""
+
+
+def check_fields(config) -> None:
+    """Check each field of a config dataclass against its annotation, in place.
+
+    ``bool`` takes only True or False. ``int`` takes an integer, never a bool
+    or a string; a float counts only when integral, and becomes the int.
+    ``float`` takes any int or float and stores a float. ``str`` takes a
+    string, and ``Tuple[int, ...]`` or ``Tuple[int, int]`` a list or tuple
+    of such ints, of any length or of two. Other annotations pass unchecked.
+    Annotations are read as the strings ``from __future__ import
+    annotations`` leaves them.
+    """
+    for f in dataclasses.fields(config):
+        name = f"{type(config).__name__}.{f.name}"
+        try:
+            checked = _checked(f.type, getattr(config, f.name), name)
+        except OverflowError:  # an integer too large for a float
+            raise ConfigurationError(f"{name} is out of range") from None
+        setattr(config, f.name, checked)
+
+
+def _checked(kind: str, value, name: str):
+    if kind in ("Tuple[int, ...]", "Tuple[int, int]"):
+        if not isinstance(value, (list, tuple)) or (kind.endswith("int]") and len(value) != 2):
+            raise ConfigurationError(f"{name} must be a list of integers "
+                                     f"({kind}), got {value!r}")
+        return tuple(_checked("int", v, name) for v in value)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    integral = real and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    ok = {"bool": isinstance(value, bool), "str": isinstance(value, str),
+          "int": integral, "float": real}.get(kind)
+    if ok is False:
+        raise ConfigurationError(f"{name} must be of type {kind}, got {value!r}")
+    return int(value) if kind == "int" else float(value) if kind == "float" else value
 
 
 def _coerce(data, dtype=None) -> np.ndarray:

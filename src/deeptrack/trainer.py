@@ -23,6 +23,7 @@ from .numcore import (
     NumericsError,
     Tensor,
     adam_step,
+    check_fields,
 )
 from .numcore.tensor import no_grad
 
@@ -96,15 +97,22 @@ class TrainConfig:
     min_learning_rate: float = 1e-7
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigurationError("plateau_factor must be in (0, 1)")
         if self.plateau_patience < 1:
             raise ConfigurationError("plateau_patience must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         loss_fn(self.loss)
+        self.optimizer()  # rejects a bad learning rate, clip norm or clip mode now
+
+    def optimizer(self) -> AdamState:
+        """A fresh Adam state with this run's learning rate and clipping."""
+        return AdamState(lr=self.learning_rate, clip_norm=self.clip_norm,
+                         clip_mode=self.clip_mode)
 
 
 _TRAIN_KEYS = {
@@ -202,8 +210,7 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
     if not train_samples or not val_samples:
         raise ConfigurationError("training and validation sets must be non-empty")
     loss = loss_fn(config.loss)
-    optimizer = AdamState(lr=config.learning_rate, clip_norm=config.clip_norm,
-                          clip_mode=config.clip_mode)
+    optimizer = config.optimizer()
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
 

@@ -1,7 +1,7 @@
 """Shared test oracles: naive convolution, pooling and batch-norm loops, an
-LSTM step composed from public ops, finite-difference checks, a graph-node
-count, a corrupt-file probe, and a small model configuration reused across
-suites.
+LSTM step composed from public ops, per-layer cost formulas, finite-difference
+checks, a graph-node count, a corrupt-file probe, and a small model
+configuration reused across suites.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -10,12 +10,13 @@ they only consume public signatures and raw numpy arrays.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Mapping
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
+from deeptrack.model import social_geometry
 from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
 from deeptrack.numcore import ConfigurationError, Tensor, dense, sigmoid, tanh
 
@@ -190,6 +191,82 @@ def composed_lstm_cell(x_t, h_prev, c_prev, weights):
     o = sigmoid(gates[:, 3 * h:4 * h])
     c_t = f * c_prev + i * g
     return o * tanh(c_t), c_t
+
+
+# -- cost formulas, one per layer kind, written out by hand -----------------
+
+def conv1d_cost(c_in: int, c_out: int, k: int, groups: int, t: int) -> Tuple[int, int]:
+    """(params, MACs) of a temporal convolution over ``t`` steps."""
+    params = c_out * (c_in // groups) * k + c_out
+    macs = t * k * (c_in // groups) * c_out
+    return params, macs
+
+
+def conv2d_cost(c_in: int, c_out: int, kh: int, kw: int,
+                h_out: int, w_out: int) -> Tuple[int, int]:
+    params = c_out * c_in * kh * kw + c_out
+    macs = h_out * w_out * kh * kw * c_in * c_out
+    return params, macs
+
+
+def dense_cost(fan_in: int, fan_out: int) -> Tuple[int, int]:
+    return fan_in * fan_out + fan_out, fan_in * fan_out
+
+
+def lstm_cost(fan_in: int, hidden: int, steps: int) -> Tuple[int, int]:
+    params = 4 * ((fan_in + hidden) * hidden + hidden)
+    macs = steps * 4 * (fan_in + hidden) * hidden
+    return params, macs
+
+
+def batch_norm_cost(channels: int, t: int) -> Tuple[int, int]:
+    """Learnable scale and shift; eval-mode MACs 2 per channel per step."""
+    return 2 * channels, 2 * channels * t
+
+
+def formula_costs(config: ModelConfig, history_steps: int,
+                  neighbor_count: int) -> Tuple[List[Tuple[str, int, int]], int]:
+    """Every layer's (name, params, MACs) and the batch-norm state count,
+    walked from the config with the formulas above, not from a model."""
+    t = history_steps
+    layers: List[Tuple[str, int, int]] = []
+    bn_state = 0
+    for prefix, cfg, times in (("neighbor_encoder", config.neighbor_atcn, neighbor_count),
+                               ("ego_encoder", config.ego_atcn, 1)):
+        units = []
+        for j, c_out in enumerate(cfg.channels):
+            c_in, k = cfg.in_channels_of(j), cfg.kernel_sizes[j]
+            if j == 0:
+                units.append((f"block{j}.conv", c_in, c_out, k, 1))
+            else:
+                mid = cfg.mid_channels_of(j)
+                units += [(f"block{j}.pw_in", c_in, mid, 1, 1),
+                          (f"block{j}.dw", mid, mid, k, mid),
+                          (f"block{j}.pw_out", mid, c_out, 1, 1)]
+        for name, c_in, c_out, k, groups in units:
+            p, m = conv1d_cost(c_in, c_out, k, groups, t)
+            if cfg.use_batch_norm:
+                bp, bm = batch_norm_cost(c_out, t)
+                p, m = p + bp, m + bm
+                bn_state += 2 * c_out
+            layers.append((f"{prefix}.{name}", p, m * times))
+    geo = social_geometry(config)
+    c1, c2 = config.social_conv1, config.social_conv2
+    hidden = config.decoder_hidden
+    layers += [
+        ("social.conv1", *conv2d_cost(config.neighbor_atcn.channels[-1], c1.out_channels,
+                                      *c1.kernel, *geo.conv1_hw)),
+        ("social.conv2", *conv2d_cost(c1.out_channels, c2.out_channels,
+                                      *c2.kernel, *geo.conv2_hw)),
+        ("ego_remap", *dense_cost(config.ego_atcn.channels[-1], config.ego_dense_out)),
+        ("decoder_init.fc1", *dense_cost(geo.flat + config.ego_dense_out,
+                                         config.decoder_init_hidden)),
+        ("decoder_init.fc2", *dense_cost(config.decoder_init_hidden, 2 * hidden)),
+        ("decoder", *lstm_cost(config.output_dim, hidden, config.horizon_steps)),
+    ]
+    p, m = dense_cost(hidden, config.output_dim)
+    layers.append(("head", p, m * config.horizon_steps))
+    return layers, bn_state
 
 
 def graph_nodes(*roots) -> int:

@@ -6,6 +6,7 @@ budget. Slow pieces (the conv oracle sweep, the gradient suite, the learning
 smoke test) are timed against generous desktop-CPU budgets.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -17,13 +18,7 @@ from hypothesis import strategies as st
 
 from deeptrack.atcn import AtcnConfig, AtcnEncoder, receptive_field
 from deeptrack.cli import main
-from deeptrack.complexity import (
-    REFERENCE_MACS,
-    REFERENCE_PARAMS,
-    complexity_report,
-    conv1d_cost,
-    dense_cost,
-)
+from deeptrack.complexity import REFERENCE_MACS, REFERENCE_PARAMS, complexity_report
 from deeptrack.configio import default_model_config
 from deeptrack.ingest import (
     TrackPoint,
@@ -206,20 +201,29 @@ def test_criterion_5_complexity_calibration():
         f"params {report.total_params} vs {REFERENCE_PARAMS}"
     assert abs(report.total_macs - REFERENCE_MACS) <= 0.10 * REFERENCE_MACS, \
         f"macs {report.total_macs} vs {REFERENCE_MACS}"
-    assert dense_cost(32, 80)[0] == 2_640
-    assert conv1d_cost(64, 64, 2, 64, 16)[1] == 2_048
+
+    def macs_by_layer(cfg):
+        return {l.name: l.macs for l in complexity_report(cfg).layers}
+
+    cfg = default_model_config()
+    assert {l.name: l.params for l in report.layers}["ego_remap"] == 2_640  # dense 32 -> 80
+    depthwise = AtcnConfig(2, (64, 64), (2, 2), (1, 1), bottleneck_divisor=1,
+                           use_batch_norm=False)  # 64 channels, k=2, over 16 steps
+    assert macs_by_layer(dataclasses.replace(cfg, neighbor_atcn=depthwise))[
+        "neighbor_encoder.block1.dw"] == 2_048
 
     # factored hidden blocks must at least halve the standard-conv MACs
-    cfg = default_model_config()
-    for enc in (cfg.neighbor_atcn, cfg.ego_atcn):
+    # (conv MACs only: batch norm off, T=16, one neighbor)
+    for prefix, field in (("neighbor_encoder", "neighbor_atcn"), ("ego_encoder", "ego_atcn")):
+        enc = dataclasses.replace(getattr(cfg, field), use_batch_norm=False)
+        factored = macs_by_layer(dataclasses.replace(cfg, **{field: enc}))
         for j in range(1, enc.depth):
-            c_in, c_out = enc.in_channels_of(j), enc.channels[j]
-            mid, k = enc.mid_channels_of(j), enc.kernel_sizes[j]
-            standard = conv1d_cost(c_in, c_out, k, 1, 16)[1]
-            factored = (conv1d_cost(c_in, mid, 1, 1, 16)[1]
-                        + conv1d_cost(mid, mid, k, mid, 16)[1]
-                        + conv1d_cost(mid, c_out, 1, 1, 16)[1])
-            assert factored * 2 <= standard, f"hidden block {j}"
+            conv = AtcnConfig(enc.in_channels_of(j), (enc.channels[j],),
+                              (enc.kernel_sizes[j],), (1,), use_batch_norm=False)
+            standard = macs_by_layer(dataclasses.replace(cfg, **{field: conv}))
+            block = sum(factored[f"{prefix}.block{j}.{part}"]
+                        for part in ("pw_in", "dw", "pw_out"))
+            assert block * 2 <= standard[f"{prefix}.block0.conv"], f"{prefix} hidden block {j}"
 
 
 def test_criterion_6_learning_smoke_test():

@@ -118,6 +118,17 @@ class TestTrain:
                      "--config", str(path)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"epochs": 2.5}, {"learningRate": "0.1"}, {"batchSize": True}, {"clipNorm": -1.0}])
+    def test_mistyped_train_settings_are_exit_2(self, tmp_path, ingested, capsys, entry):
+        path = tmp_path / "config.json"
+        save_config_file(path, default_model_config(), entry)
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--config", str(path), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_divergence_keeps_last_good_weights(self, tmp_path):
         samples = constant_velocity_samples(12, seed=0)
         samples[0].future[5, 1] = np.inf
@@ -259,3 +270,19 @@ class TestComplexity:
         path.write_text(json.dumps(config))
         assert main(["complexity", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, entry", [
+        (None, {"autoregressive": "false"}),
+        ("neighborAtcn", {"batchNorm": "false"}),
+        (None, {"decoderHidden": 8.9}),
+        ("socialConv1", {"kernel": [3.5, 3]}),
+        ("neighborAtcn", {"outputFeatures": [16.7, 32, 64]}),
+    ])
+    def test_coercible_config_values_are_exit_2(self, tmp_path, capsys, section, entry):
+        config = model_config_to_dict(default_model_config())
+        (config[section] if section else config).update(entry)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["complexity", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""

@@ -1,52 +1,82 @@
-"""Analytic parameter and MAC counts against hand-worked values."""
+"""Parameter and MAC counts: hand-worked values read off report layers, and a
+seeded sweep of the report against the per-layer formulas in ``helpers``."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from deeptrack.atcn import AtcnConfig
 from deeptrack.complexity import (
     REFERENCE_MACS,
     REFERENCE_PARAMS,
     SampleShape,
-    batch_norm_cost,
     complexity_report,
-    conv1d_cost,
-    conv2d_cost,
-    count_macs,
-    count_params,
-    dense_cost,
-    lstm_cost,
 )
-from deeptrack.configio import default_model_config
-from deeptrack.model import DeepTrack
+from deeptrack.configio import Conv2dSpec, PoolSpec, default_model_config
+from deeptrack.model import DeepTrack, social_geometry
+from deeptrack.numcore import ConfigurationError
+
+from helpers import formula_costs
+
+
+def layer(report, name):
+    return next(l for l in report.layers if l.name == name)
+
+
+def without_batch_norm(cfg):
+    return dataclasses.replace(
+        cfg,
+        neighbor_atcn=dataclasses.replace(cfg.neighbor_atcn, use_batch_norm=False),
+        ego_atcn=dataclasses.replace(cfg.ego_atcn, use_batch_norm=False))
 
 
 class TestUnitFormulas:
+    """Each layer kind's hand-worked count, read off one report layer."""
+
     def test_dense(self):
-        # 32 -> 80: weights 32*80 + 80 bias; one MAC per weight
-        assert dense_cost(32, 80) == (2_640, 2_560)
+        # ego_remap 32 -> 80: weights 32*80 + 80 bias; one MAC per weight
+        remap = layer(complexity_report(default_model_config()), "ego_remap")
+        assert (remap.params, remap.macs) == (2_640, 2_560)
 
     def test_standard_conv1d(self):
-        # 2 -> 16, k=2 over 16 steps
-        assert conv1d_cost(2, 16, 2, 1, 16) == (16 * 2 * 2 + 16, 16 * 2 * 2 * 16)
+        # neighbor block 0: 2 -> 16, k=2 over 16 steps
+        report = complexity_report(without_batch_norm(default_model_config()))
+        conv = layer(report, "neighbor_encoder.block0.conv")
+        assert (conv.params, conv.macs) == (16 * 2 * 2 + 16, 16 * 2 * 2 * 16)
 
     def test_depthwise_conv1d(self):
         # 64 channels, k=2, groups=64: 2 weights + 1 bias per channel
-        assert conv1d_cost(64, 64, 2, 64, 16) == (192, 2_048)
+        cfg = dataclasses.replace(
+            default_model_config(),
+            neighbor_atcn=AtcnConfig(2, (64, 64), (2, 2), (1, 1), bottleneck_divisor=1,
+                                     use_batch_norm=False))
+        dw = layer(complexity_report(cfg), "neighbor_encoder.block1.dw")
+        assert (dw.params, dw.macs) == (192, 2_048)
 
     def test_pointwise_is_dense_per_step(self):
-        p, m = conv1d_cost(32, 64, 1, 1, 16)
-        dp, dm = dense_cost(32, 64)
-        assert (p, m) == (dp, 16 * dm)
+        # neighbor block 2 squeezes 32 -> 16: a dense 32 -> 16 (528, 512) at 16 steps
+        report = complexity_report(without_batch_norm(default_model_config()))
+        pw = layer(report, "neighbor_encoder.block2.pw_in")
+        assert (pw.params, pw.macs) == (528, 16 * 512)
 
     def test_conv2d(self):
         # 64 filters of 64x3x3 over an 11x1 output map
-        assert conv2d_cost(64, 64, 3, 3, 11, 1) == (36_928, 405_504)
+        conv = layer(complexity_report(default_model_config()), "social.conv1")
+        assert (conv.params, conv.macs) == (36_928, 405_504)
 
     def test_lstm(self):
-        # in 2, hidden 104, 25 unrolled steps
-        assert lstm_cost(2, 104, 25) == (44_512, 1_102_400)
+        # in 2, hidden 104, 25 unrolled steps; w_ih counts though no input is fed
+        decoder = layer(complexity_report(default_model_config()), "decoder")
+        assert (decoder.params, decoder.macs) == (44_512, 1_102_400)
 
     def test_batch_norm(self):
-        assert batch_norm_cost(16, 16) == (32, 512)
+        # 16 channels over 16 steps: scale and shift, 2 MACs per channel per step
+        with_bn = layer(complexity_report(default_model_config()),
+                        "neighbor_encoder.block0.conv")
+        no_bn = layer(complexity_report(without_batch_norm(default_model_config())),
+                      "neighbor_encoder.block0.conv")
+        assert (with_bn.params - no_bn.params, with_bn.macs - no_bn.macs) == (32, 512)
 
 
 class TestDefaultReport:
@@ -71,7 +101,7 @@ class TestDefaultReport:
         cfg = default_model_config()
         model = DeepTrack(cfg, seed=0)
         actual = sum(t.data.size for t in model.parameters().values())
-        assert count_params(cfg) == actual
+        assert complexity_report(cfg).total_params == actual
 
     def test_bn_state_excluded_from_headline(self):
         cfg = default_model_config()
@@ -88,7 +118,12 @@ class TestDefaultReport:
         five = complexity_report(cfg, SampleShape(neighbor_count=5))
         assert five.total_params == one.total_params
         assert five.total_macs > one.total_macs
-        assert count_macs(cfg, SampleShape(neighbor_count=5)) == five.total_macs
+
+    @pytest.mark.parametrize("shape", [dict(history_steps=9.5), dict(neighbor_count=True),
+                                       dict(neighbor_count=-1), dict(history_steps=0)])
+    def test_bad_sample_shape_rejected(self, shape):
+        with pytest.raises(ConfigurationError):
+            SampleShape(**shape)
 
     def test_report_renders(self):
         text = complexity_report(default_model_config()).to_text()
@@ -98,17 +133,89 @@ class TestDefaultReport:
 
 class TestSeparableSavings:
     def test_every_bottleneck_block_halves_the_macs(self):
-        cfg = default_model_config()
-        t = 16
-        for enc in (cfg.neighbor_atcn, cfg.ego_atcn):
+        # conv MACs without batch norm, T=16, one neighbor: a hidden block's
+        # three factored layers against one standard conv of the same widths
+        cfg = without_batch_norm(default_model_config())
+        report = complexity_report(cfg)
+        for prefix, field in (("neighbor_encoder", "neighbor_atcn"),
+                              ("ego_encoder", "ego_atcn")):
+            enc = getattr(cfg, field)
             for j in range(1, enc.depth):
-                c_in = enc.in_channels_of(j)
-                c_out = enc.channels[j]
-                mid = enc.mid_channels_of(j)
-                k = enc.kernel_sizes[j]
-                standard = conv1d_cost(c_in, c_out, k, 1, t)[1]
-                factored = (conv1d_cost(c_in, mid, 1, 1, t)[1]
-                            + conv1d_cost(mid, mid, k, mid, t)[1]
-                            + conv1d_cost(mid, c_out, 1, 1, t)[1])
-                assert factored * 2 <= standard, \
-                    f"block {j} ({c_in}->{c_out}): {factored} vs {standard}"
+                c_in, c_out = enc.in_channels_of(j), enc.channels[j]
+                single = AtcnConfig(c_in, (c_out,), (enc.kernel_sizes[j],), (1,),
+                                    use_batch_norm=False)
+                standard = complexity_report(dataclasses.replace(cfg, **{field: single}))
+                standard_macs = layer(standard, f"{prefix}.block0.conv").macs
+                factored = sum(layer(report, f"{prefix}.block{j}.{part}").macs
+                               for part in ("pw_in", "dw", "pw_out"))
+                assert factored * 2 <= standard_macs, \
+                    f"{prefix} block {j} ({c_in}->{c_out}): {factored} vs {standard_macs}"
+
+
+def _random_atcn(rng) -> AtcnConfig:
+    depth = int(rng.integers(1, 5))
+    return AtcnConfig(
+        input_channels=int(rng.integers(1, 4)),
+        channels=tuple(int(c) for c in rng.integers(1, 40, size=depth)),
+        kernel_sizes=tuple(int(k) for k in rng.integers(1, 5, size=depth)),
+        dilations=tuple(int(d) for d in rng.integers(1, 4, size=depth)),
+        pad_mode=str(rng.choice(["causal", "symmetric"])),
+        bottleneck_divisor=int(rng.integers(1, 5)),
+        use_batch_norm=bool(rng.random() < 0.5))
+
+
+def _random_config(rng):
+    """A model config with every cost-relevant setting drawn at random; the
+    draw repeats until the grid survives the convolutions and the pool."""
+    def pair(lo, hi):
+        return tuple(int(v) for v in rng.integers(lo, hi, size=2))
+
+    while True:
+        window = pair(1, 3)
+        cfg = dataclasses.replace(
+            default_model_config(),
+            neighbor_atcn=_random_atcn(rng), ego_atcn=_random_atcn(rng),
+            grid_rows=int(rng.integers(3, 16)), grid_cols=int(rng.integers(1, 6)),
+            social_conv1=Conv2dSpec(int(rng.integers(1, 40)), pair(1, 4), pair(1, 3),
+                                    pair(0, 2)),
+            social_conv2=Conv2dSpec(int(rng.integers(1, 20)), pair(1, 4), pair(1, 3),
+                                    pair(0, 2)),
+            social_pool=PoolSpec(window, pair(1, 3),
+                                 tuple(int(rng.integers(0, w)) for w in window)),
+            ego_dense_out=int(rng.integers(1, 40)),
+            decoder_init_hidden=int(rng.integers(1, 40)),
+            decoder_hidden=int(rng.integers(1, 40)),
+            horizon_steps=int(rng.integers(1, 30)), output_dim=int(rng.integers(1, 4)),
+            autoregressive=bool(rng.random() < 0.5))
+        try:
+            social_geometry(cfg)
+        except ConfigurationError:
+            continue
+        return cfg
+
+
+class TestAgainstFormulas:
+    def test_seeded_sweep_matches_every_layer(self):
+        rng = np.random.default_rng(2017)
+        configs = [default_model_config(), default_model_config("symmetric")]
+        configs += [_random_config(rng) for _ in range(40)]
+        for cfg in configs:
+            for t in (1, 9, 16, 23):
+                for neighbors in range(6):
+                    report = complexity_report(cfg, SampleShape(t, neighbors))
+                    expected, bn_state = formula_costs(cfg, t, neighbors)
+                    got = [(l.name, l.params, l.macs) for l in report.layers]
+                    assert got == expected, (cfg, t, neighbors)
+                    assert report.bn_state == bn_state
+
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    def test_layer_names_are_the_parameter_prefixes_in_order(self, batch_norm):
+        cfg = default_model_config()
+        if not batch_norm:
+            cfg = without_batch_norm(cfg)
+        model = DeepTrack(cfg)
+        prefixes = list(dict.fromkeys(
+            name.split(".bn.")[0] if ".bn." in name else name.rsplit(".", 1)[0]
+            for name in model.parameters()))
+        assert [l.name for l in complexity_report(cfg).layers] == list(model.layers) \
+            == prefixes

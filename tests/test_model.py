@@ -1,5 +1,6 @@
 """Full predictor: shapes, invariances, state round-trips, gradients."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import (
+    Conv2dSpec,
     config_hash,
     default_model_config,
     model_config_from_dict,
@@ -220,6 +223,57 @@ class TestDeterminismAndState:
         cfg = default_model_config()
         again = model_config_from_dict(model_config_to_dict(cfg))
         assert config_hash(again) == config_hash(cfg)
+
+
+def _with(section: str, **entries) -> dict:
+    """The default config's JSON form with some entries of one encoder replaced."""
+    d = model_config_to_dict(default_model_config())
+    d[section].update(entries)
+    return d
+
+
+class TestConfigTypes:
+    def test_default_hashes_are_pinned(self):
+        # checkpoints embed this digest; a type rule must not move it
+        assert config_hash(default_model_config()) == \
+            "a526c55da0933fd71bbeb0e8b7715b6d4b0b889b6aae660a2a2a11cff54489fa"
+        assert config_hash(default_model_config("symmetric")) == \
+            "7becdc6bc0cb8fcf32b7686a5c9d95722b4a8c9343255620e893397cea94021a"
+
+    def test_integral_floats_and_ints_keep_the_hash(self):
+        base = default_model_config()
+        cfg = model_config_from_dict({"decoderHidden": 104.0, "gridRows": 13.0,
+                                      "socialConv1": {"outChannels": 64, "kernel": [3.0, 3]}})
+        assert config_hash(cfg) == config_hash(base)
+        assert type(cfg.decoder_hidden) is int and type(cfg.social_conv1.kernel[0]) is int
+        five = model_config_from_dict({"cellLength": 5})
+        assert five.cell_length == 5.0 and type(five.cell_length) is float
+        assert config_hash(five) == config_hash(dataclasses.replace(base, cell_length=5.0))
+
+    @pytest.mark.parametrize("d", [
+        {"autoregressive": "false"}, {"autoregressive": 0},
+        _with("neighborAtcn", batchNorm="false"), _with("egoAtcn", batchNorm=1),
+        {"decoderHidden": 8.9}, {"decoderHidden": "8"}, {"gridRows": True},
+        {"socialConv1": {"outChannels": 64, "kernel": [3.5, 3]}},
+        {"socialConv1": {"outChannels": 64, "kernel": [3, 3, 3]}},
+        {"socialPool": {"window": [2, 1], "stride": "21"}},
+        _with("neighborAtcn", outputFeatures=[16.7, 32, 64]),
+        _with("neighborAtcn", bnMomentum="0.1"), _with("egoAtcn", padMode=1),
+        {"cellLength": "4.5"}, {"cellLength": False}, {"dtype": 64},
+    ])
+    def test_coercible_values_are_rejected(self, d):
+        with pytest.raises(ConfigurationError):
+            model_config_from_dict(d)
+
+    def test_constructors_check_types_too(self):
+        with pytest.raises(ConfigurationError, match="channels"):
+            AtcnConfig(2, (16.5,), (2,), (1,))
+        with pytest.raises(ConfigurationError, match="use_batch_norm"):
+            AtcnConfig(2, (16,), (2,), (1,), use_batch_norm="false")
+        with pytest.raises(ConfigurationError, match="stride"):
+            Conv2dSpec(8, (3, 3), stride=(1,))
+        with pytest.raises(ConfigurationError, match="autoregressive"):
+            dataclasses.replace(default_model_config(), autoregressive="false")
 
 
 class TestModes:

@@ -42,6 +42,19 @@ class TestClipping:
         with pytest.raises(ConfigurationError):
             AdamState(clip_mode="percentile")
 
+    @pytest.mark.parametrize("mode", ["norm", "value"])
+    def test_positive_clip_norm_descends(self, mode):
+        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+        adam_step(p, {"w": np.array([2.0])}, AdamState(lr=0.1, clip_norm=10.0, clip_mode=mode))
+        assert np.isclose(p["w"].data[0], 0.9)
+
+    @pytest.mark.parametrize("mode", ["norm", "value", "none"])
+    @pytest.mark.parametrize("clip_norm", [-1.0, 0.0, float("nan")])
+    def test_clip_norm_must_be_positive(self, mode, clip_norm):
+        # a negative bound would flip the clipped gradient and climb the loss
+        with pytest.raises(ConfigurationError, match="clip_norm"):
+            AdamState(lr=0.1, clip_norm=clip_norm, clip_mode=mode)
+
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
@@ -93,3 +106,9 @@ class TestAdam:
         for _ in range(200):
             adam_step(p, {"w": 2.0 * p["w"].data}, state)
         assert abs(p["w"].data[0]) < 0.5
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "0.1"), ("clip_norm", True), ("step_count", 1.5), ("clip_mode", 1)])
+    def test_mistyped_fields_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AdamState(**{field: value})

@@ -1,10 +1,13 @@
-"""Source hygiene: no module under src/ imports a name it never uses or
-relies on an ``assert``, which ``python -O`` strips."""
+"""Source hygiene: no module under src/ imports a name it never uses, relies
+on an ``assert``, which ``python -O`` strips, or defines a public function or
+class that only the tests use."""
 
 import ast
 from pathlib import Path
+from typing import Iterable, Mapping
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def unused_imports(source: str):
@@ -66,3 +69,58 @@ def test_no_asserts_in_src():
              for path in sorted(SRC.rglob("*.py"))
              for line in assert_lines(path.read_text(encoding="utf-8"))]
     assert not found, "assert statements (stripped by python -O):\n" + "\n".join(found)
+
+
+def public_names(source: str):
+    """(line, name) of every top-level public function and class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def referenced_names(source: str):
+    """Every name the code reads, bare or as an attribute; imports,
+    definitions and ``__all__`` entries do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def names_without_users(modules: Mapping[str, str], users: Iterable[str]):
+    """(module, line, name) of every public definition in ``modules`` that no
+    source in ``users`` references."""
+    used = set().union(*(referenced_names(source) for source in users))
+    return [(path, line, name) for path, source in sorted(modules.items())
+            for line, name in public_names(source) if name not in used]
+
+
+def test_checker_finds_names_with_no_user():
+    lib = ('__all__ = ["used", "tested", "Shape"]\n'
+           'def used():\n    return helper()\n'
+           'def tested():\n    pass\n'
+           'class Shape:\n    pass\n'
+           'def helper():\n    return 1\n'
+           'def _private():\n    pass\n')
+    caller = 'from .lib import tested, used\nused()\n'
+    demo = 'import pkg.lib\nprint(pkg.lib.Shape())\n'
+    assert names_without_users({"lib.py": lib}, [lib, caller, demo]) == [
+        ("lib.py", 4, "tested")]
+    assert names_without_users({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", 4, "tested"), ("lib.py", 6, "Shape")]
+
+
+def test_no_public_name_in_src_is_used_only_by_tests():
+    # src itself, the demos and the benchmark are users; no tests directory is
+    users = [path.read_text(encoding="utf-8")
+             for folder in ("src", "demos", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if "tests" not in path.relative_to(ROOT).parts]
+    modules = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    found = [f"{path}:{line}: {name}"
+             for path, line, name in names_without_users(modules, users)]
+    assert not found, "public names no code outside tests uses:\n" + "\n".join(found)

@@ -116,6 +116,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             train_config_from_dict({"seed": seed})
 
+    @pytest.mark.parametrize("entry", [
+        {"epochs": 2.5}, {"learningRate": "0.1"}, {"batchSize": True}, {"epochs": "3"},
+        {"plateauPatience": 1.5}, {"clipMode": 0}, {"clipNorm": -1.0}, {"clipNorm": 0},
+        {"learningRate": 0}, {"learningRate": 10**400}])
+    def test_mistyped_or_out_of_range_values_rejected(self, entry):
+        with pytest.raises(ConfigurationError):
+            train_config_from_dict(entry)
+
+    def test_integral_values_keep_their_types(self):
+        cfg = train_config_from_dict({"epochs": 3.0, "learningRate": 1, "clipNorm": 5})
+        assert (cfg.epochs, cfg.learning_rate, cfg.clip_norm) == (3, 1.0, 5.0)
+        assert type(cfg.epochs) is int and type(cfg.learning_rate) is float
+
     def test_dict_round_trip(self):
         cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01,
                           loss="smooth-l1", seed=7)
