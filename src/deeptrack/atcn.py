@@ -18,7 +18,7 @@ in/out widths whenever the divisor is at least 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,15 +39,16 @@ __all__ = ["AtcnConfig", "AtcnEncoder", "receptive_field"]
 
 @dataclass
 class AtcnConfig:
-    """Architecture of one temporal encoder stack."""
+    """Architecture of one temporal encoder stack; three fields keep the JSON
+    keys of the published configs."""
     input_channels: int
-    channels: Tuple[int, ...]
+    channels: Tuple[int, ...] = field(metadata={"json": "outputFeatures"})
     kernel_sizes: Tuple[int, ...]
-    dilations: Tuple[int, ...]
+    dilations: Tuple[int, ...] = field(metadata={"json": "dilationRates"})
     pad_mode: str = "causal"
     bottleneck_divisor: int = 2
     activation: str = "swish"
-    use_batch_norm: bool = True
+    use_batch_norm: bool = field(default=True, metadata={"json": "batchNorm"})
     bn_momentum: float = 0.1
     bn_epsilon: float = 1e-5
 

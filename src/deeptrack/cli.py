@@ -23,9 +23,13 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .complexity import SampleShape, complexity_report
 from .configio import (
+    ModelConfig,
+    config_from_dict,
     config_hash,
+    config_to_dict,
     default_model_config,
     load_config_file,
+    read_json_object,
     save_config_file,
 )
 from .ingest import WindowConfig, load_samples, parse_tracks, save_samples, \
@@ -33,12 +37,11 @@ from .ingest import WindowConfig, load_samples, parse_tracks, save_samples, \
 from .model import DeepTrack
 from .numcore import ConfigurationError, NumericsError, load_weights, save_weights
 from .trainer import (
+    TrainConfig,
     TrainingDiverged,
     evaluate,
     history_to_text,
     train,
-    train_config_from_dict,
-    train_config_to_dict,
     zero_baseline,
 )
 
@@ -123,6 +126,26 @@ def _archive_path(directory: Path, part: str) -> Path:
     return hits[0]
 
 
+def _check_grid(data: Path, cfg: ModelConfig) -> None:
+    """Reject a model whose grid differs from the one ``data`` was windowed on.
+
+    An ingest directory records its window settings in stats.json; one
+    without that record was windowed with the ``WindowConfig`` defaults, the
+    only geometry earlier versions had. A bare archive records nothing and is
+    not checked.
+    """
+    if not data.is_dir():
+        return
+    stats = data / "stats.json"
+    record = read_json_object(stats, "stats").get("window", {}) if stats.exists() else {}
+    window = config_from_dict(WindowConfig, record)
+    for name in ("grid_rows", "grid_cols", "cell_length"):
+        if getattr(window, name) != getattr(cfg, name):
+            raise ConfigurationError(
+                f"{name} is {getattr(cfg, name)} in the model config but "
+                f"{getattr(window, name)} in the windows under {data}")
+
+
 def _load_part(data: Path, part: str) -> tuple:
     """Load one partition from an archive file or an ingest directory."""
     path = _archive_path(data, part) if data.is_dir() else data
@@ -183,6 +206,7 @@ def cmd_ingest(args) -> int:
         "parse": dataclasses.asdict(parse_stats),
         "windows": dataclasses.asdict(window_stats),
         "partitions": counts,
+        "window": config_to_dict(window),
     }
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
@@ -201,17 +225,12 @@ def cmd_train(args) -> int:
     started = _now()
     out = _out_dir(args, "train", required=True)
     cfg, train_dict = _load_model_config(args)
-    train_cfg = train_config_from_dict(train_dict)
-    if args.loss:
-        train_cfg = dataclasses.replace(train_cfg, loss=args.loss)
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    if args.epochs is not None:
-        train_cfg = dataclasses.replace(train_cfg, epochs=args.epochs)
-    if args.batch_size is not None:
-        train_cfg = dataclasses.replace(train_cfg, batch_size=args.batch_size)
+    flags = {name: getattr(args, name) for name in ("loss", "seed", "epochs", "batch_size")}
+    train_cfg = dataclasses.replace(config_from_dict(TrainConfig, train_dict),
+                                    **{k: v for k, v in flags.items() if v is not None})
 
     data = Path(args.data)
+    _check_grid(data, cfg)
     train_set, train_path = _load_part(data, "train")
     val_set: List = []
     val_path = train_path
@@ -231,7 +250,7 @@ def cmd_train(args) -> int:
 
     def _write_outputs(history, params, buffers):
         save_weights(out / "checkpoint.bin", params, buffers, cfg_hash)
-        save_config_file(out / "config.json", cfg, train_config_to_dict(train_cfg))
+        save_config_file(out / "config.json", cfg, config_to_dict(train_cfg))
         with open(out / "history.json", "w", encoding="utf-8") as fh:
             json.dump([r.as_dict() for r in history], fh, indent=2)
             fh.write("\n")
@@ -266,6 +285,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = _now()
     model, cfg, ckpt_path = _resolve_checkpoint(args)
+    _check_grid(Path(args.data), cfg)
     samples, data_path = _load_part(Path(args.data), "test")
     report = evaluate(model, samples)
     baseline = zero_baseline(samples)
@@ -293,6 +313,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     started = _now()
     model, cfg, ckpt_path = _resolve_checkpoint(args)
+    _check_grid(Path(args.data), cfg)
     samples, data_path = _load_part(Path(args.data), "test")
     if args.limit is not None and args.limit < 1:
         raise ConfigurationError(f"--limit must be >= 1, got {args.limit}")

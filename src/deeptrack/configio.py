@@ -1,17 +1,20 @@
 """Model configuration: dataclasses, JSON interchange, canonical hashing.
 
-Config files are JSON with camelCase keys mirroring the field names below;
-the sha256 of the canonical serialization (sorted keys, compact separators)
-is embedded in every checkpoint so weights can refuse to load against a
-different architecture.
+Config files are JSON. One writer and one reader serve every config
+dataclass, the training and window settings included: a field's key is its
+camelCase name unless the field carries ``json`` metadata. The sha256 of the
+canonical serialization (sorted keys, compact separators) is embedded in
+every checkpoint so weights can refuse to load against a different
+architecture.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, get_type_hints
 
 from .atcn import AtcnConfig
 from .numcore import ConfigurationError, check_fields
@@ -21,13 +24,13 @@ __all__ = [
     "PoolSpec",
     "ModelConfig",
     "default_model_config",
-    "model_config_to_dict",
-    "model_config_from_dict",
+    "config_to_dict",
+    "config_from_dict",
     "canonical_json",
     "config_hash",
+    "read_json_object",
     "load_config_file",
     "save_config_file",
-    "reject_unknown_keys",
 ]
 
 
@@ -60,8 +63,10 @@ class PoolSpec:
 @dataclass
 class ModelConfig:
     """Everything needed to build the predictor and count its cost."""
-    neighbor_atcn: AtcnConfig
-    ego_atcn: AtcnConfig
+    neighbor_atcn: AtcnConfig = field(default_factory=lambda: AtcnConfig(
+        input_channels=2, channels=(16, 32, 64), kernel_sizes=(2, 2, 2), dilations=(1, 1, 1)))
+    ego_atcn: AtcnConfig = field(default_factory=lambda: AtcnConfig(
+        input_channels=2, channels=(8, 16, 32), kernel_sizes=(2, 2, 2), dilations=(1, 1, 1)))
     grid_rows: int = 13
     grid_cols: int = 3
     cell_length: float = 4.572  # meters of longitudinal road per grid row
@@ -93,130 +98,64 @@ class ModelConfig:
 
 
 def default_model_config(pad_mode: str = "causal") -> ModelConfig:
-    """The published three-lane highway configuration."""
-    return ModelConfig(
-        neighbor_atcn=AtcnConfig(input_channels=2, channels=(16, 32, 64),
-                                 kernel_sizes=(2, 2, 2), dilations=(1, 1, 1),
-                                 pad_mode=pad_mode),
-        ego_atcn=AtcnConfig(input_channels=2, channels=(8, 16, 32),
-                            kernel_sizes=(2, 2, 2), dilations=(1, 1, 1),
-                            pad_mode=pad_mode),
-    )
+    """The published three-lane highway configuration, both encoders padded
+    with ``pad_mode``."""
+    cfg = ModelConfig()
+    return dataclasses.replace(
+        cfg, neighbor_atcn=dataclasses.replace(cfg.neighbor_atcn, pad_mode=pad_mode),
+        ego_atcn=dataclasses.replace(cfg.ego_atcn, pad_mode=pad_mode))
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def _atcn_to_dict(cfg: AtcnConfig) -> Dict[str, Any]:
-    return {
-        "inputChannels": cfg.input_channels,
-        "outputFeatures": list(cfg.channels),
-        "kernelSizes": list(cfg.kernel_sizes),
-        "dilationRates": list(cfg.dilations),
-        "padMode": cfg.pad_mode,
-        "bottleneckDivisor": cfg.bottleneck_divisor,
-        "activation": cfg.activation,
-        "batchNorm": cfg.use_batch_norm,
-        "bnMomentum": cfg.bn_momentum,
-        "bnEpsilon": cfg.bn_epsilon,
-    }
+def _key(f: dataclasses.Field) -> str:
+    """A field's JSON key: its ``json`` metadata, else its camelCase name."""
+    head, *rest = f.name.split("_")
+    return f.metadata.get("json", head + "".join(w.capitalize() for w in rest))
 
 
-def _atcn_from_dict(d: Dict[str, Any]) -> AtcnConfig:
-    try:
-        return AtcnConfig(
-            input_channels=d["inputChannels"],
-            channels=d["outputFeatures"],
-            kernel_sizes=d["kernelSizes"],
-            dilations=d["dilationRates"],
-            pad_mode=d.get("padMode", "causal"),
-            bottleneck_divisor=d.get("bottleneckDivisor", 2),
-            activation=d.get("activation", "swish"),
-            use_batch_norm=d.get("batchNorm", True),
-            bn_momentum=d.get("bnMomentum", 0.1),
-            bn_epsilon=d.get("bnEpsilon", 1e-5),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(f"encoder config missing field {missing}") from None
+def config_to_dict(cfg) -> Dict[str, Any]:
+    """The JSON form of a config dataclass; nested configs become objects."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            value = config_to_dict(value)
+        out[_key(f)] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
-def _conv2d_to_dict(spec: Conv2dSpec) -> Dict[str, Any]:
-    return {"outChannels": spec.out_channels, "kernel": list(spec.kernel),
-            "stride": list(spec.stride), "padding": list(spec.padding)}
+def config_from_dict(cls, d: Any):
+    """Build the config dataclass ``cls`` from its JSON form.
 
-
-def _conv2d_from_dict(d: Dict[str, Any]) -> Conv2dSpec:
-    return Conv2dSpec(out_channels=d["outChannels"], kernel=d["kernel"],
-                      stride=d.get("stride", (1, 1)), padding=d.get("padding", (0, 0)))
-
-
-def model_config_to_dict(cfg: ModelConfig) -> Dict[str, Any]:
-    return {
-        "neighborAtcn": _atcn_to_dict(cfg.neighbor_atcn),
-        "egoAtcn": _atcn_to_dict(cfg.ego_atcn),
-        "gridRows": cfg.grid_rows,
-        "gridCols": cfg.grid_cols,
-        "cellLength": cfg.cell_length,
-        "socialConv1": _conv2d_to_dict(cfg.social_conv1),
-        "socialConv2": _conv2d_to_dict(cfg.social_conv2),
-        "socialPool": {"window": list(cfg.social_pool.window),
-                       "stride": list(cfg.social_pool.stride),
-                       "padding": list(cfg.social_pool.padding)},
-        "egoDenseOut": cfg.ego_dense_out,
-        "decoderInitHidden": cfg.decoder_init_hidden,
-        "decoderHidden": cfg.decoder_hidden,
-        "horizonSteps": cfg.horizon_steps,
-        "historySteps": cfg.history_steps,
-        "outputDim": cfg.output_dim,
-        "autoregressive": cfg.autoregressive,
-        "dtype": cfg.dtype,
-    }
-
-
-def reject_unknown_keys(d: Dict[str, Any], known, where: str) -> None:
-    """Raise when ``d`` has a key outside ``known``, so a typo cannot pass
-    silently as a default."""
-    unknown = sorted(set(d) - set(known))
+    A missing key takes the field's default; a nested config is built from
+    its own defaults. An unknown key, a missing required key or a section
+    that is not an object raises :class:`ConfigurationError`.
+    """
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{cls.__name__} settings must be an object, got {d!r}")
+    fields = {_key(f): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
     if unknown:
-        raise ConfigurationError(f"unknown {where} settings: {unknown}")
-
-
-def model_config_from_dict(d: Dict[str, Any]) -> ModelConfig:
-    """Build a config from its JSON form; unknown keys at any level are errors."""
-    base = default_model_config()
-    known = model_config_to_dict(base)
-    try:
-        reject_unknown_keys(d, known, "model")
-        for section in ("neighborAtcn", "egoAtcn", "socialConv1", "socialConv2",
-                        "socialPool"):
-            if section in d:
-                reject_unknown_keys(d[section], known[section], section)
-        pool = d.get("socialPool")
-        return ModelConfig(
-            neighbor_atcn=_atcn_from_dict(d["neighborAtcn"]) if "neighborAtcn" in d
-            else base.neighbor_atcn,
-            ego_atcn=_atcn_from_dict(d["egoAtcn"]) if "egoAtcn" in d else base.ego_atcn,
-            grid_rows=d.get("gridRows", base.grid_rows),
-            grid_cols=d.get("gridCols", base.grid_cols),
-            cell_length=d.get("cellLength", base.cell_length),
-            social_conv1=_conv2d_from_dict(d["socialConv1"]) if "socialConv1" in d
-            else base.social_conv1,
-            social_conv2=_conv2d_from_dict(d["socialConv2"]) if "socialConv2" in d
-            else base.social_conv2,
-            social_pool=PoolSpec(pool["window"], pool["stride"], pool.get("padding", (0, 0)))
-            if pool else base.social_pool,
-            ego_dense_out=d.get("egoDenseOut", base.ego_dense_out),
-            decoder_init_hidden=d.get("decoderInitHidden", base.decoder_init_hidden),
-            decoder_hidden=d.get("decoderHidden", base.decoder_hidden),
-            horizon_steps=d.get("horizonSteps", base.horizon_steps),
-            history_steps=d.get("historySteps", base.history_steps),
-            output_dim=d.get("outputDim", base.output_dim),
-            autoregressive=d.get("autoregressive", False),
-            dtype=d.get("dtype", "float64"),
-        )
-    except (TypeError, ValueError, KeyError) as err:
-        raise ConfigurationError(f"bad model config: {err}") from err
+        raise ConfigurationError(f"unknown {cls.__name__} settings: {unknown}")
+    missing = [key for key, f in fields.items() if key not in d
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigurationError(f"{cls.__name__} settings missing {missing}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in d.items():
+        name = fields[key].name
+        if dataclasses.is_dataclass(hints[name]):
+            try:
+                value = config_from_dict(hints[name], value)
+            except ConfigurationError as err:
+                raise ConfigurationError(f"{key}: {err}") from None
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def canonical_json(payload: Dict[str, Any]) -> str:
@@ -225,7 +164,21 @@ def canonical_json(payload: Dict[str, Any]) -> str:
 
 def config_hash(cfg: ModelConfig) -> str:
     """sha256 hex digest over the canonical config serialization."""
-    return hashlib.sha256(canonical_json(model_config_to_dict(cfg)).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(config_to_dict(cfg)).encode()).hexdigest()
+
+
+def read_json_object(path, what: str) -> Dict[str, Any]:
+    """The JSON object stored in ``path``; ``what`` names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as err:
+        raise ConfigurationError(f"cannot read {what} {path}: {err}") from err
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} {path} must contain a JSON object")
+    return raw
 
 
 def load_config_file(path) -> Tuple[ModelConfig, Dict[str, Any]]:
@@ -234,24 +187,16 @@ def load_config_file(path) -> Tuple[ModelConfig, Dict[str, Any]]:
     Model fields sit at the top level; the optional "train" object carries
     trainer settings and never enters the config hash.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise ConfigurationError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"config {path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must contain a JSON object")
+    raw = read_json_object(path, "config")
     train = raw.pop("train", {})
     if not isinstance(train, dict):
         raise ConfigurationError("the train section must be an object")
-    return model_config_from_dict(raw), train
+    return config_from_dict(ModelConfig, raw), train
 
 
 def save_config_file(path, cfg: ModelConfig,
                      train: Optional[Dict[str, Any]] = None) -> None:
-    payload = model_config_to_dict(cfg)
+    payload = config_to_dict(cfg)
     if train:
         payload["train"] = train
     with open(path, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..numcore import ConfigurationError
+from ..numcore import ConfigurationError, check_fields
 from .tracks import TrackPoint
 
 __all__ = ["WindowConfig", "NeighborTrack", "TrajectorySample", "WindowStats",
@@ -40,6 +40,7 @@ class WindowConfig:
     cell_length: float = 4.572
 
     def __post_init__(self):
+        check_fields(self)
         if self.history_frames < 0 or self.future_frames < 1:
             raise ConfigurationError("window lengths must be positive")
         if self.sample_every < 1 or self.stride < 1:

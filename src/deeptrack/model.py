@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .atcn import AtcnEncoder
-from .configio import ModelConfig, config_hash, default_model_config
+from .configio import ModelConfig, config_hash
 from .ingest.windows import TrajectorySample
 from .numcore import (
     ConfigurationError,
@@ -145,7 +145,7 @@ class DeepTrack:
     """Interaction-aware trajectory predictor over occupancy grids."""
 
     def __init__(self, config: Optional[ModelConfig] = None, seed: int = 0):
-        self.config = config or default_model_config()
+        self.config = config or ModelConfig()
         cfg = self.config
         self.dtype = np.float64 if cfg.dtype == "float64" else np.float32
         rng = np.random.default_rng(np.random.PCG64(seed))
@@ -304,9 +304,14 @@ class DeepTrack:
         return out.reshape(b, cfg.horizon_steps, cfg.output_dim)
 
     def forward(self, sample: TrajectorySample, mode: str = "eval") -> Tensor:
-        """Predict ``[horizon, 2]`` for one sample."""
-        out = self.forward_batch(collate([sample], self.config), mode)
-        return out.reshape(self.config.horizon_steps, self.config.output_dim)
+        """Predict ``[horizon, 2]`` for one sample.
+
+        No graph is recorded; train mode still moves the batch-norm running
+        statistics. Gradients go through :meth:`forward_batch`.
+        """
+        with no_grad():
+            out = self.forward_batch(collate([sample], self.config), mode)
+            return out.reshape(self.config.horizon_steps, self.config.output_dim)
 
     def predict(self, samples: Sequence[TrajectorySample],
                 batch_size: int = 256) -> np.ndarray:

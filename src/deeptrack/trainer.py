@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .configio import reject_unknown_keys
 from .ingest import TrajectorySample
 from .model import DeepTrack, collate
 from .numcore import (
@@ -30,8 +29,7 @@ from .numcore.tensor import no_grad
 __all__ = [
     "TrainConfig", "EpochRecord", "TrainResult", "TrainingDiverged",
     "EvalReport", "loss_fn", "mse_loss", "smooth_l1_loss",
-    "train", "evaluate", "zero_baseline",
-    "train_config_from_dict", "train_config_to_dict", "history_to_text",
+    "train", "evaluate", "zero_baseline", "history_to_text",
 ]
 
 DEFAULT_METRIC_STEPS = (5, 10, 15, 20, 25)
@@ -113,30 +111,6 @@ class TrainConfig:
         """A fresh Adam state with this run's learning rate and clipping."""
         return AdamState(lr=self.learning_rate, clip_norm=self.clip_norm,
                          clip_mode=self.clip_mode)
-
-
-_TRAIN_KEYS = {
-    "epochs": "epochs",
-    "batchSize": "batch_size",
-    "learningRate": "learning_rate",
-    "clipNorm": "clip_norm",
-    "clipMode": "clip_mode",
-    "loss": "loss",
-    "seed": "seed",
-    "plateauFactor": "plateau_factor",
-    "plateauPatience": "plateau_patience",
-    "minImprovement": "min_improvement",
-    "minLearningRate": "min_learning_rate",
-}
-
-
-def train_config_from_dict(d: Dict) -> TrainConfig:
-    reject_unknown_keys(d, _TRAIN_KEYS, "train")
-    return TrainConfig(**{attr: d[key] for key, attr in _TRAIN_KEYS.items() if key in d})
-
-
-def train_config_to_dict(cfg: TrainConfig) -> Dict:
-    return {key: getattr(cfg, attr) for key, attr in _TRAIN_KEYS.items()}
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Shared test oracles: naive convolution, pooling and batch-norm loops, an
 LSTM step composed from public ops, per-layer cost formulas, finite-difference
-checks, a graph-node count, a corrupt-file probe, and a small model
-configuration reused across suites.
+checks, a graph-node count, a corrupt-file probe, a small model configuration
+reused across suites, and seeded random model configurations.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -10,7 +10,7 @@ they only consume public signatures and raw numpy arrays.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -42,6 +42,47 @@ def tiny_window_config(**overrides) -> WindowConfig:
     base = dict(history_frames=10, future_frames=6, grid_rows=5, grid_cols=3)
     base.update(overrides)
     return WindowConfig(**base)
+
+
+def _random_atcn(rng) -> AtcnConfig:
+    depth = int(rng.integers(1, 5))
+    return AtcnConfig(
+        input_channels=int(rng.integers(1, 4)),
+        channels=tuple(int(c) for c in rng.integers(1, 40, size=depth)),
+        kernel_sizes=tuple(int(k) for k in rng.integers(1, 5, size=depth)),
+        dilations=tuple(int(d) for d in rng.integers(1, 4, size=depth)),
+        pad_mode=str(rng.choice(["causal", "symmetric"])),
+        bottleneck_divisor=int(rng.integers(1, 5)),
+        use_batch_norm=bool(rng.random() < 0.5))
+
+
+def random_model_config(rng) -> ModelConfig:
+    """A model config with every cost-relevant setting drawn at random; the
+    draw repeats until the grid survives the convolutions and the pool."""
+    def pair(lo, hi):
+        return tuple(int(v) for v in rng.integers(lo, hi, size=2))
+
+    while True:
+        window = pair(1, 3)
+        cfg = ModelConfig(
+            neighbor_atcn=_random_atcn(rng), ego_atcn=_random_atcn(rng),
+            grid_rows=int(rng.integers(3, 16)), grid_cols=int(rng.integers(1, 6)),
+            social_conv1=Conv2dSpec(int(rng.integers(1, 40)), pair(1, 4), pair(1, 3),
+                                    pair(0, 2)),
+            social_conv2=Conv2dSpec(int(rng.integers(1, 20)), pair(1, 4), pair(1, 3),
+                                    pair(0, 2)),
+            social_pool=PoolSpec(window, pair(1, 3),
+                                 tuple(int(rng.integers(0, w)) for w in window)),
+            ego_dense_out=int(rng.integers(1, 40)),
+            decoder_init_hidden=int(rng.integers(1, 40)),
+            decoder_hidden=int(rng.integers(1, 40)),
+            horizon_steps=int(rng.integers(1, 30)), output_dim=int(rng.integers(1, 4)),
+            autoregressive=bool(rng.random() < 0.5))
+        try:
+            social_geometry(cfg)
+        except ConfigurationError:
+            continue
+        return cfg
 
 
 def random_sample(cfg: ModelConfig, rng, vid=1, n_in_grid=2, n_outside=0,

@@ -7,7 +7,6 @@ smoke test) are timed against generous desktop-CPU budgets.
 """
 
 import dataclasses
-import json
 import math
 import time
 
@@ -24,7 +23,6 @@ from deeptrack.ingest import (
     TrackPoint,
     WindowConfig,
     grid_assign,
-    parse_tracks,
     window_samples,
 )
 from deeptrack.model import DeepTrack, collate

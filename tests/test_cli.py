@@ -1,5 +1,6 @@
 """End-to-end command line flows on synthetic data."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from deeptrack.cli import main
 from deeptrack.configio import (
     config_hash,
+    config_to_dict,
     default_model_config,
     load_config_file,
-    model_config_to_dict,
     save_config_file,
 )
-from deeptrack.ingest import load_samples, save_samples
+from deeptrack.ingest import WindowConfig, load_samples, save_samples
 from deeptrack.model import DeepTrack
 from deeptrack.numcore import load_weights, save_weights
 from deeptrack.synthetic import constant_velocity_samples, write_tracks_csv
@@ -49,6 +50,7 @@ class TestIngest:
             samples = load_samples(ingested / f"{part}_samples.bin")
             assert len(samples) == stats["partitions"][part]
         assert stats["windows"]["samples"] == sum(stats["partitions"].values())
+        assert stats["window"] == config_to_dict(WindowConfig(stride=12))
         manifest = json.loads((ingested / "manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert len(manifest["datasetFingerprint"]) == 64
@@ -143,6 +145,65 @@ class TestTrain:
         assert all(np.isfinite(arr).all() for arr in data.params.values())
 
 
+class TestGridGeometry:
+    """The model grid must be the one the ingest directory was windowed on."""
+
+    @pytest.fixture()
+    def mismatched_run(self, tmp_path):
+        """A checkpoint and config.json for a 15-row grid."""
+        model = DeepTrack(dataclasses.replace(default_model_config(), grid_rows=15), seed=0)
+        save_weights(tmp_path / "checkpoint.bin", model.parameters(), model.buffers(),
+                     model.config_digest)
+        save_config_file(tmp_path / "config.json", model.config)
+        return tmp_path / "checkpoint.bin"
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"gridRows": 15}, "grid_rows"), ({"gridCols": 5}, "grid_cols"),
+        ({"cellLength": 9.0}, "cell_length")])
+    def test_train_on_other_geometry_is_exit_2(self, tmp_path, ingested, capsys,
+                                               entry, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(ingested), "--out", str(out),
+                     "--config", str(path), "--epochs", "1"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_default_config_file_trains(self, tmp_path, ingested):
+        path = tmp_path / "config.json"
+        save_config_file(path, default_model_config())
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--config", str(path), "--epochs", "1", "--batch-size", "16"]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_on_other_geometry_is_exit_2(self, tmp_path, ingested, capsys,
+                                                    mismatched_run, command):
+        assert main([command, "--checkpoint", str(mismatched_run),
+                     "--data", str(ingested), "--out", str(tmp_path / "o")]) == 2
+        assert "grid_rows" in capsys.readouterr().err
+
+    def test_directory_without_record_has_default_geometry(self, tmp_path, ingested,
+                                                          capsys, mismatched_run):
+        stats = json.loads((ingested / "stats.json").read_text())
+        del stats["window"]
+        (ingested / "stats.json").write_text(json.dumps(stats))
+        assert main(["eval", "--checkpoint", str(mismatched_run),
+                     "--data", str(ingested)]) == 2
+        assert "grid_rows" in capsys.readouterr().err
+        (ingested / "stats.json").unlink()
+        assert main(["eval", "--checkpoint", str(mismatched_run),
+                     "--data", str(ingested)]) == 2
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--epochs", "1", "--batch-size", "16"]) == 0
+
+    def test_corrupt_stats_is_exit_2(self, tmp_path, ingested, capsys):
+        (ingested / "stats.json").write_text("{not json")
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--epochs", "1"]) == 2
+        assert "stats" in capsys.readouterr().err
+
+
 class TestEvalAndPredict:
     def test_eval_writes_report(self, tmp_path, ingested, trained, capsys):
         out = tmp_path / "ev"
@@ -163,7 +224,7 @@ class TestEvalAndPredict:
         assert not (tmp_path / "runs").exists()
 
     def test_hash_mismatch_is_exit_4(self, tmp_path, ingested, trained):
-        other = model_config_to_dict(default_model_config())
+        other = config_to_dict(default_model_config())
         other["decoderHidden"] = 64
         bad_cfg = tmp_path / "other.json"
         bad_cfg.write_text(json.dumps(other))
@@ -254,22 +315,30 @@ class TestComplexity:
 
     @pytest.mark.parametrize("config", [
         {"decoderHiden": 8},
-        {"neighborAtcn": {**model_config_to_dict(default_model_config())["neighborAtcn"],
+        {"neighborAtcn": {**config_to_dict(default_model_config())["neighborAtcn"],
                           "kernelSize": 3}},
-        {"egoAtcn": {**model_config_to_dict(default_model_config())["egoAtcn"],
+        {"egoAtcn": {**config_to_dict(default_model_config())["egoAtcn"],
                      "dilation": [1, 1, 1]}},
         {"socialConv1": {"outChannels": 64, "kernel": [3, 3], "strides": [1, 1]}},
         {"socialConv2": {"outChannels": 16, "kernel": [3, 1], "pad": [0, 0]}},
         {"socialPool": {"window": [2, 1], "stride": [2, 1], "paddding": [1, 0]}},
         {"socialPool": {"window": [0, 1], "stride": [0, 1]}},
         {"socialPool": {"window": [2, 1], "stride": [2, 1], "padding": [2, 0]}},
+        {"socialPool": {}}, {"socialPool": []}, {"socialPool": None},
     ], ids=["top", "neighborAtcn", "egoAtcn", "socialConv1", "socialConv2",
-            "socialPool", "pool-zero-window", "pool-padding-covers-window"])
+            "socialPool", "pool-zero-window", "pool-padding-covers-window",
+            "pool-empty-object", "pool-empty-list", "pool-null"])
     def test_config_typos_and_bad_pool_are_exit_2(self, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["complexity", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"gridRows": 13, "dtype": "\xff"}')
+        assert main(["complexity", "--config", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, entry", [
         (None, {"autoregressive": "false"}),
@@ -279,7 +348,7 @@ class TestComplexity:
         ("neighborAtcn", {"outputFeatures": [16.7, 32, 64]}),
     ])
     def test_coercible_config_values_are_exit_2(self, tmp_path, capsys, section, entry):
-        config = model_config_to_dict(default_model_config())
+        config = config_to_dict(default_model_config())
         (config[section] if section else config).update(entry)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

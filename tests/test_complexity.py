@@ -13,11 +13,11 @@ from deeptrack.complexity import (
     SampleShape,
     complexity_report,
 )
-from deeptrack.configio import Conv2dSpec, PoolSpec, default_model_config
-from deeptrack.model import DeepTrack, social_geometry
+from deeptrack.configio import default_model_config
+from deeptrack.model import DeepTrack
 from deeptrack.numcore import ConfigurationError
 
-from helpers import formula_costs
+from helpers import formula_costs, random_model_config
 
 
 def layer(report, name):
@@ -152,53 +152,11 @@ class TestSeparableSavings:
                     f"{prefix} block {j} ({c_in}->{c_out}): {factored} vs {standard_macs}"
 
 
-def _random_atcn(rng) -> AtcnConfig:
-    depth = int(rng.integers(1, 5))
-    return AtcnConfig(
-        input_channels=int(rng.integers(1, 4)),
-        channels=tuple(int(c) for c in rng.integers(1, 40, size=depth)),
-        kernel_sizes=tuple(int(k) for k in rng.integers(1, 5, size=depth)),
-        dilations=tuple(int(d) for d in rng.integers(1, 4, size=depth)),
-        pad_mode=str(rng.choice(["causal", "symmetric"])),
-        bottleneck_divisor=int(rng.integers(1, 5)),
-        use_batch_norm=bool(rng.random() < 0.5))
-
-
-def _random_config(rng):
-    """A model config with every cost-relevant setting drawn at random; the
-    draw repeats until the grid survives the convolutions and the pool."""
-    def pair(lo, hi):
-        return tuple(int(v) for v in rng.integers(lo, hi, size=2))
-
-    while True:
-        window = pair(1, 3)
-        cfg = dataclasses.replace(
-            default_model_config(),
-            neighbor_atcn=_random_atcn(rng), ego_atcn=_random_atcn(rng),
-            grid_rows=int(rng.integers(3, 16)), grid_cols=int(rng.integers(1, 6)),
-            social_conv1=Conv2dSpec(int(rng.integers(1, 40)), pair(1, 4), pair(1, 3),
-                                    pair(0, 2)),
-            social_conv2=Conv2dSpec(int(rng.integers(1, 20)), pair(1, 4), pair(1, 3),
-                                    pair(0, 2)),
-            social_pool=PoolSpec(window, pair(1, 3),
-                                 tuple(int(rng.integers(0, w)) for w in window)),
-            ego_dense_out=int(rng.integers(1, 40)),
-            decoder_init_hidden=int(rng.integers(1, 40)),
-            decoder_hidden=int(rng.integers(1, 40)),
-            horizon_steps=int(rng.integers(1, 30)), output_dim=int(rng.integers(1, 4)),
-            autoregressive=bool(rng.random() < 0.5))
-        try:
-            social_geometry(cfg)
-        except ConfigurationError:
-            continue
-        return cfg
-
-
 class TestAgainstFormulas:
     def test_seeded_sweep_matches_every_layer(self):
         rng = np.random.default_rng(2017)
         configs = [default_model_config(), default_model_config("symmetric")]
-        configs += [_random_config(rng) for _ in range(40)]
+        configs += [random_model_config(rng) for _ in range(40)]
         for cfg in configs:
             for t in (1, 9, 16, 23):
                 for neighbors in range(6):

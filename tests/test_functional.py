@@ -7,7 +7,6 @@ import pytest
 
 from deeptrack.numcore import (
     ConfigurationError,
-    Kernel1D,
     LstmWeights,
     RunningStats,
     Tensor,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from deeptrack.ingest import (
     FEET_TO_METERS,
     NeighborTrack,
-    TrajectorySample,
     TrackPoint,
     WindowConfig,
     grid_assign,
@@ -127,6 +126,15 @@ class TestGridAssign:
 
 
 class TestWindowing:
+    @pytest.mark.parametrize("entry", [
+        {"grid_rows": 13.5}, {"grid_rows": True}, {"stride": "2"}, {"cell_length": "4.5"},
+        {"history_frames": None}])
+    def test_config_values_are_type_checked(self, entry):
+        # window settings are read back from an ingest directory's stats.json
+        with pytest.raises(ConfigurationError, match=next(iter(entry))):
+            WindowConfig(**entry)
+        assert WindowConfig(grid_rows=13.0, cell_length=5).cell_length == 5.0
+
     def test_81_consecutive_frames_give_exactly_one_sample(self):
         points, _ = parse_tracks(table(straight_track(1, range(81))))
         samples, stats = window_samples(points, WindowConfig())

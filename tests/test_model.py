@@ -1,6 +1,8 @@
 """Full predictor: shapes, invariances, state round-trips, gradients."""
 
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,18 +14,21 @@ import pytest
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import (
     Conv2dSpec,
+    ModelConfig,
+    config_from_dict,
     config_hash,
+    config_to_dict,
     default_model_config,
-    model_config_from_dict,
-    model_config_to_dict,
+    save_config_file,
 )
-from deeptrack.ingest import NeighborTrack, TrajectorySample
+from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
 from deeptrack.model import DeepTrack, collate, social_geometry
 from deeptrack.numcore import ConfigurationError, save_weights, load_weights
 from deeptrack.synthetic import constant_velocity_samples
-from deeptrack.trainer import mse_loss
+from deeptrack.trainer import TrainConfig, mse_loss
 
-from helpers import check_gradients, graph_nodes, random_sample as make_sample
+from helpers import check_gradients, graph_nodes, random_model_config
+from helpers import random_sample as make_sample
 from helpers import tiny_model_config as tiny_config
 
 
@@ -220,16 +225,50 @@ class TestDeterminismAndState:
         assert a == config_hash(tiny_config())
 
     def test_config_dict_round_trip(self):
-        cfg = default_model_config()
-        again = model_config_from_dict(model_config_to_dict(cfg))
-        assert config_hash(again) == config_hash(cfg)
+        rng = np.random.default_rng(2017)
+        configs = [default_model_config(), default_model_config("symmetric"),
+                   TrainConfig(), TrainConfig(loss="smooth-l1", seed=7, clip_mode="value"),
+                   WindowConfig(), WindowConfig(stride=12, grid_rows=15, cell_length=9.0)]
+        configs += [random_model_config(rng) for _ in range(40)]
+        for cfg in configs:
+            again = config_from_dict(type(cfg), json.loads(json.dumps(config_to_dict(cfg))))
+            assert again == cfg
+            if isinstance(cfg, ModelConfig):
+                assert config_hash(again) == config_hash(cfg)
 
 
 def _with(section: str, **entries) -> dict:
     """The default config's JSON form with some entries of one encoder replaced."""
-    d = model_config_to_dict(default_model_config())
+    d = config_to_dict(default_model_config())
     d[section].update(entries)
     return d
+
+
+class TestConfigJson:
+    def test_default_config_file_is_pinned(self, tmp_path):
+        # the config.json a training run writes, train section included
+        path = tmp_path / "config.json"
+        save_config_file(path, default_model_config(), config_to_dict(TrainConfig()))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "095796daaa8b2bb1d71ce2f2574a7456a541a1665090e05d1d613d9c65004fb0"
+
+    def test_missing_keys_take_the_defaults(self):
+        assert config_from_dict(ModelConfig, {}) == default_model_config()
+        assert config_from_dict(TrainConfig, {}) == TrainConfig()
+        pool = config_from_dict(ModelConfig, {"socialPool": {"window": [3, 1],
+                                                             "stride": [1, 1]}})
+        assert pool.social_pool.padding == (0, 0)  # PoolSpec's default, not the model's
+
+    @pytest.mark.parametrize("d, message", [
+        ({"socialPool": []}, "object"), ({"socialConv1": {"outChannels": 64}}, "kernel"),
+        ({"egoAtcn": {"inputChannels": 2}}, "outputFeatures"),
+        ({"neighborAtcn": {**config_to_dict(default_model_config().neighbor_atcn),
+                           "channels": [16, 32, 64]}}, "unknown"),
+    ])
+    def test_bad_sections_name_their_key(self, d, message):
+        section = next(iter(d))
+        with pytest.raises(ConfigurationError, match=f"^{section}: .*{message}"):
+            config_from_dict(ModelConfig, d)
 
 
 class TestConfigTypes:
@@ -242,11 +281,12 @@ class TestConfigTypes:
 
     def test_integral_floats_and_ints_keep_the_hash(self):
         base = default_model_config()
-        cfg = model_config_from_dict({"decoderHidden": 104.0, "gridRows": 13.0,
-                                      "socialConv1": {"outChannels": 64, "kernel": [3.0, 3]}})
+        cfg = config_from_dict(ModelConfig, {
+            "decoderHidden": 104.0, "gridRows": 13.0,
+            "socialConv1": {"outChannels": 64, "kernel": [3.0, 3]}})
         assert config_hash(cfg) == config_hash(base)
         assert type(cfg.decoder_hidden) is int and type(cfg.social_conv1.kernel[0]) is int
-        five = model_config_from_dict({"cellLength": 5})
+        five = config_from_dict(ModelConfig, {"cellLength": 5})
         assert five.cell_length == 5.0 and type(five.cell_length) is float
         assert config_hash(five) == config_hash(dataclasses.replace(base, cell_length=5.0))
 
@@ -263,7 +303,7 @@ class TestConfigTypes:
     ])
     def test_coercible_values_are_rejected(self, d):
         with pytest.raises(ConfigurationError):
-            model_config_from_dict(d)
+            config_from_dict(ModelConfig, d)
 
     def test_constructors_check_types_too(self):
         with pytest.raises(ConfigurationError, match="channels"):
@@ -338,6 +378,14 @@ class TestPredictRecordsNoGraph:
         assert len(outputs) == 2
         for out in outputs:
             assert out._parents == () and not out.requires_grad
+
+    def test_forward_records_no_graph_and_equals_forward_batch(self):
+        model, samples = self._model_and_samples()
+        for s in samples:
+            out = model.forward(s, "eval")
+            assert out._parents == () and not out.requires_grad
+            want = model.forward_batch(collate([s], model.config), "eval").data
+            assert np.array_equal(out.data, want[0])
 
     def test_training_graph_survives_predict_that_raised(self):
         model, samples = self._model_and_samples()

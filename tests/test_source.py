@@ -1,6 +1,7 @@
-"""Source hygiene: no module under src/ imports a name it never uses, relies
-on an ``assert``, which ``python -O`` strips, or defines a public function or
-class that only the tests use."""
+"""Source hygiene: no module under src/, tests/ or demos/ imports a name it
+never uses, and no module under src/ relies on an ``assert``, which
+``python -O`` strips, or defines a public function or class that only the
+tests use."""
 
 import ast
 from pathlib import Path
@@ -45,10 +46,20 @@ def test_checker_finds_unused_and_keeps_used_names():
     assert unused_imports(source) == [(1, "os"), (3, "Tuple")]
 
 
+def unused_imports_under(*folders):
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+
+
 def test_no_unused_imports_in_src():
-    found = [f"{path.relative_to(SRC)}:{line}: {name}"
-             for path in sorted(SRC.rglob("*.py"))
-             for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    found = unused_imports_under("src")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_no_unused_imports_in_tests_and_demos():
+    found = unused_imports_under("tests", "demos")
     assert not found, "unused imports:\n" + "\n".join(found)
 
 

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from deeptrack.numcore import ConfigurationError, GraphError, Tensor, as_tensor
+from deeptrack.numcore import ConfigurationError, GraphError, Tensor
 from deeptrack.numcore.tensor import no_grad
 
 from helpers import check_gradients

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from deeptrack.configio import config_from_dict, config_to_dict
 from deeptrack.model import DeepTrack
 from deeptrack.numcore import ConfigurationError, Tensor
 from deeptrack.synthetic import constant_velocity_samples
 from deeptrack.trainer import (
-    EvalReport,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -18,8 +18,6 @@ from deeptrack.trainer import (
     mse_loss,
     smooth_l1_loss,
     train,
-    train_config_from_dict,
-    train_config_to_dict,
     zero_baseline,
 )
 
@@ -114,7 +112,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=seed)
         with pytest.raises(ConfigurationError):
-            train_config_from_dict({"seed": seed})
+            config_from_dict(TrainConfig, {"seed": seed})
 
     @pytest.mark.parametrize("entry", [
         {"epochs": 2.5}, {"learningRate": "0.1"}, {"batchSize": True}, {"epochs": "3"},
@@ -122,22 +120,22 @@ class TestTrainConfig:
         {"learningRate": 0}, {"learningRate": 10**400}])
     def test_mistyped_or_out_of_range_values_rejected(self, entry):
         with pytest.raises(ConfigurationError):
-            train_config_from_dict(entry)
+            config_from_dict(TrainConfig, entry)
 
     def test_integral_values_keep_their_types(self):
-        cfg = train_config_from_dict({"epochs": 3.0, "learningRate": 1, "clipNorm": 5})
+        cfg = config_from_dict(TrainConfig, {"epochs": 3.0, "learningRate": 1, "clipNorm": 5})
         assert (cfg.epochs, cfg.learning_rate, cfg.clip_norm) == (3, 1.0, 5.0)
         assert type(cfg.epochs) is int and type(cfg.learning_rate) is float
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01,
                           loss="smooth-l1", seed=7)
-        again = train_config_from_dict(train_config_to_dict(cfg))
+        again = config_from_dict(TrainConfig, config_to_dict(cfg))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            train_config_from_dict({"momentum": 0.9})
+            config_from_dict(TrainConfig, {"momentum": 0.9})
 
 
 class TestTrainLoop:
