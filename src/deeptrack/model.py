@@ -9,9 +9,11 @@ Forward pass over one batch:
    social feature; a second encoder plus a dense remap summarizes the ego
    history to the same width.
 3. Their concatenation seeds the LSTM decoder state through a two-layer
-   MLP; the decoder unrolls ``horizon_steps`` times without input (or on
-   its own output when configured autoregressive), and one shared dense
-   head maps each hidden state to an (x, y) offset.
+   MLP. The decoder unrolls ``horizon_steps`` times without input as one
+   graph node (``lstm_unroll``, working in buffers allocated once per
+   call), or one ``lstm_cell`` node per step on its own output when
+   configured autoregressive; one shared dense head maps each hidden state
+   to an (x, y) offset. A default train step is 136 graph nodes.
 
 All outputs are meters relative to the ego position at the anchor frame.
 """
@@ -35,6 +37,7 @@ from .numcore import (
     conv2d,
     dense,
     lstm_cell,
+    lstm_unroll,
     max_pool2d,
     scatter_grid,
     stack,
@@ -295,12 +298,8 @@ class DeepTrack:
                 prev = y
             return stack(steps, axis=1)
 
-        hs: List[Tensor] = []
-        for _ in range(cfg.horizon_steps):
-            h, c = lstm_cell(None, h, c, self.decoder)
-            hs.append(h)
-        flat_h = stack(hs, axis=1).reshape(b * cfg.horizon_steps, hidden)
-        out = dense(flat_h, self.head_w, self.head_b)
+        hs = lstm_unroll(h, c, self.decoder, cfg.horizon_steps)
+        out = dense(hs.reshape(b * cfg.horizon_steps, hidden), self.head_w, self.head_b)
         return out.reshape(b, cfg.horizon_steps, cfg.output_dim)
 
     def forward(self, sample: TrajectorySample, mode: str = "eval") -> Tensor:

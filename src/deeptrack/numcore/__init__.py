@@ -22,6 +22,7 @@ from .functional import (
     max_pool2d,
     batch_norm,
     lstm_cell,
+    lstm_unroll,
     concat,
     stack,
     scatter_grid,
@@ -34,7 +35,7 @@ __all__ = [
     "Tensor", "ConfigurationError", "GraphError", "NumericsError", "as_tensor", "check_fields",
     "Kernel1D", "RunningStats", "LstmWeights",
     "sigmoid", "tanh", "swish", "relu", "dense",
-    "dilated_conv1d", "conv2d", "max_pool2d", "batch_norm", "lstm_cell",
+    "dilated_conv1d", "conv2d", "max_pool2d", "batch_norm", "lstm_cell", "lstm_unroll",
     "concat", "stack", "scatter_grid", "same_length_padding",
     "AdamState", "adam_step", "global_grad_norm", "clip_gradients",
     "CheckpointData", "save_weights", "load_weights", "CHECKPOINT_MAGIC",

@@ -41,6 +41,7 @@ __all__ = [
     "max_pool2d",
     "batch_norm",
     "lstm_cell",
+    "lstm_unroll",
     "concat",
     "stack",
     "scatter_grid",
@@ -54,16 +55,20 @@ PAD_MODES = ("causal", "symmetric")
 # elementwise activations
 # ---------------------------------------------------------------------------
 
-def _logistic(v: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-v))``. Below v = -709 exp overflows to inf and the
-    result saturates at exactly 0, so the overflow warning is noise."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-v))
+def _logistic(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``1 / (1 + exp(-v))``, into ``out`` when given. Below v = -709 exp
+    overflows to inf and the result saturates at exactly 0, so callers hold
+    ``np.errstate(over="ignore")``: the overflow warning is noise."""
+    out = np.negative(v, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    s = _logistic(x.data)
+    with np.errstate(over="ignore"):
+        s = _logistic(x.data)
 
     def backward(g):
         x.accumulate_grad(g * s * (1.0 - s))
@@ -84,7 +89,8 @@ def tanh(x: Tensor) -> Tensor:
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotonic, bounded below by about -0.2785."""
     x = as_tensor(x)
-    s = _logistic(x.data)
+    with np.errstate(over="ignore"):
+        s = _logistic(x.data)
     out = x.data * s
 
     def backward(g):
@@ -504,6 +510,44 @@ class LstmWeights:
         return self.w_ih.data.shape[1]
 
 
+def _lstm_step(gates: np.ndarray, c_prev: np.ndarray, act: np.ndarray,
+               c_out: np.ndarray, tc: np.ndarray, h_out: np.ndarray) -> None:
+    """The LSTM equations forward, written into the caller's buffers.
+
+    From the pre-activations ``gates`` ``[B, 4h]``, ``act`` receives the
+    activated gates (i, f, g, o), ``c_out`` the cell state
+    ``c_t = f * c_prev + i * g`` (it may be ``c_prev`` itself), ``tc``
+    ``tanh(c_t)`` and ``h_out`` ``h_t = o * tc``. The caller holds
+    ``np.errstate(over="ignore")`` for the logistic.
+    """
+    h = c_prev.shape[-1]
+    _logistic(gates, out=act)
+    np.tanh(gates[:, 2 * h:3 * h], out=act[:, 2 * h:3 * h])
+    i, f, g, o = act[:, :h], act[:, h:2 * h], act[:, 2 * h:3 * h], act[:, 3 * h:]
+    np.multiply(f, c_prev, out=c_out)
+    np.multiply(i, g, out=tc)
+    c_out += tc
+    np.tanh(c_out, out=tc)
+    np.multiply(o, tc, out=h_out)
+
+
+def _lstm_step_backward(dh: np.ndarray, dc: Optional[np.ndarray], act: np.ndarray,
+                        c_prev: np.ndarray, tc: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """The LSTM equations backward: from the gradients of ``h_t`` and ``c_t``
+    (``dc`` None when nothing reads ``c_t``), with the ``act`` and ``tc`` of
+    :func:`_lstm_step`, writes the gradient of the gate pre-activations into
+    ``da`` ``[B, 4h]`` and returns that of ``c_prev``."""
+    h = c_prev.shape[-1]
+    i, f, g, o = act[:, :h], act[:, h:2 * h], act[:, 2 * h:3 * h], act[:, 3 * h:]
+    through_h = dh * o * (1.0 - tc * tc)
+    dc = through_h if dc is None else dc + through_h
+    da[:, 0:h] = dc * g * i * (1.0 - i)
+    da[:, h:2 * h] = dc * c_prev * f * (1.0 - f)
+    da[:, 2 * h:3 * h] = dc * i * (1.0 - g * g)
+    da[:, 3 * h:] = dh * tc * o * (1.0 - o)
+    return dc * f
+
+
 def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
               weights: LstmWeights) -> Tuple[Tensor, Tensor]:
     """One LSTM step over a batch: returns (h_t, c_t), the halves of one node.
@@ -523,20 +567,15 @@ def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
     # ops run in the composed cell's order, so every bit matches it forward and back
     gates = h_prev.data @ w_hh.data.T + bias.data if x_t is None else \
         (x_t.data @ w_ih.data.T + bias.data) + h_prev.data @ w_hh.data.T
-    i, f, o = (_logistic(gates[:, k * h:(k + 1) * h]) for k in (0, 1, 3))
-    g = np.tanh(gates[:, 2 * h:3 * h])
+    act = np.empty_like(gates)
     out = np.empty((2,) + h_prev.data.shape, np.result_type(gates, c_prev.data))
-    c_t = np.multiply(f, c_prev.data, out=out[1])
-    c_t += i * g
-    tc = np.tanh(c_t)
-    np.multiply(o, tc, out=out[0])
+    tc = np.empty_like(out[1])
+    with np.errstate(over="ignore"):
+        _lstm_step(gates, c_prev.data, act, out[1], tc, out[0])
 
     def backward(grad):
-        dh = grad[0]
-        dc = grad[1] + dh * o * (1.0 - tc * tc)
-        da = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev.data * f * (1.0 - f),
-                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-        c_prev.accumulate_grad(dc * f)
+        da = np.empty_like(act)
+        c_prev.accumulate_grad(_lstm_step_backward(grad[0], grad[1], act, c_prev.data, tc, da))
         h_prev.accumulate_grad(da @ w_hh.data)
         w_hh.accumulate_grad(da.T @ h_prev.data)
         bias.accumulate_grad(da.sum(axis=0))
@@ -547,6 +586,61 @@ def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
     parents = (h_prev, c_prev, w_hh, bias) + (() if x_t is None else (x_t, w_ih))
     step = Tensor._node(out, parents, backward)
     return step[0], step[1]
+
+
+def lstm_unroll(h0: Tensor, c0: Tensor, weights: LstmWeights, steps: int) -> Tensor:
+    """``steps`` LSTM steps without input from ``(h0, c0)`` as one graph node:
+    the hidden state of every step, ``[B, steps, h]``.
+
+    The output equals a chain of ``lstm_cell(None, ...)`` calls bit for bit.
+    Every step runs in buffers allocated once per call (never kept between
+    calls, so concurrent inference shares nothing). Only while the graph
+    records does the op keep each step's activations and cell state for its
+    backward through time, which computes the ``w_hh`` gradient as one GEMM
+    over all ``steps * B`` rows and so sums in another order than the chain.
+    ``w_ih`` takes no part.
+    """
+    h0, c0 = as_tensor(h0), as_tensor(c0)
+    h, rows = weights.hidden, h0.data.shape[:1]
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1 \
+            or h0.data.shape != rows + (h,) or c0.data.shape != h0.data.shape:
+        raise ConfigurationError(
+            f"lstm_unroll needs steps >= 1 and h, c of shape [B, {h}]: "
+            f"steps {steps!r}, h {h0.shape}, c {c0.shape}")
+    w_hh, bias = weights.w_hh, weights.bias
+    parents = (h0, c0, w_hh, bias)
+    keep = steps if Tensor._records(parents) else 1  # one slot, reused, when nothing records
+    dtype = np.result_type(h0.data, c0.data, w_hh.data, bias.data)
+    batch = rows[0]
+    gates = np.empty((batch, 4 * h), dtype)
+    acts = np.empty((keep, batch, 4 * h), dtype)
+    cs = np.empty((keep, batch, h), dtype)
+    tcs = np.empty((keep, batch, h), dtype)
+    hs = np.empty((batch, steps, h), dtype)
+    w_t, b, h_prev, c_prev = w_hh.data.T, bias.data, h0.data, c0.data
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            np.matmul(h_prev, w_t, out=gates)
+            gates += b
+            k = t % keep
+            _lstm_step(gates, c_prev, acts[k], cs[k], tcs[k], hs[:, t])
+            h_prev, c_prev = hs[:, t], cs[k]
+
+    def backward(grad):
+        da = np.empty((steps, batch, 4 * h), dtype)
+        dh = dc = None  # nothing reads the last cell state
+        for t in reversed(range(steps)):
+            dh = grad[:, t] if dh is None else grad[:, t] + dh
+            dc = _lstm_step_backward(dh, dc, acts[t], c0.data if t == 0 else cs[t - 1],
+                                     tcs[t], da[t])
+            dh = da[t] @ w_hh.data
+        h0.accumulate_grad(dh)
+        c0.accumulate_grad(dc)
+        h_read = np.concatenate([h0.data[None], hs[:, :-1].transpose(1, 0, 2)])
+        w_hh.accumulate_grad(da.reshape(-1, 4 * h).T @ h_read.reshape(-1, h))
+        bias.accumulate_grad(da.sum(axis=(0, 1)))
+
+    return Tensor._node(hs, parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,9 @@ def clip_gradients(grads: Dict[str, np.ndarray], state: AdamState) -> float:
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
-              state: AdamState) -> Mapping[str, Tensor]:
-    """One Adam update, in place on ``params`` data.
+              state: AdamState) -> float:
+    """One Adam update, in place on ``params`` data; returns the global
+    gradient norm before clipping.
 
     Gradients are validated for finiteness before any state mutation so an
     aborted step leaves parameters and moments untouched.
@@ -80,7 +81,7 @@ def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
     if bad:
         raise NumericsError(f"non-finite gradient for parameters: {sorted(bad)[:5]}")
 
-    clip_gradients(grads, state)
+    norm = clip_gradients(grads, state)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
@@ -98,4 +99,4 @@ def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
         state.second_moment[name] = v
         update = (state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon))
         p.data -= update.astype(p.data.dtype, copy=False)
-    return params
+    return norm

@@ -15,6 +15,7 @@ in another from recording.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import threading
 from contextlib import contextmanager
@@ -75,7 +76,8 @@ def check_fields(config) -> None:
 
     ``bool`` takes only True or False. ``int`` takes an integer, never a bool
     or a string; a float counts only when integral, and becomes the int.
-    ``float`` takes any int or float and stores a float. ``str`` takes a
+    ``float`` takes any finite int or float and stores a float; NaN and the
+    infinities are rejected, since no setting means them. ``str`` takes a
     string, and ``Tuple[int, ...]`` or ``Tuple[int, int]`` a list or tuple
     of such ints, of any length or of two. Other annotations pass unchecked.
     Annotations are read as the strings ``from __future__ import
@@ -102,6 +104,8 @@ def _checked(kind: str, value, name: str):
           "int": integral, "float": real}.get(kind)
     if ok is False:
         raise ConfigurationError(f"{name} must be of type {kind}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     return int(value) if kind == "int" else float(value) if kind == "float" else value
 
 
@@ -150,11 +154,16 @@ class Tensor:
         never inside :func:`no_grad`.
         """
         out = Tensor(data)
-        if _graph.recording and any(p.requires_grad for p in parents):
+        if Tensor._records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
         return out
+
+    @staticmethod
+    def _records(parents: Sequence["Tensor"]) -> bool:
+        """Whether an op over ``parents`` becomes a graph node in this thread."""
+        return _graph.recording and any(p.requires_grad for p in parents)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
         if not self.requires_grad:

@@ -9,6 +9,7 @@ not depend on sample order.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -115,14 +116,24 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
+    """One epoch's losses and telemetry. The two timing fields differ from
+    run to run; everything else repeats exactly for the same seeds."""
     epoch: int          # 1-based
     train_loss: float
     val_loss: float
     learning_rate: float  # the rate the epoch's updates used
+    seconds: float        # wall time of the training steps and the validation pass
+    samples_per_s: float  # training samples over the wall time of the training steps
+    grad_norm_mean: float  # global gradient norm before clipping, over the steps
+    grad_norm_max: float
+    clip_rate: float      # share of steps whose gradients clipping changed
 
     def as_dict(self) -> Dict:
         return {"epoch": self.epoch, "trainLoss": self.train_loss,
-                "valLoss": self.val_loss, "learningRate": self.learning_rate}
+                "valLoss": self.val_loss, "learningRate": self.learning_rate,
+                "seconds": self.seconds, "samplesPerS": self.samples_per_s,
+                "gradNormMean": self.grad_norm_mean, "gradNormMax": self.grad_norm_max,
+                "clipRate": self.clip_rate}
 
 
 @dataclass
@@ -146,10 +157,13 @@ class TrainingDiverged(NumericsError):
 
 
 def history_to_text(history: Sequence[EpochRecord]) -> str:
-    lines = [f"{'epoch':>5}  {'train':>12}  {'val':>12}  {'lr':>10}"]
+    lines = [f"{'epoch':>5}  {'train':>12}  {'val':>12}  {'lr':>10}  {'seconds':>8}"
+             f"  {'samples/s':>9}  {'norm mean':>10}  {'norm max':>10}  {'clipped':>7}"]
     for r in history:
         lines.append(f"{r.epoch:>5}  {r.train_loss:>12.6f}  {r.val_loss:>12.6f}"
-                     f"  {r.learning_rate:>10.2e}")
+                     f"  {r.learning_rate:>10.2e}  {r.seconds:>8.2f}  {r.samples_per_s:>9.1f}"
+                     f"  {r.grad_norm_mean:>10.4g}  {r.grad_norm_max:>10.4g}"
+                     f"  {r.clip_rate:>7.1%}")
     return "\n".join(lines) + "\n"
 
 
@@ -202,7 +216,10 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         epoch_lr = optimizer.lr
+        started = time.perf_counter()
         terms: List[float] = []
+        norms: List[float] = []
+        clipped = 0
         for lo in range(0, len(order), config.batch_size):
             chunk = [train_samples[i] for i in order[lo:lo + config.batch_size]]
             batch = collate(chunk, model.config)
@@ -216,20 +233,34 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
             # batch without a single in-grid neighbor
             active = {name: t for name, t in params.items() if t.grad is not None}
             grads = {name: t.grad for name, t in active.items()}
+            # value mode clips entries, so only an entry beyond the bound tells
+            entry_clipped = optimizer.clip_mode == "value" and any(
+                np.any(np.abs(g) > optimizer.clip_norm) for g in grads.values())
             try:
-                adam_step(active, grads, optimizer)
+                norm = adam_step(active, grads, optimizer)
             except NumericsError as exc:
                 raise diverged(str(exc)) from exc
+            norms.append(norm)
+            clipped += entry_clipped or (optimizer.clip_mode == "norm"
+                                         and norm > optimizer.clip_norm)
             terms.append(value.item() * batch.size)
         train_loss = math.fsum(terms) / len(train_samples)
+        train_seconds = time.perf_counter() - started
 
         val_loss = _epoch_loss(model, val_samples, config.batch_size, loss)
         if not math.isfinite(val_loss):
             raise diverged(f"validation loss {val_loss} in epoch {epoch}")
-        history.append(EpochRecord(epoch, train_loss, val_loss, epoch_lr))
+        record = EpochRecord(epoch, train_loss, val_loss, epoch_lr,
+                             seconds=time.perf_counter() - started,
+                             samples_per_s=len(train_samples) / train_seconds,
+                             grad_norm_mean=math.fsum(norms) / len(norms),
+                             grad_norm_max=max(norms), clip_rate=clipped / len(norms))
+        history.append(record)
         if log:
             log(f"epoch {epoch}: train {train_loss:.6f} val {val_loss:.6f} "
-                f"lr {epoch_lr:.2e}")
+                f"lr {epoch_lr:.2e} {record.seconds:.2f} s {record.samples_per_s:.1f} "
+                f"samples/s grad norm mean {record.grad_norm_mean:.4g} "
+                f"max {record.grad_norm_max:.4g} clipped {record.clip_rate:.1%}")
 
         if val_loss < best_val - config.min_improvement:
             best_val = val_loss

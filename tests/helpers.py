@@ -1,5 +1,6 @@
 """Shared test oracles: naive convolution, pooling and batch-norm loops, an
-LSTM step composed from public ops, per-layer cost formulas, finite-difference
+LSTM step composed from public ops, an unroll chained from LSTM cells,
+per-layer cost formulas, finite-difference
 checks, a graph-node count, a corrupt-file probe, a small model configuration
 reused across suites, and seeded random model configurations.
 
@@ -18,7 +19,9 @@ from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
 from deeptrack.model import social_geometry
 from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
-from deeptrack.numcore import ConfigurationError, Tensor, dense, sigmoid, tanh
+from deeptrack.numcore import (
+    ConfigurationError, Tensor, dense, lstm_cell, sigmoid, stack, tanh,
+)
 
 
 def tiny_model_config(**overrides) -> ModelConfig:
@@ -232,6 +235,17 @@ def composed_lstm_cell(x_t, h_prev, c_prev, weights):
     o = sigmoid(gates[:, 3 * h:4 * h])
     c_t = f * c_prev + i * g
     return o * tanh(c_t), c_t
+
+
+def chained_lstm_cells(h0, c0, weights, steps):
+    """``lstm_unroll`` as a chain of ``steps`` input-free ``lstm_cell`` calls,
+    hidden states stacked to ``[B, steps, h]``: a graph of about three nodes
+    a step."""
+    h, c, hs = h0, c0, []
+    for _ in range(steps):
+        h, c = lstm_cell(None, h, c, weights)
+        hs.append(h)
+    return stack(hs, axis=1)
 
 
 # -- cost formulas, one per layer kind, written out by hand -----------------

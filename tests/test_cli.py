@@ -88,7 +88,9 @@ class TestTrain:
             assert (trained / name).exists(), name
         history = json.loads((trained / "history.json").read_text())
         assert len(history) == 1
-        assert set(history[0]) == {"epoch", "trainLoss", "valLoss", "learningRate"}
+        assert set(history[0]) == {"epoch", "trainLoss", "valLoss", "learningRate",
+                                   "seconds", "samplesPerS", "gradNormMean", "gradNormMax",
+                                   "clipRate"}
         cfg, train_dict = load_config_file(trained / "config.json")
         data = load_weights(trained / "checkpoint.bin")
         assert data.config_hash == config_hash(cfg)
@@ -129,6 +131,22 @@ class TestTrain:
                      "--config", str(path), "--epochs", "1"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"train": {"minImprovement": float("nan")}}, "min_improvement"),
+        ({"cellLength": float("inf")}, "cell_length"),
+        ({"train": {"minLearningRate": float("nan")}}, "min_learning_rate"),
+    ], ids=["minImprovement-NaN", "cellLength-Infinity", "minLearningRate-NaN"])
+    def test_non_finite_settings_are_exit_2(self, tmp_path, ingested, capsys, entry, field):
+        # json writes and reads the bare NaN and Infinity literals
+        config = {**config_to_dict(default_model_config()), **entry}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--config", str(path), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a finite number" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_divergence_keeps_last_good_weights(self, tmp_path):

@@ -14,6 +14,7 @@ from deeptrack.numcore import (
     concat,
     dense,
     lstm_cell,
+    lstm_unroll,
     max_pool2d,
     scatter_grid,
     sigmoid,
@@ -22,7 +23,15 @@ from deeptrack.numcore import (
     tanh,
 )
 
-from helpers import composed_lstm_cell, graph_nodes, naive_batch_norm, naive_max_pool2d
+from deeptrack.numcore.tensor import no_grad
+
+from helpers import (
+    chained_lstm_cells,
+    composed_lstm_cell,
+    graph_nodes,
+    naive_batch_norm,
+    naive_max_pool2d,
+)
 
 
 class TestActivations:
@@ -247,6 +256,102 @@ class TestLstmCell:
         for x in (np.zeros((1, 2)), np.zeros((1, 4)), np.zeros(3), np.zeros((1, 1, 3))):
             with pytest.raises(ConfigurationError):
                 lstm_cell(Tensor(x), h0, c0, weights)
+
+
+class TestLstmUnroll:
+    @staticmethod
+    def run(unroll, batch, hidden, steps, dtype, seed, record=True):
+        """The hidden states of ``unroll`` and the gradients of h0, c0,
+        w_ih, w_hh and bias under a seeded linear loss on every step."""
+        rng = np.random.default_rng(seed)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+        weights = LstmWeights(leaf(4 * hidden, 2), leaf(4 * hidden, hidden), leaf(4 * hidden))
+        h0, c0 = leaf(batch, hidden), leaf(batch, hidden)
+        upstream = Tensor(rng.normal(size=(batch, steps, hidden)).astype(dtype))
+        if not record:
+            with no_grad():
+                return unroll(h0, c0, weights, steps).data, None
+        hs = unroll(h0, c0, weights, steps)
+        (hs * upstream).sum().backward()
+        return hs.data, [t.grad for t in (h0, c0, weights.w_ih, weights.w_hh, weights.bias)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("record", [True, False], ids=["graph", "no-graph"])
+    def test_forward_equals_cell_chain_bit_for_bit(self, dtype, record):
+        for case, (batch, hidden, steps) in enumerate(
+                [(1, 64, 25), (21, 64, 25), (32, 64, 25), (256, 64, 25),
+                 (3, 1, 1), (3, 4, 2), (2, 5, 7)]):
+            args = (batch, hidden, steps, dtype, case, record)
+            got, _ = self.run(lstm_unroll, *args)
+            want, _ = self.run(chained_lstm_cells, *args)
+            assert got.dtype == want.dtype and np.array_equal(got, want), args
+
+    def test_gradients_match_cell_chain(self):
+        for case, (batch, hidden, steps) in enumerate(
+                (b, h, n) for b in (1, 3, 32) for h in (1, 4, 64) for n in (1, 2, 5, 25)):
+            args = (batch, hidden, steps, np.float64, case)
+            _, got = self.run(lstm_unroll, *args)
+            _, want = self.run(chained_lstm_cells, *args)
+            g_h0, g_c0, g_ih, g_hh, g_bias = got
+            # the recurrence itself runs the chain's ops in the chain's order
+            assert np.array_equal(g_h0, want[0]) and np.array_equal(g_c0, want[1]), args
+            assert g_ih is None and want[2] is None, args
+            # one GEMM over every step sums the weight gradients in another
+            # order; an entry summed from cancelling terms carries the rounding
+            # of its larger terms, so the error is relative to the largest entry
+            for g, w in ((g_hh, want[3]), (g_bias, want[4])):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), args
+
+    def test_one_node_over_h0_c0_w_hh_and_bias(self):
+        weights = LstmWeights(Tensor(np.ones((8, 3)), requires_grad=True),
+                              Tensor(np.ones((8, 2)), requires_grad=True),
+                              Tensor(np.zeros(8), requires_grad=True))
+        h0 = Tensor(np.ones((4, 2)), requires_grad=True)
+        c0 = Tensor(np.ones((4, 2)), requires_grad=True)
+        hs = lstm_unroll(h0, c0, weights, 25)
+        assert hs.shape == (4, 25, 2)
+        assert hs._parents == (h0, c0, weights.w_hh, weights.bias)
+        assert graph_nodes(hs) == 5
+        with no_grad():
+            assert lstm_unroll(h0, c0, weights, 25)._parents == ()
+
+    def test_each_call_owns_its_output(self):
+        rng = np.random.default_rng(5)
+        weights = LstmWeights(Tensor(rng.normal(size=(8, 1))), Tensor(rng.normal(size=(8, 2))),
+                              Tensor(rng.normal(size=8)))
+        first = lstm_unroll(Tensor(rng.normal(size=(3, 2))), Tensor(np.zeros((3, 2))),
+                            weights, 4)
+        kept = first.data.copy()
+        second = lstm_unroll(Tensor(rng.normal(size=(3, 2))), Tensor(np.ones((3, 2))),
+                             weights, 4)
+        assert not np.shares_memory(first.data, second.data)
+        assert np.array_equal(first.data, kept)
+
+    def test_saturated_gates_stay_quiet_and_finite(self):
+        hidden = 2
+        weights = LstmWeights(Tensor(np.zeros((8, 1))), Tensor(np.full((8, 2), 500.0)),
+                              Tensor(np.full(8, -1000.0)))
+        h0 = Tensor(np.array([[1.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hs = lstm_unroll(h0, Tensor(np.ones((1, hidden))), weights, 3)
+        assert np.isfinite(hs.data).all()
+        assert np.array_equal(hs.data, chained_lstm_cells(
+            h0, Tensor(np.ones((1, hidden))), weights, 3).data)
+
+    def test_shapes_and_steps_checked(self):
+        weights = LstmWeights(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))),
+                              Tensor(np.zeros(8)))
+        h0, c0 = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
+        for bad_h, bad_c, steps in ((h0, c0, 0), (h0, c0, True), (h0, c0, 2.0),
+                                    (Tensor(np.zeros((1, 3))), c0, 2),
+                                    (h0, Tensor(np.zeros((2, 2))), 2),
+                                    (Tensor(np.zeros(2)), Tensor(np.zeros(2)), 2)):
+            with pytest.raises(ConfigurationError):
+                lstm_unroll(bad_h, bad_c, weights, steps)
 
 
 class TestMaxPool:

@@ -20,7 +20,9 @@ from deeptrack.numcore import (
     dense,
     dilated_conv1d,
     lstm_cell,
+    lstm_unroll,
     max_pool2d,
+    relu,
     scatter_grid,
     sigmoid,
     stack,
@@ -49,6 +51,12 @@ class TestActivationGradients:
     def test_swish(self):
         x = t((3, 4), scale=2.0)
         check_gradients(lambda: swish(x).sum(), {"x": x})
+
+    def test_relu_away_from_the_kink(self):
+        # every |x| >= 0.1, so no difference step crosses the kink at 0
+        x = Tensor(RNG.choice([-1.0, 1.0], size=(3, 4)) * (0.1 + np.abs(RNG.normal(size=(3, 4)))),
+                   requires_grad=True)
+        check_gradients(lambda: (relu(x) ** 2.0).sum(), {"x": x})
 
 
 class TestDenseGradients:
@@ -174,6 +182,16 @@ class TestLstmGradients:
 
         check_gradients(loss, {"xs": xs, "w_ih": weights.w_ih,
                                "w_hh": weights.w_hh, "bias": weights.bias})
+
+
+    def test_unroll_all_inputs(self):
+        hidden, steps = 3, 4
+        h0, c0 = t((2, hidden)), t((2, hidden))
+        weights = LstmWeights(t((4 * hidden, 2)), t((4 * hidden, hidden)),
+                              t((4 * hidden,)))
+        upstream = Tensor(RNG.normal(size=(2, steps, hidden)))
+        check_gradients(lambda: (lstm_unroll(h0, c0, weights, steps) * upstream).sum(),
+                        {"h0": h0, "c0": c0, "w_hh": weights.w_hh, "bias": weights.bias})
 
 
 class TestStructuralGradients:

@@ -27,7 +27,14 @@ from deeptrack.numcore import ConfigurationError, save_weights, load_weights
 from deeptrack.synthetic import constant_velocity_samples
 from deeptrack.trainer import TrainConfig, mse_loss
 
-from helpers import check_gradients, graph_nodes, random_model_config
+import deeptrack.model as model_module
+from helpers import (
+    chained_lstm_cells,
+    check_gradients,
+    composed_lstm_cell,
+    graph_nodes,
+    random_model_config,
+)
 from helpers import random_sample as make_sample
 from helpers import tiny_model_config as tiny_config
 
@@ -353,16 +360,25 @@ class TestModes:
 
 
 class TestPredictRecordsNoGraph:
-    def _model_and_samples(self):
-        cfg = default_model_config()
+    def _model_and_samples(self, dtype="float64"):
+        cfg = dataclasses.replace(default_model_config(), dtype=dtype)
         model = DeepTrack(cfg, seed=3)
         rng = np.random.default_rng(3)
         return model, [make_sample(cfg, rng, vid=i, n_in_grid=i % 4) for i in range(6)]
 
-    def test_predict_equals_eval_forward_bit_for_bit(self):
-        model, samples = self._model_and_samples()
+    def _check_predict_equals_eval_forward(self, dtype):
+        # the graph-free unroll reuses one slot per buffer; the recording one keeps every step
+        model, samples = self._model_and_samples(dtype)
         want = model.forward_batch(collate(samples, model.config), "eval").data
-        assert np.array_equal(model.predict(samples), want)
+        got = model.predict(samples)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+    def test_predict_equals_eval_forward_bit_for_bit(self):
+        self._check_predict_equals_eval_forward("float64")
+
+    def test_predict_equals_eval_forward_bit_for_bit_in_float32(self):
+        self._check_predict_equals_eval_forward("float32")
 
     def test_predict_outputs_have_no_parents(self, monkeypatch):
         model, samples = self._model_and_samples()
@@ -402,15 +418,59 @@ class TestPredictRecordsNoGraph:
         assert without == {"decoder.w_ih"}
 
 
+class TestDecoderAgainstCellChain:
+    """The decoder against the same model with its LSTM built another way."""
+
+    @staticmethod
+    def run(cfg, monkeypatch, name=None, replacement=None):
+        if name:
+            monkeypatch.setattr(model_module, name, replacement)
+        model = DeepTrack(cfg, seed=4)
+        rng = np.random.default_rng(4)
+        samples = [make_sample(cfg, rng, vid=i, n_in_grid=i % 3) for i in range(5)]
+        batch = collate(samples, cfg)
+        out = model.forward_batch(batch, "train")
+        mse_loss(out, batch.future).backward()
+        grads = {n: t.grad for n, t in model.parameters().items()}
+        return out.data, grads, model.predict(samples)
+
+    @pytest.mark.parametrize("cfg", [tiny_config(), default_model_config()],
+                             ids=["tiny", "default"])
+    def test_unroll_equals_chained_cells(self, cfg, monkeypatch):
+        out, grads, pred = self.run(cfg, monkeypatch)
+        want_out, want_grads, want_pred = self.run(cfg, monkeypatch, "lstm_unroll",
+                                                   chained_lstm_cells)
+        assert np.array_equal(out, want_out) and np.array_equal(pred, want_pred)
+        for name, want in want_grads.items():
+            got = grads[name]
+            if want is None:
+                assert got is None, name
+            elif name in ("decoder.w_hh", "decoder.bias"):  # summed over steps in one GEMM
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+            else:
+                assert np.array_equal(got, want), name
+
+    def test_autoregressive_equals_composed_cells_bit_for_bit(self, monkeypatch):
+        cfg = dataclasses.replace(default_model_config(), autoregressive=True)
+        out, grads, pred = self.run(cfg, monkeypatch)
+        want_out, want_grads, want_pred = self.run(cfg, monkeypatch, "lstm_cell",
+                                                   composed_lstm_cell)
+        assert np.array_equal(out, want_out) and np.array_equal(pred, want_pred)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert (grads[name] is None and want is None) \
+                or np.array_equal(grads[name], want), name
+
+
 class TestGraphSize:
     def test_default_train_step_node_count(self):
-        # each of the 14 batch norms is one node, each of the 25 decoder steps
-        # one node and two slices (the last step's cell state goes unread),
-        # and the loss one node
+        # each of the 14 batch norms is one node, the 25-step decoder unroll
+        # one node that the head reads through one reshape, and the loss one
+        # node
         model = DeepTrack(default_model_config(), seed=0)
         batch = collate(constant_velocity_samples(32, seed=0), model.config)
         loss = mse_loss(model.forward_batch(batch, "train"), batch.future)
-        assert graph_nodes(loss) == 210
+        assert graph_nodes(loss) == 136
 
 
 class TestInvariantsUnderOptimize:

@@ -107,6 +107,13 @@ class TestAdam:
             adam_step(p, {"w": 2.0 * p["w"].data}, state)
         assert abs(p["w"].data[0]) < 0.5
 
+    @pytest.mark.parametrize("mode", ["norm", "value", "none"])
+    def test_returns_the_norm_before_clipping(self, mode):
+        p = {"w": Tensor(np.zeros(2), requires_grad=True),
+             "u": Tensor(np.zeros(1), requires_grad=True)}
+        g = {"w": np.array([3.0, 0.0]), "u": np.array([-4.0])}
+        assert adam_step(p, g, AdamState(clip_norm=1.0, clip_mode=mode)) == 5.0
+
     @pytest.mark.parametrize("field, value", [
         ("lr", "0.1"), ("clip_norm", True), ("step_count", 1.5), ("clip_mode", 1)])
     def test_mistyped_fields_rejected(self, field, value):

@@ -1,7 +1,7 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses, and no module under src/ relies on an ``assert``, which
 ``python -O`` strips, or defines a public function or class that only the
-tests use."""
+tests use. Every differentiable op has a finite-difference test."""
 
 import ast
 from pathlib import Path
@@ -135,3 +135,47 @@ def test_no_public_name_in_src_is_used_only_by_tests():
     found = [f"{path}:{line}: {name}"
              for path, line, name in names_without_users(modules, users)]
     assert not found, "public names no code outside tests uses:\n" + "\n".join(found)
+
+
+def node_builders(source: str):
+    """Names in the module's ``__all__`` whose function builds a graph node:
+    it calls ``Tensor._node`` itself or through the module's own functions."""
+    tree = ast.parse(source)
+    exported = []
+    calls = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            exported = ast.literal_eval(node.value)
+        elif isinstance(node, ast.FunctionDef):
+            calls[node.name] = {
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, (ast.Name, ast.Attribute))}
+    builders = {"_node"}
+    grown = True
+    while grown:
+        found = {name for name, called in calls.items() if called & builders}
+        grown = not found <= builders
+        builders |= found
+    return [name for name in exported if name in builders]
+
+
+def test_checker_follows_helpers_to_the_node():
+    lib = ('__all__ = ["direct", "helped", "plain", "Weights"]\n'
+           'def _core(x):\n    return Tensor._node(x, (), None)\n'
+           'def direct(x):\n    return Tensor._node(x, (), None)\n'
+           'def helped(x):\n    return _core(x)\n'
+           'def plain(n):\n    return max(n, 0)\n'
+           'class Weights:\n    pass\n')
+    assert node_builders(lib) == ["direct", "helped"]
+
+
+def test_every_differentiable_op_has_a_finite_difference_test():
+    ops = node_builders((SRC / "deeptrack" / "numcore" / "functional.py")
+                        .read_text(encoding="utf-8"))
+    assert {"relu", "dilated_conv1d", "lstm_cell", "lstm_unroll"} <= set(ops)
+    tested = referenced_names((ROOT / "tests" / "test_gradients.py").read_text(encoding="utf-8"))
+    missing = [name for name in ops if name not in tested]
+    assert not missing, "ops without a finite-difference test: " + ", ".join(missing)

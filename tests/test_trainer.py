@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from deeptrack.configio import config_from_dict, config_to_dict
+import deeptrack.trainer as trainer_module
 from deeptrack.model import DeepTrack
-from deeptrack.numcore import ConfigurationError, Tensor
+from deeptrack.numcore import ConfigurationError, Tensor, adam_step
 from deeptrack.synthetic import constant_velocity_samples
 from deeptrack.trainer import (
     TrainConfig,
@@ -156,7 +157,12 @@ class TestTrainLoop:
             result = train(model, dataset(32), dataset(8, seed=1), cfg)
             runs.append((result, model.state_copy()))
         (ra, sa), (rb, sb) = runs
-        assert [r.as_dict() for r in ra.history] == [r.as_dict() for r in rb.history]
+
+        def untimed(history):  # wall time and throughput differ run to run
+            return [{k: v for k, v in r.as_dict().items() if k not in ("seconds", "samplesPerS")}
+                    for r in history]
+
+        assert untimed(ra.history) == untimed(rb.history)
         for name in sa[0]:
             assert np.array_equal(sa[0][name], sb[0][name]), name
         for name in ra.best_params:
@@ -251,6 +257,46 @@ class TestTrainLoop:
                        TrainConfig(epochs=2, batch_size=8))
         text = history_to_text(result.history)
         assert "epoch" in text and text.count("\n") == 3
+
+
+class TestTelemetry:
+    def test_norms_are_the_ones_adam_step_returned(self, monkeypatch):
+        returned = []
+
+        def spy(*args):
+            returned.append(adam_step(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(trainer_module, "adam_step", spy)
+        model = DeepTrack(tiny_model_config(), seed=0)
+        result = train(model, dataset(24), dataset(8, seed=1),
+                       TrainConfig(epochs=2, batch_size=8))
+        assert len(returned) == 6
+        for record, norms in zip(result.history, (returned[:3], returned[3:])):
+            assert record.grad_norm_mean == math.fsum(norms) / 3
+            assert record.grad_norm_max == max(norms)
+            # the epoch's time covers its training steps and more
+            assert record.seconds > 0 and record.samples_per_s * record.seconds > 24
+
+    @pytest.mark.parametrize("mode", ["norm", "value", "none"])
+    def test_clip_rate_counts_steps_clipping_changed(self, mode):
+        for clip_norm, rate in ((1e-9, 0.0 if mode == "none" else 1.0), (1e9, 0.0)):
+            model = DeepTrack(tiny_model_config(), seed=0)
+            result = train(model, dataset(16), dataset(8, seed=1),
+                           TrainConfig(epochs=1, batch_size=8, clip_norm=clip_norm,
+                                       clip_mode=mode))
+            assert result.history[0].clip_rate == rate, clip_norm
+
+    def test_clip_rate_turns_at_the_bound(self):
+        # one step: its gradient comes before any update, whatever the bound
+        def epoch(clip_norm):
+            model = DeepTrack(tiny_model_config(), seed=0)
+            return train(model, dataset(16), dataset(8, seed=1),
+                         TrainConfig(epochs=1, batch_size=16, clip_norm=clip_norm)).history[0]
+
+        norm = epoch(1e9).grad_norm_max
+        assert epoch(norm * 0.99).clip_rate == 1.0
+        assert epoch(norm * 1.01).clip_rate == 0.0
 
 
 class TestMetrics:
