@@ -32,7 +32,7 @@ from .numcore import (
     check_fields,
     dilated_conv1d,
 )
-from .numcore.functional import activation_fn
+from .numcore.functional import PAD_MODES, activation_fn
 
 __all__ = ["AtcnConfig", "AtcnEncoder", "receptive_field"]
 
@@ -65,10 +65,14 @@ class AtcnConfig:
             raise ConfigurationError("channel counts must be positive")
         if min(self.kernel_sizes) < 1 or min(self.dilations) < 1:
             raise ConfigurationError("kernel sizes and dilations must be >= 1")
-        if self.pad_mode not in ("causal", "symmetric"):
+        if self.pad_mode not in PAD_MODES:
             raise ConfigurationError(f"unknown pad_mode {self.pad_mode!r}")
         if self.bottleneck_divisor < 1:
             raise ConfigurationError("bottleneck_divisor must be >= 1")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigurationError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+        if self.bn_epsilon < 0.0:
+            raise ConfigurationError(f"bn_epsilon must be >= 0, got {self.bn_epsilon}")
         activation_fn(self.activation)  # validates the name
 
     @property
@@ -134,17 +138,6 @@ class _ConvUnit:
             out["bn.beta"] = self.beta
         return out
 
-    def buffers(self) -> Dict[str, np.ndarray]:
-        if self.stats is None:
-            return {}
-        return {f"{self.name}.bn.mean": self.stats.mean,
-                f"{self.name}.bn.var": self.stats.var}
-
-    def load_buffers(self, values: Dict[str, np.ndarray]) -> None:
-        if self.stats is not None:
-            self.stats.mean = values[f"{self.name}.bn.mean"].astype(self.stats.mean.dtype)
-            self.stats.var = values[f"{self.name}.bn.var"].astype(self.stats.var.dtype)
-
 
 class AtcnEncoder:
     """Stack of temporal blocks mapping ``[B, C_in, T]`` to ``[B, C_last, T]``."""
@@ -198,11 +191,8 @@ class AtcnEncoder:
                 for suffix, t in unit.parameters().items()}
 
     def buffers(self) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        for unit in self.units:
-            out.update(unit.buffers())
-        return out
-
-    def load_buffers(self, values: Dict[str, np.ndarray]) -> None:
-        for unit in self.units:
-            unit.load_buffers(values)
+        """The running statistics' own arrays as ``{unit}.bn.mean`` and
+        ``{unit}.bn.var``; writing into them changes the encoder."""
+        return {f"{unit.name}.bn.{key}": arr
+                for unit in self.units if unit.stats is not None
+                for key, arr in (("mean", unit.stats.mean), ("var", unit.stats.var))}

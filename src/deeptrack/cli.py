@@ -32,10 +32,11 @@ from .configio import (
     read_json_object,
     save_config_file,
 )
-from .ingest import WindowConfig, load_samples, parse_tracks, save_samples, \
-    split_dataset, window_samples
+from .ingest import PARTITION_NAMES, SAMPLE_FORMATS, WindowConfig, load_samples, \
+    parse_tracks, save_samples, split_dataset, window_samples
 from .model import DeepTrack
 from .numcore import ConfigurationError, NumericsError, load_weights, save_weights
+from .numcore.functional import PAD_MODES
 from .trainer import (
     TrainConfig,
     TrainingDiverged,
@@ -51,7 +52,6 @@ EXIT_NUMERIC = 3
 EXIT_HASH_MISMATCH = 4
 
 OUT_ROOT_VAR = "DEEPTRACK_OUT_ROOT"
-PARTS = ("train", "val", "test")
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +106,9 @@ def _write_manifest(out: Path, command: str, started: str, *,
 
 def _load_model_config(args) -> tuple:
     """(ModelConfig, train overrides dict) from --config, else defaults."""
-    if getattr(args, "config", None):
-        cfg, train_dict = load_config_file(args.config)
-    else:
-        cfg, train_dict = default_model_config(), {}
-    if getattr(args, "pad_mode", None):
-        cfg = dataclasses.replace(
-            cfg,
-            neighbor_atcn=dataclasses.replace(cfg.neighbor_atcn, pad_mode=args.pad_mode),
-            ego_atcn=dataclasses.replace(cfg.ego_atcn, pad_mode=args.pad_mode))
-    return cfg, train_dict
+    if args.config:
+        return load_config_file(args.config)
+    return default_model_config(), {}
 
 
 def _archive_path(directory: Path, part: str) -> Path:
@@ -159,7 +152,7 @@ def _resolve_checkpoint(args) -> tuple:
     training run wrote next to the checkpoint.
     """
     ckpt_path = Path(args.checkpoint)
-    if getattr(args, "config", None):
+    if args.config:
         cfg, _ = _load_model_config(args)
     else:
         sibling = ckpt_path.parent / "config.json"
@@ -199,7 +192,7 @@ def cmd_ingest(args) -> int:
 
     suffix = "jsonl" if args.format == "text" else "bin"
     counts = {}
-    for name, part in zip(PARTS, parts):
+    for name, part in zip(PARTITION_NAMES, parts):
         save_samples(out / f"{name}_samples.{suffix}", part, fmt=args.format)
         counts[name] = len(part)
     stats = {
@@ -225,6 +218,11 @@ def cmd_train(args) -> int:
     started = _now()
     out = _out_dir(args, "train", required=True)
     cfg, train_dict = _load_model_config(args)
+    if args.pad_mode:
+        cfg = dataclasses.replace(
+            cfg,
+            neighbor_atcn=dataclasses.replace(cfg.neighbor_atcn, pad_mode=args.pad_mode),
+            ego_atcn=dataclasses.replace(cfg.ego_atcn, pad_mode=args.pad_mode))
     flags = {name: getattr(args, name) for name in ("loss", "seed", "epochs", "batch_size")}
     train_cfg = dataclasses.replace(config_from_dict(TrainConfig, train_dict),
                                     **{k: v for k, v in flags.items() if v is not None})
@@ -252,7 +250,7 @@ def cmd_train(args) -> int:
         save_weights(out / "checkpoint.bin", params, buffers, cfg_hash)
         save_config_file(out / "config.json", cfg, config_to_dict(train_cfg))
         with open(out / "history.json", "w", encoding="utf-8") as fh:
-            json.dump([r.as_dict() for r in history], fh, indent=2)
+            json.dump([config_to_dict(r) for r in history], fh, indent=2)
             fh.write("\n")
         with open(out / "history.txt", "w", encoding="utf-8") as fh:
             fh.write(history_to_text(history) if history else "")
@@ -295,8 +293,7 @@ def cmd_eval(args) -> int:
 
     out = _out_dir(args, "eval", required=False)
     if out:
-        payload = report.as_dict()
-        payload["baselineAde"] = baseline.ade
+        payload = {**config_to_dict(report), "baselineAde": baseline.ade}
         # keys stay in horizon order; sorting would shuffle "10" before "5"
         with open(out / "eval.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -379,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, config=True, out=True):
         if config:
             p.add_argument("--config", help="model config JSON")
-            p.add_argument("--pad-mode", choices=("causal", "symmetric"),
-                           help="override the temporal padding mode")
         if out:
             p.add_argument("--out", help=f"output directory "
                            f"(default ${OUT_ROOT_VAR}/<command>)")
@@ -391,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="vehicle split seed")
     p.add_argument("--stride", type=int, default=1,
                    help="keep every n-th eligible window per vehicle")
-    p.add_argument("--format", choices=("text", "binary"), default="binary",
+    p.add_argument("--format", choices=SAMPLE_FORMATS, default="binary",
                    help="archive encoding")
     add_common(p, config=False)
     p.set_defaults(handler=cmd_ingest)
@@ -403,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
+    p.add_argument("--pad-mode", choices=PAD_MODES,
+                   help="override the temporal padding mode")
     add_common(p)
     p.set_defaults(handler=cmd_train)
 

@@ -2,7 +2,8 @@
 
 Config files are JSON. One writer and one reader serve every config
 dataclass, the training and window settings included: a field's key is its
-camelCase name unless the field carries ``json`` metadata. The sha256 of the
+camelCase name unless the field carries ``json`` metadata. The writer also
+lays out the training history and the eval report. The sha256 of the
 canonical serialization (sorted keys, compact separators) is embedded in
 every checkpoint so weights can refuse to load against a different
 architecture.
@@ -43,7 +44,8 @@ class Conv2dSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.out_channels < 1 or min(self.kernel) < 1 or min(self.stride) < 1:
+        if self.out_channels < 1 or min(self.kernel) < 1 or min(self.stride) < 1 \
+                or min(self.padding) < 0:
             raise ConfigurationError(f"invalid conv spec {self}")
 
 
@@ -117,7 +119,7 @@ def _key(f: dataclasses.Field) -> str:
 
 
 def config_to_dict(cfg) -> Dict[str, Any]:
-    """The JSON form of a config dataclass; nested configs become objects."""
+    """The JSON form of a config or record dataclass; nested ones become objects."""
     out = {}
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)

@@ -214,12 +214,11 @@ class DeepTrack:
                 for suffix, t in tensors.items()}
 
     def buffers(self) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        for prefix, enc in (("neighbor_encoder", self.neighbor_encoder),
-                            ("ego_encoder", self.ego_encoder)):
-            for name, arr in enc.buffers().items():
-                out[f"{prefix}.{name}"] = arr
-        return out
+        """Every running statistic's own array as ``{encoder}.{unit}.bn.{mean,var}``."""
+        return {f"{prefix}.{name}": arr
+                for prefix, enc in (("neighbor_encoder", self.neighbor_encoder),
+                                    ("ego_encoder", self.ego_encoder))
+                for name, arr in enc.buffers().items()}
 
     def state_copy(self) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         return ({k: t.data.copy() for k, t in self.parameters().items()},
@@ -227,27 +226,29 @@ class DeepTrack:
 
     def load_state(self, params: Dict[str, np.ndarray],
                    buffers: Dict[str, np.ndarray]) -> None:
-        own = self.parameters()
-        missing = sorted(set(own) - set(params))
-        extra = sorted(set(params) - set(own))
-        if missing or extra:
-            raise ConfigurationError(
-                f"weight names do not match the architecture: "
-                f"missing {missing[:3]}, unexpected {extra[:3]}")
-        for name, tensor in own.items():
-            arr = np.asarray(params[name])
-            if arr.shape != tensor.data.shape:
+        """Copy weights and running statistics into this model's own arrays.
+
+        Every name and shape is checked before anything is written, so a
+        rejected state leaves the model as it was.
+        """
+        writes = []
+        for what, own, given in (
+                ("weight", {k: t.data for k, t in self.parameters().items()}, params),
+                ("running statistic", self.buffers(), buffers)):
+            missing = sorted(set(own) - set(given))
+            extra = sorted(set(given) - set(own))
+            if missing or extra:
                 raise ConfigurationError(
-                    f"{name}: shape {arr.shape} does not fit {tensor.data.shape}")
-            tensor.data = arr.astype(self.dtype)
-        expected_buffers = set(self.buffers())
-        if set(buffers) != expected_buffers:
-            raise ConfigurationError("running statistics do not match the architecture")
-        for prefix, enc in (("neighbor_encoder", self.neighbor_encoder),
-                            ("ego_encoder", self.ego_encoder)):
-            enc.load_buffers({name[len(prefix) + 1:]: np.asarray(arr)
-                              for name, arr in buffers.items()
-                              if name.startswith(prefix + ".")})
+                    f"{what} names do not match the architecture: "
+                    f"missing {missing[:3]}, unexpected {extra[:3]}")
+            for name, arr in own.items():
+                value = np.asarray(given[name])
+                if value.shape != arr.shape:
+                    raise ConfigurationError(
+                        f"{name}: shape {value.shape} does not fit {arr.shape}")
+                writes.append((arr, value))
+        for arr, value in writes:
+            arr[...] = value
 
     def zero_grad(self) -> None:
         for tensors in self.layers.values():
@@ -263,16 +264,18 @@ class DeepTrack:
         b = batch.size
         nbr_c = self.neighbor_encoder.out_channels
 
+        # one name down the grid chain: without a graph, the neighbor
+        # summaries and each grid are freed as soon as the next layer has
+        # read them, so a large frame's temporaries stay few
         if batch.nbr_tracks.shape[0]:
-            summaries = self.neighbor_encoder.summary(Tensor(batch.nbr_tracks), mode)
-            grid = scatter_grid(summaries, batch.nbr_batch, batch.nbr_cells,
-                                (b, nbr_c, cfg.grid_rows, cfg.grid_cols))
+            v = scatter_grid(self.neighbor_encoder.summary(Tensor(batch.nbr_tracks), mode),
+                             batch.nbr_batch, batch.nbr_cells,
+                             (b, nbr_c, cfg.grid_rows, cfg.grid_cols))
         else:
-            grid = Tensor(np.zeros((b, nbr_c, cfg.grid_rows, cfg.grid_cols),
-                                   dtype=self.dtype))
+            v = Tensor(np.zeros((b, nbr_c, cfg.grid_rows, cfg.grid_cols), dtype=self.dtype))
 
         c1, c2, pool = cfg.social_conv1, cfg.social_conv2, cfg.social_pool
-        v = act(conv2d(grid, self.social_conv1_w, self.social_conv1_b,
+        v = act(conv2d(v, self.social_conv1_w, self.social_conv1_b,
                        stride=c1.stride, padding=c1.padding))
         v = act(conv2d(v, self.social_conv2_w, self.social_conv2_b,
                        stride=c2.stride, padding=c2.padding))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .tensor import NumericsError, ConfigurationError, Tensor, check_fields
 
-__all__ = ["AdamState", "adam_step", "global_grad_norm", "clip_gradients"]
+__all__ = ["AdamState", "GradNorm", "adam_step", "global_grad_norm", "clip_gradients"]
 
 CLIP_MODES = ("norm", "value", "none")
 
@@ -48,7 +48,17 @@ def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads: Dict[str, np.ndarray], state: AdamState) -> float:
+class GradNorm(float):
+    """The global gradient norm before clipping. It is that number wherever
+    a float goes; ``clipped`` tells whether clipping changed any gradient."""
+
+    def __new__(cls, norm: float, clipped: bool):
+        out = super().__new__(cls, norm)
+        out.clipped = clipped
+        return out
+
+
+def clip_gradients(grads: Dict[str, np.ndarray], state: AdamState) -> GradNorm:
     """Clip ``grads`` in place per ``state.clip_mode``; returns the pre-clip norm.
 
     norm mode rescales every gradient by clip_norm / ||g|| when the global
@@ -56,20 +66,22 @@ def clip_gradients(grads: Dict[str, np.ndarray], state: AdamState) -> float:
     [-clip_norm, clip_norm].
     """
     norm = global_grad_norm(grads)
-    if state.clip_mode == "norm" and norm > state.clip_norm:
+    clipped = state.clip_mode == "norm" and norm > state.clip_norm
+    if clipped:
         scale = state.clip_norm / norm
         for name in grads:
             grads[name] = grads[name] * scale
     elif state.clip_mode == "value":
-        for name in grads:
-            grads[name] = np.clip(grads[name], -state.clip_norm, state.clip_norm)
-    return norm
+        for name, g in grads.items():
+            clipped = clipped or bool(np.any(np.abs(g) > state.clip_norm))
+            grads[name] = np.clip(g, -state.clip_norm, state.clip_norm)
+    return GradNorm(norm, clipped)
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
-              state: AdamState) -> float:
+              state: AdamState) -> GradNorm:
     """One Adam update, in place on ``params`` data; returns the global
-    gradient norm before clipping.
+    gradient norm before clipping, as :func:`clip_gradients` reports it.
 
     Gradients are validated for finiteness before any state mutation so an
     aborted step leaves parameters and moments untouched.

@@ -107,6 +107,9 @@ class TrainConfig:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         loss_fn(self.loss)
         self.optimizer()  # rejects a bad learning rate, clip norm or clip mode now
+        if not 0.0 <= self.min_learning_rate <= self.learning_rate:
+            raise ConfigurationError(
+                f"min_learning_rate must be in [0, learning_rate], got {self.min_learning_rate}")
 
     def optimizer(self) -> AdamState:
         """A fresh Adam state with this run's learning rate and clipping."""
@@ -127,13 +130,6 @@ class EpochRecord:
     grad_norm_mean: float  # global gradient norm before clipping, over the steps
     grad_norm_max: float
     clip_rate: float      # share of steps whose gradients clipping changed
-
-    def as_dict(self) -> Dict:
-        return {"epoch": self.epoch, "trainLoss": self.train_loss,
-                "valLoss": self.val_loss, "learningRate": self.learning_rate,
-                "seconds": self.seconds, "samplesPerS": self.samples_per_s,
-                "gradNormMean": self.grad_norm_mean, "gradNormMax": self.grad_norm_max,
-                "clipRate": self.clip_rate}
 
 
 @dataclass
@@ -232,17 +228,13 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
             # when the decoder runs without input, the neighbor encoder on a
             # batch without a single in-grid neighbor
             active = {name: t for name, t in params.items() if t.grad is not None}
-            grads = {name: t.grad for name, t in active.items()}
-            # value mode clips entries, so only an entry beyond the bound tells
-            entry_clipped = optimizer.clip_mode == "value" and any(
-                np.any(np.abs(g) > optimizer.clip_norm) for g in grads.values())
             try:
-                norm = adam_step(active, grads, optimizer)
+                norm = adam_step(active, {name: t.grad for name, t in active.items()},
+                                 optimizer)
             except NumericsError as exc:
                 raise diverged(str(exc)) from exc
-            norms.append(norm)
-            clipped += entry_clipped or (optimizer.clip_mode == "norm"
-                                         and norm > optimizer.clip_norm)
+            norms.append(float(norm))
+            clipped += norm.clipped
             terms.append(value.item() * batch.size)
         train_loss = math.fsum(terms) / len(train_samples)
         train_seconds = time.perf_counter() - started
@@ -296,10 +288,6 @@ class EvalReport:
         lines.append(f"mean displacement {self.ade:.3f} m over {self.samples} samples")
         return "\n".join(lines) + "\n"
 
-    def as_dict(self) -> Dict:
-        return {"horizonRmse": {str(k): v for k, v in sorted(self.horizon_rmse.items())},
-                "ade": self.ade, "samples": self.samples}
-
 
 def _metric_report(pred: np.ndarray, truth: np.ndarray,
                    steps: Sequence[int]) -> EvalReport:
@@ -309,7 +297,7 @@ def _metric_report(pred: np.ndarray, truth: np.ndarray,
             raise ConfigurationError(
                 f"metric step {step} outside the horizon 1..{horizon}")
     rmse: Dict[int, float] = {}
-    for step in steps:
+    for step in sorted(steps):
         delta = pred[:, step - 1, :] - truth[:, step - 1, :]
         squared = delta[:, 0] ** 2 + delta[:, 1] ** 2
         rmse[step] = math.sqrt(math.fsum(squared.tolist()) / n)

@@ -121,6 +121,10 @@ class TestEncoderShapes:
             AtcnConfig(2, (16,), (2,), (0,))
         with pytest.raises(ConfigurationError):
             AtcnConfig(2, (16,), (2,), (1,), pad_mode="wrap")
+        for bad in (dict(bn_momentum=1.5), dict(bn_momentum=-0.5), dict(bn_epsilon=-1e-5)):
+            with pytest.raises(ConfigurationError, match=next(iter(bad))):
+                AtcnConfig(2, (16,), (2,), (1,), **bad)
+        AtcnConfig(2, (16,), (2,), (1,), bn_momentum=1.0, bn_epsilon=0.0)
 
 
 class TestCausality:
@@ -227,7 +231,8 @@ class TestModesAndGradients:
         stats = {k: v.copy() for k, v in enc.buffers().items()}
 
         def loss():
-            enc.load_buffers({k: v.copy() for k, v in stats.items()})
+            for k, v in enc.buffers().items():
+                v[...] = stats[k]
             return (enc.forward(x, mode) ** 2.0).mean()
 
         check_gradients(loss, params)
@@ -284,7 +289,8 @@ class TestReceptiveFieldSummary:
             stats = {k: v.copy() for k, v in enc.buffers().items()}
             x = Tensor(rng.normal(size=(5, enc.config.input_channels, 16)))
             full = enc.forward(x, mode).data[..., -1]
-            enc.load_buffers({k: v.copy() for k, v in stats.items()})
+            for k, v in enc.buffers().items():
+                v[...] = stats[k]
             assert enc.summary(x, mode).data.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("t", [2, 3, 16])

@@ -112,6 +112,16 @@ class TestTrain:
         assert raw["neighborAtcn"]["padMode"] == "symmetric"
         assert raw["egoAtcn"]["padMode"] == "symmetric"
 
+    @pytest.mark.parametrize("command", ["eval", "predict", "complexity"])
+    def test_pad_mode_is_a_train_flag_only(self, tmp_path, ingested, trained, command):
+        # a checkpoint fixes its padding in config.json; complexity counts
+        # the same costs under either mode
+        args = [] if command == "complexity" else [
+            "--checkpoint", str(trained / "checkpoint.bin"), "--data", str(ingested)]
+        with pytest.raises(SystemExit) as info:
+            main([command, *args, "--out", str(tmp_path / "o"), "--pad-mode", "symmetric"])
+        assert info.value.code == 2
+
     def test_negative_seed_is_exit_2(self, tmp_path, ingested, capsys):
         assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "neg"),
                      "--epochs", "1", "--seed", "-1"]) == 2
@@ -123,7 +133,8 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
-        {"epochs": 2.5}, {"learningRate": "0.1"}, {"batchSize": True}, {"clipNorm": -1.0}])
+        {"epochs": 2.5}, {"learningRate": "0.1"}, {"batchSize": True}, {"clipNorm": -1.0},
+        {"learningRate": 1e-3, "minLearningRate": 1.0}])
     def test_mistyped_train_settings_are_exit_2(self, tmp_path, ingested, capsys, entry):
         path = tmp_path / "config.json"
         save_config_file(path, default_model_config(), entry)
@@ -281,6 +292,18 @@ class TestEvalAndPredict:
             assert "--limit" in capsys.readouterr().err
             assert not (out / "predictions.csv").exists()
 
+    def test_wrong_shaped_running_statistic_is_exit_2(self, tmp_path, ingested, trained,
+                                                      capsys):
+        data = load_weights(trained / "checkpoint.bin")
+        name = "ego_encoder.block1.dw.bn.var"
+        data.buffers[name] = np.ones(data.buffers[name].size + 1)
+        save_weights(tmp_path / "checkpoint.bin", data.params, data.buffers, data.config_hash)
+        (tmp_path / "config.json").write_bytes((trained / "config.json").read_bytes())
+        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--data", str(ingested)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
     def test_missing_checkpoint_is_exit_2(self, tmp_path, ingested):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                      "--data", str(ingested)]) == 2
@@ -351,6 +374,22 @@ class TestComplexity:
         path.write_text(json.dumps(config))
         assert main(["complexity", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, entry, field", [
+        ("socialConv1", {"padding": [-1, 0]}, "conv spec"),
+        ("neighborAtcn", {"bnMomentum": 2.0}, "bn_momentum"),
+        ("neighborAtcn", {"bnMomentum": -0.1}, "bn_momentum"),
+        ("egoAtcn", {"bnEpsilon": -1.0}, "bn_epsilon"),
+    ])
+    def test_config_values_out_of_range_are_exit_2(self, tmp_path, capsys, section,
+                                                   entry, field):
+        config = config_to_dict(default_model_config())
+        config[section].update(entry)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["complexity", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and captured.out == ""
 
     def test_config_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -225,6 +225,60 @@ class TestDeterminismAndState:
         with pytest.raises(ConfigurationError):
             model.load_state(params, buffers)
 
+    def test_wrong_shaped_running_statistic_is_named(self):
+        model = DeepTrack(tiny_config(), seed=0)
+        params, buffers = model.state_copy()
+        name = "ego_encoder.block1.dw.bn.var"
+        buffers[name] = np.ones(buffers[name].size + 1)
+        with pytest.raises(ConfigurationError, match=name.replace(".", r"\.")):
+            model.load_state(params, buffers)
+        buffers.pop(name)
+        with pytest.raises(ConfigurationError, match="running statistic"):
+            model.load_state(params, buffers)
+
+    def test_rejected_state_changes_nothing(self):
+        model = DeepTrack(tiny_config(), seed=0)
+        model.forward(make_sample(model.config, np.random.default_rng(0)), "train")
+        before_params, before_buffers = model.state_copy()
+        params, buffers = DeepTrack(tiny_config(), seed=1).state_copy()
+        last = list(params)[-1]
+        params[last] = np.zeros(params[last].shape + (1,))
+        with pytest.raises(ConfigurationError, match=last):
+            model.load_state(params, buffers)
+        for name, t in model.parameters().items():
+            assert np.array_equal(t.data, before_params[name]), name
+        for name, arr in model.buffers().items():
+            assert np.array_equal(arr, before_buffers[name]), name
+
+    def test_load_writes_into_the_running_statistics_in_place(self):
+        model = DeepTrack(tiny_config(), seed=0)
+        units = [unit for enc in (model.neighbor_encoder, model.ego_encoder)
+                 for unit in enc.units]
+        held = [(unit.stats.mean, unit.stats.var) for unit in units]
+        rng = np.random.default_rng(3)
+        params, buffers = model.state_copy()
+        buffers = {name: rng.uniform(0.5, 2.0, arr.shape) for name, arr in buffers.items()}
+        model.load_state(params, buffers)
+        for unit, (mean, var) in zip(units, held):
+            assert unit.stats.mean is mean and unit.stats.var is var
+        # buffers() lists each unit's mean, then its var, in unit order
+        assert np.array_equal(np.concatenate([a for pair in held for a in pair]),
+                              np.concatenate(list(buffers.values())))
+
+    def test_float32_state_round_trips_bit_for_bit(self, tmp_path):
+        cfg = dataclasses.replace(tiny_config(), dtype="float32")
+        model = DeepTrack(cfg, seed=4)
+        model.forward(make_sample(cfg, np.random.default_rng(4)), "train")
+        path = tmp_path / "weights.bin"
+        save_weights(path, model.parameters(), model.buffers(), model.config_digest)
+        fresh = DeepTrack(cfg, seed=5)
+        data = load_weights(path)
+        fresh.load_state(data.params, data.buffers)
+        for (name, a), b in zip(model.parameters().items(), fresh.parameters().values()):
+            assert b.data.dtype == np.float32 and a.data.tobytes() == b.data.tobytes(), name
+        for (name, a), b in zip(model.buffers().items(), fresh.buffers().values()):
+            assert b.dtype == np.float32 and a.tobytes() == b.tobytes(), name
+
     def test_config_hash_tracks_architecture(self):
         a = config_hash(tiny_config())
         b = config_hash(tiny_config(decoder_hidden=8))

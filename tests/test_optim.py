@@ -38,6 +38,16 @@ class TestClipping:
         clip_gradients(grads, AdamState(clip_norm=10.0, clip_mode="value"))
         assert np.allclose(grads["a"], [-10.0, 0.5, 10.0])
 
+    @pytest.mark.parametrize("mode, grads, clipped", [
+        ("norm", [3.0, -4.0], True), ("norm", [0.6, -0.8], False),
+        ("value", [0.9, -0.9, 0.9], False), ("value", [0.5, -1.5], True),
+        ("none", [30.0, 40.0], False)])
+    def test_reports_whether_clipping_changed_a_gradient(self, mode, grads, clipped):
+        # the value-mode case without a clip has a global norm above the bound
+        state = AdamState(clip_norm=1.0, clip_mode=mode)
+        norm = clip_gradients({"a": np.array(grads)}, state)
+        assert norm == pytest.approx(np.linalg.norm(grads)) and norm.clipped is clipped
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             AdamState(clip_mode="percentile")

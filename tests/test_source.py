@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses, and no module under src/ relies on an ``assert``, which
-``python -O`` strips, or defines a public function or class that only the
-tests use. Every differentiable op has a finite-difference test."""
+``python -O`` strips, or defines a public function, class, method or
+property that only the tests use. Every differentiable op has a
+finite-difference test."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,20 @@ def public_names(source: str):
             and not node.name.startswith("_")]
 
 
+def public_members(source: str):
+    """(line, name) of every public method and property of every class."""
+    return [(item.lineno, item.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def attribute_names(source: str):
+    """Every name the code reads as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
 def referenced_names(source: str):
     """Every name the code reads, bare or as an attribute; imports,
     definitions and ``__all__`` entries do not count."""
@@ -103,10 +118,15 @@ def referenced_names(source: str):
 
 def names_without_users(modules: Mapping[str, str], users: Iterable[str]):
     """(module, line, name) of every public definition in ``modules`` that no
-    source in ``users`` references."""
+    source in ``users`` references: a function or class by name, a method
+    or property as an attribute."""
+    users = list(users)
     used = set().union(*(referenced_names(source) for source in users))
-    return [(path, line, name) for path, source in sorted(modules.items())
-            for line, name in public_names(source) if name not in used]
+    read = set().union(*(attribute_names(source) for source in users))
+    return sorted([(path, line, name) for path, source in modules.items()
+                   for line, name in public_names(source) if name not in used]
+                  + [(path, line, name) for path, source in modules.items()
+                     for line, name in public_members(source) if name not in read])
 
 
 def test_checker_finds_names_with_no_user():
@@ -122,6 +142,21 @@ def test_checker_finds_names_with_no_user():
         ("lib.py", 4, "tested")]
     assert names_without_users({"lib.py": lib}, [lib, caller]) == [
         ("lib.py", 4, "tested"), ("lib.py", 6, "Shape")]
+
+
+def test_checker_finds_members_with_no_user():
+    lib = ('class Shape:\n'
+           '    def area(self):\n        return self.width\n'
+           '    @property\n    def width(self):\n        return 2\n'
+           '    def tested(self):\n        pass\n'
+           '    def _hidden(self):\n        pass\n'
+           'class _Unit:\n    def load(self):\n        pass\n')
+    caller = 'from .lib import Shape\nload = Shape().area()\n'
+    test = 'Shape().tested()\n_Unit().load()\n'
+    # width is read inside the module itself; a bare name ``load`` is no call
+    assert names_without_users({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", 7, "tested"), ("lib.py", 12, "load")]
+    assert names_without_users({"lib.py": lib}, [lib, caller, test]) == []
 
 
 def test_no_public_name_in_src_is_used_only_by_tests():

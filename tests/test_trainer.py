@@ -1,5 +1,6 @@
 """Losses, the training loop, and displacement metrics."""
 
+import json
 import math
 
 import numpy as np
@@ -118,7 +119,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("entry", [
         {"epochs": 2.5}, {"learningRate": "0.1"}, {"batchSize": True}, {"epochs": "3"},
         {"plateauPatience": 1.5}, {"clipMode": 0}, {"clipNorm": -1.0}, {"clipNorm": 0},
-        {"learningRate": 0}, {"learningRate": 10**400}])
+        {"learningRate": 0}, {"learningRate": 10**400},
+        {"learningRate": 1e-3, "minLearningRate": 1.0}, {"minLearningRate": -1e-7}])
     def test_mistyped_or_out_of_range_values_rejected(self, entry):
         with pytest.raises(ConfigurationError):
             config_from_dict(TrainConfig, entry)
@@ -159,7 +161,8 @@ class TestTrainLoop:
         (ra, sa), (rb, sb) = runs
 
         def untimed(history):  # wall time and throughput differ run to run
-            return [{k: v for k, v in r.as_dict().items() if k not in ("seconds", "samplesPerS")}
+            return [{k: v for k, v in config_to_dict(r).items()
+                     if k not in ("seconds", "samplesPerS")}
                     for r in history]
 
         assert untimed(ra.history) == untimed(rb.history)
@@ -343,7 +346,7 @@ class TestMetrics:
 
     def test_report_round_trip_and_text(self):
         report = zero_baseline(dataset(5), steps=STEPS)
-        d = report.as_dict()
+        d = json.loads(json.dumps(config_to_dict(report)))
         assert set(d) == {"horizonRmse", "ade", "samples"}
         assert list(d["horizonRmse"]) == ["1", "2", "3"]
         text = report.to_text(seconds_per_step=0.2)
