@@ -59,7 +59,7 @@ print("vehicles shared between partitions:", overlap or "none")
 # -- 4. archives round-trip exactly ------------------------------------------
 
 archive = workdir / "train_samples.bin"
-save_samples(archive, train, fmt="binary")
+save_samples(archive, train)
 again = load_samples(archive)
 print(f"\narchived {len(train)} samples to {archive.name}; "
       f"round-trip equal: {again == train}")

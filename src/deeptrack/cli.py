@@ -32,8 +32,8 @@ from .configio import (
     read_json_object,
     save_config_file,
 )
-from .ingest import PARTITION_NAMES, SAMPLE_FORMATS, WindowConfig, load_samples, \
-    parse_tracks, save_samples, split_dataset, window_samples
+from .ingest import PARTITION_NAMES, WindowConfig, load_samples, parse_tracks, save_samples, \
+    split_dataset, window_samples
 from .model import DeepTrack
 from .numcore import ConfigurationError, NumericsError, load_weights, save_weights
 from .numcore.functional import PAD_MODES
@@ -112,11 +112,10 @@ def _load_model_config(args) -> tuple:
 
 
 def _archive_path(directory: Path, part: str) -> Path:
-    hits = sorted(directory.glob(f"{part}_samples.*"))
-    if not hits:
-        raise ConfigurationError(
-            f"no {part}_samples archive under {directory}; run ingest first")
-    return hits[0]
+    path = directory / f"{part}_samples.bin"
+    if not path.exists():
+        raise ConfigurationError(f"no {path.name} under {directory}; run ingest first")
+    return path
 
 
 def _check_grid(data: Path, cfg: ModelConfig) -> None:
@@ -190,10 +189,9 @@ def cmd_ingest(args) -> int:
     samples, window_stats = window_samples(points, window, dataset_id)
     parts = split_dataset(samples, seed=args.seed)
 
-    suffix = "jsonl" if args.format == "text" else "bin"
     counts = {}
     for name, part in zip(PARTITION_NAMES, parts):
-        save_samples(out / f"{name}_samples.{suffix}", part, fmt=args.format)
+        save_samples(out / f"{name}_samples.bin", part)
         counts[name] = len(part)
     stats = {
         "parse": dataclasses.asdict(parse_stats),
@@ -386,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="vehicle split seed")
     p.add_argument("--stride", type=int, default=1,
                    help="keep every n-th eligible window per vehicle")
-    p.add_argument("--format", choices=SAMPLE_FORMATS, default="binary",
-                   help="archive encoding")
     add_common(p, config=False)
     p.set_defaults(handler=cmd_ingest)
 

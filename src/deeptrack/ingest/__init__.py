@@ -17,7 +17,7 @@ from .windows import (
     window_samples,
 )
 from .split import PARTITION_NAMES, split_dataset, vehicle_partition
-from .archive import SAMPLE_FORMATS, SAMPLE_MAGIC, load_samples, save_samples
+from .archive import SAMPLE_MAGIC, load_samples, save_samples
 
 __all__ = [
     "FEET_TO_METERS", "FRAME_RATE_HZ", "REQUIRED_COLUMNS",
@@ -25,5 +25,5 @@ __all__ = [
     "NeighborTrack", "TrajectorySample", "WindowConfig", "WindowStats",
     "grid_assign", "window_samples",
     "PARTITION_NAMES", "split_dataset", "vehicle_partition",
-    "SAMPLE_FORMATS", "SAMPLE_MAGIC", "load_samples", "save_samples",
+    "SAMPLE_MAGIC", "load_samples", "save_samples",
 ]

@@ -1,7 +1,6 @@
-"""Sample archives: JSON-lines text and a packed binary format.
+"""The sample archive: a packed binary layout, little-endian throughout.
 
-Both round-trip samples exactly (float64 bit patterns survive the JSON
-repr). The binary layout, little-endian throughout:
+Samples round-trip exactly (float64 bit patterns are stored as they are):
 
     magic     8 bytes  b"DTRKSMP\\0"
     version   u32
@@ -17,7 +16,6 @@ repr). The binary layout, little-endian throughout:
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import List, Sequence
 
@@ -26,99 +24,50 @@ import numpy as np
 from ..numcore import ConfigurationError
 from .windows import NeighborTrack, TrajectorySample
 
-__all__ = ["save_samples", "load_samples", "SAMPLE_MAGIC", "SAMPLE_FORMATS"]
+__all__ = ["save_samples", "load_samples", "SAMPLE_MAGIC"]
 
 SAMPLE_MAGIC = b"DTRKSMP\x00"
 SAMPLE_VERSION = 1
-SAMPLE_FORMATS = ("text", "binary")
 
 
-# ---------------------------------------------------------------------------
-# text
-# ---------------------------------------------------------------------------
-
-def _sample_to_obj(s: TrajectorySample) -> dict:
-    return {
-        "datasetId": s.dataset_id,
-        "vehicleId": s.vehicle_id,
-        "t0Frame": s.t0_frame,
-        "egoHistory": s.ego_history.tolist(),
-        "future": s.future.tolist(),
-        "neighbors": [{
-            "vehicleId": n.vehicle_id,
-            "cell": list(n.cell) if n.cell is not None else None,
-            "track": n.track.tolist(),
-            "valid": [int(v) for v in n.valid],
-        } for n in s.neighbors],
-    }
-
-
-def _sample_from_obj(obj: dict) -> TrajectorySample:
-    neighbors = [NeighborTrack(
-        vehicle_id=int(n["vehicleId"]),
-        cell=tuple(n["cell"]) if n["cell"] is not None else None,
-        track=np.asarray(n["track"], dtype=np.float64),
-        valid=np.asarray(n["valid"], dtype=bool),
-    ) for n in obj["neighbors"]]
-    return TrajectorySample(
-        dataset_id=obj["datasetId"],
-        vehicle_id=int(obj["vehicleId"]),
-        t0_frame=int(obj["t0Frame"]),
-        ego_history=np.asarray(obj["egoHistory"], dtype=np.float64),
-        future=np.asarray(obj["future"], dtype=np.float64),
-        neighbors=neighbors,
-    )
-
-
-def _save_text(path, samples: Sequence[TrajectorySample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(_sample_to_obj(s), separators=(",", ":")))
-            fh.write("\n")
-
-
-def _load_text(path) -> List[TrajectorySample]:
-    out: List[TrajectorySample] = []
-    line_no = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if line.strip():
-                    out.append(_sample_from_obj(json.loads(line)))
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise ConfigurationError(f"{path}:{line_no}: bad sample record: {err}") from err
-    return out
-
-
-# ---------------------------------------------------------------------------
-# binary
-# ---------------------------------------------------------------------------
-
-def _save_binary(path, samples: Sequence[TrajectorySample]) -> None:
+def save_samples(path, samples: Sequence[TrajectorySample]) -> None:
+    """Write ``samples`` to ``path``; a field the layout cannot hold, such as
+    a negative vehicle id, raises ConfigurationError naming the sample."""
     chunks: List[bytes] = [SAMPLE_MAGIC, struct.pack("<IQ", SAMPLE_VERSION, len(samples))]
-    for s in samples:
-        ds = s.dataset_id.encode("utf-8")
-        h = s.ego_history.shape[0]
-        f = s.future.shape[0]
-        chunks.append(struct.pack("<H", len(ds)))
-        chunks.append(ds)
-        chunks.append(struct.pack("<QqHHI", s.vehicle_id, s.t0_frame, h, f,
-                                  len(s.neighbors)))
-        chunks.append(np.ascontiguousarray(s.ego_history, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(s.future, dtype="<f8").tobytes())
-        for n in s.neighbors:
-            row, col = n.cell if n.cell is not None else (-1, -1)
-            chunks.append(struct.pack("<Qii", n.vehicle_id, row, col))
-            chunks.append(np.asarray(n.valid, dtype=np.uint8).tobytes())
-            chunks.append(np.ascontiguousarray(n.track, dtype="<f8").tobytes())
+    try:
+        for s in samples:
+            ds = s.dataset_id.encode("utf-8")
+            h = s.ego_history.shape[0]
+            f = s.future.shape[0]
+            chunks.append(struct.pack("<H", len(ds)))
+            chunks.append(ds)
+            chunks.append(struct.pack("<QqHHI", s.vehicle_id, s.t0_frame, h, f,
+                                      len(s.neighbors)))
+            chunks.append(np.ascontiguousarray(s.ego_history, dtype="<f8").tobytes())
+            chunks.append(np.ascontiguousarray(s.future, dtype="<f8").tobytes())
+            for n in s.neighbors:
+                row, col = n.cell if n.cell is not None else (-1, -1)
+                chunks.append(struct.pack("<Qii", n.vehicle_id, row, col))
+                chunks.append(np.asarray(n.valid, dtype=np.uint8).tobytes())
+                chunks.append(np.ascontiguousarray(n.track, dtype="<f8").tobytes())
+    except struct.error as err:
+        raise ConfigurationError(
+            f"{path}: cannot archive the sample of vehicle {s.vehicle_id} at frame "
+            f"{s.t0_frame} in {s.dataset_id!r}: {err}") from err
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
-def _load_binary(path) -> List[TrajectorySample]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def load_samples(path) -> List[TrajectorySample]:
+    """Read an archive ``save_samples`` wrote; any other file raises
+    ConfigurationError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise ConfigurationError(f"cannot read samples {path}: {err}") from err
+    if not blob.startswith(SAMPLE_MAGIC):
+        raise ConfigurationError(f"{path}: not a sample archive (no {SAMPLE_MAGIC!r} magic)")
     off = len(SAMPLE_MAGIC) + 12
     if len(blob) < off:
         raise ConfigurationError(f"{path}: truncated sample archive header")
@@ -155,29 +104,3 @@ def _load_binary(path) -> List[TrajectorySample]:
     if off != len(blob):
         raise ConfigurationError(f"{path}: trailing bytes after last sample")
     return samples
-
-
-# ---------------------------------------------------------------------------
-# public API
-# ---------------------------------------------------------------------------
-
-def save_samples(path, samples: Sequence[TrajectorySample],
-                 fmt: str = "binary") -> None:
-    if fmt not in SAMPLE_FORMATS:
-        raise ConfigurationError(f"format must be one of {SAMPLE_FORMATS}, got {fmt!r}")
-    if fmt == "text":
-        _save_text(path, samples)
-    else:
-        _save_binary(path, samples)
-
-
-def load_samples(path) -> List[TrajectorySample]:
-    """Load an archive, sniffing the format from the leading bytes."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(SAMPLE_MAGIC))
-    except OSError as err:
-        raise ConfigurationError(f"cannot read samples {path}: {err}") from err
-    if head == SAMPLE_MAGIC:
-        return _load_binary(path)
-    return _load_text(path)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .ingest import NeighborTrack, TrajectorySample, WindowConfig
-from .ingest.tracks import REQUIRED_COLUMNS
+from .ingest.tracks import FRAME_RATE_HZ, REQUIRED_COLUMNS
 
 __all__ = ["constant_velocity_samples", "write_tracks_csv"]
 
@@ -37,7 +37,7 @@ def constant_velocity_samples(count: int, seed: int = 0,
     config = config or WindowConfig()
     rng = np.random.default_rng(seed)
     h, f = config.history_points, config.future_points
-    dt = config.sample_every / 10.0  # source data is 10 Hz
+    dt = config.sample_every / FRAME_RATE_HZ
     past_t = (np.arange(h) - (h - 1)) * dt   # ... -0.4 -0.2 0.0
     future_t = np.arange(1, f + 1) * dt
 
@@ -92,7 +92,7 @@ def write_tracks_csv(path, n_vehicles: int = 10, n_frames: int = 140,
         speed = rng.uniform(20.0, 80.0) * (1 if rng.random() < 0.9 else -1)
         drift = rng.uniform(-0.2, 0.2)
         for frame in range(1, n_frames + 1):
-            t = (frame - 1) / 10.0
+            t = (frame - 1) / FRAME_RATE_HZ
             rows.append((vid, frame, x0 + drift * t, y0 + speed * t, lane))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(columns) + "\n")

@@ -221,9 +221,11 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
             batch = collate(chunk, model.config)
             model.zero_grad()
             value = loss(model.forward_batch(batch, "train"), batch.future)
-            if not math.isfinite(value.item()):
-                raise diverged(f"loss {value.item()} in epoch {epoch}")
+            step_loss = value.item()
+            if not math.isfinite(step_loss):
+                raise diverged(f"loss {step_loss} in epoch {epoch}")
             value.backward()
+            del value  # this step's graph, freed before the next forward builds one
             # parameters outside the graph sit this step out: decoder.w_ih
             # when the decoder runs without input, the neighbor encoder on a
             # batch without a single in-grid neighbor
@@ -235,7 +237,7 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
                 raise diverged(str(exc)) from exc
             norms.append(float(norm))
             clipped += norm.clipped
-            terms.append(value.item() * batch.size)
+            terms.append(step_loss * batch.size)
         train_loss = math.fsum(terms) / len(train_samples)
         train_seconds = time.perf_counter() - started
 

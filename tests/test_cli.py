@@ -55,12 +55,22 @@ class TestIngest:
         assert manifest["command"] == "ingest"
         assert len(manifest["datasetFingerprint"]) == 64
 
-    def test_text_format(self, tmp_path, tracks_file):
-        out = tmp_path / "ing_text"
-        assert main(["ingest", "--data", str(tracks_file), "--out", str(out),
-                     "--stride", "12", "--format", "text"]) == 0
-        samples = load_samples(out / "train_samples.jsonl")
-        assert samples and samples[0].ego_history.shape == (16, 2)
+    def test_format_option_is_gone(self, tmp_path, tracks_file):
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", "--data", str(tracks_file), "--out", str(tmp_path / "x"),
+                  "--format", "text"])
+        assert info.value.code == 2
+
+    def test_vehicle_id_the_archive_cannot_hold_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tracks.tsv"
+        write_tracks_csv(path, n_vehicles=6, n_frames=100, seed=1)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join("-" + line if line.startswith("3\t") else line
+                                for line in lines))
+        assert main(["ingest", "--data", str(path), "--out", str(tmp_path / "ing"),
+                     "--stride", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "vehicle -3 at frame" in err and "Traceback" not in err
 
     def test_stride_thins_samples(self, tmp_path, tracks_file):
         dense = tmp_path / "dense"
@@ -95,6 +105,14 @@ class TestTrain:
         data = load_weights(trained / "checkpoint.bin")
         assert data.config_hash == config_hash(cfg)
         assert train_dict["epochs"] == 1 and train_dict["batchSize"] == 16
+
+    def test_directory_reads_only_the_bin_archives(self, tmp_path, ingested, capsys):
+        for part in ("train", "val", "test"):
+            archive = ingested / f"{part}_samples.bin"
+            archive.rename(archive.with_suffix(".jsonl"))
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--epochs", "1"]) == 2
+        assert "no train_samples.bin under" in capsys.readouterr().err
 
     def test_single_archive_carves_validation(self, tmp_path, ingested):
         out = tmp_path / "run_single"
@@ -326,11 +344,32 @@ class TestEvalAndPredict:
         samples = constant_velocity_samples(4, seed=0)
         short = next(n for s in samples for n in s.neighbors if n.cell is not None)
         short.track = short.track[2:]
-        archive = tmp_path / "test_samples.jsonl"
-        save_samples(archive, samples, fmt="text")
+        # the layout stores every track at the history length, so a short one
+        # misaligns the archive and is rejected at load; collate's own check
+        # is covered in test_model.py
+        archive = tmp_path / "test_samples.bin"
+        save_samples(archive, samples)
         assert main(["predict", "--checkpoint", str(tmp_path / "checkpoint.bin"),
                      "--data", str(archive), "--out", str(tmp_path / "pred")]) == 2
-        assert "track has shape" in capsys.readouterr().err
+        assert "corrupt sample archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["empty", "checkpoint", "json-lines"])
+    def test_file_that_is_no_sample_archive_is_exit_2(self, tmp_path, trained, capsys,
+                                                      content):
+        path = tmp_path / "test_samples.bin"
+        if content == "checkpoint":
+            path = trained / "checkpoint.bin"
+        elif content == "empty":
+            path.write_bytes(b"")
+        else:  # one record of the JSON-lines format earlier versions wrote
+            s = constant_velocity_samples(1, seed=0)[0]
+            path.write_text(json.dumps({
+                "datasetId": s.dataset_id, "vehicleId": s.vehicle_id, "t0Frame": s.t0_frame,
+                "egoHistory": s.ego_history.tolist(), "future": s.future.tolist(),
+                "neighbors": []}) + "\n")
+        assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(path), "--out", str(tmp_path / "pred")]) == 2
+        assert "not a sample archive" in capsys.readouterr().err
 
 
 class TestComplexity:

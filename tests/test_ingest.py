@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from deeptrack.ingest import (
     FEET_TO_METERS,
+    SAMPLE_MAGIC,
     NeighborTrack,
     TrackPoint,
     WindowConfig,
@@ -323,28 +324,21 @@ class TestArchives:
         assert len(samples) >= 2
         return samples
 
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
-    def test_round_trip_equality(self, tmp_path, fmt):
+    def test_round_trip_equality(self, tmp_path):
         samples = self.build_samples()
-        path = tmp_path / f"samples.{fmt}"
-        save_samples(path, samples, fmt=fmt)
+        path = tmp_path / "samples.bin"
+        save_samples(path, samples)
         assert load_samples(path) == samples
 
     def test_binary_detected_by_magic(self, tmp_path):
         samples = self.build_samples()
         path = tmp_path / "data.bin"
-        save_samples(path, samples, fmt="binary")
-        assert load_samples(path) == samples
-
-    def test_text_is_json_lines(self, tmp_path):
-        import json
-        samples = self.build_samples()
-        path = tmp_path / "data.jsonl"
-        save_samples(path, samples, fmt="text")
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == len(samples)
-        obj = json.loads(lines[0])
-        assert obj["vehicleId"] == samples[0].vehicle_id
+        save_samples(path, samples)
+        blob = path.read_bytes()
+        assert blob.startswith(SAMPLE_MAGIC) and load_samples(path) == samples
+        path.write_bytes(b"X" + blob[1:])
+        with pytest.raises(ConfigurationError, match="not a sample archive"):
+            load_samples(path)
 
     def test_corrupt_text_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -352,21 +346,31 @@ class TestArchives:
         with pytest.raises(ConfigurationError):
             load_samples(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            save_samples(tmp_path / "x", [], fmt="parquet")
-
     def test_outside_cell_survives_round_trip(self, tmp_path):
         samples = self.build_samples()
         samples[0].neighbors.append(NeighborTrack(
             vehicle_id=99, cell=None,
             track=np.zeros((16, 2)), valid=np.zeros(16, dtype=bool)))
-        for fmt in ("text", "binary"):
-            path = tmp_path / f"o.{fmt}"
-            save_samples(path, samples, fmt=fmt)
-            loaded = load_samples(path)
-            assert loaded[0].neighbors[-1].cell is None
-            assert loaded == samples
+        path = tmp_path / "o.bin"
+        save_samples(path, samples)
+        loaded = load_samples(path)
+        assert loaded[0].neighbors[-1].cell is None
+        assert loaded == samples
+
+    @pytest.mark.parametrize("field", ["vehicle_id", "neighbor_id", "cell"])
+    def test_field_the_layout_cannot_hold_is_rejected(self, tmp_path, field):
+        samples = self.build_samples()
+        bad = samples[-1]
+        if field == "vehicle_id":
+            bad.vehicle_id = -bad.vehicle_id
+        elif field == "neighbor_id":
+            bad.neighbors[0].vehicle_id = 2 ** 64
+        else:
+            bad.neighbors[0].cell = (2 ** 31, 0)
+        path = tmp_path / "s.bin"
+        with pytest.raises(ConfigurationError, match=f"vehicle {bad.vehicle_id} at frame"):
+            save_samples(path, samples)
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -386,8 +390,7 @@ class TestCorruptArchives:
 
     def test_every_cut_is_rejected(self, binary_archive):
         blob, path = binary_archive
-        # the empty cut is left out: it is an empty text archive, which is valid
-        for length in range(1, len(blob)):
+        for length in range(len(blob)):
             assert not loads_or_rejects(load_samples, blob[:length], path), length
 
     @settings(max_examples=300, deadline=None)

@@ -1,8 +1,8 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses, and no module under src/ relies on an ``assert``, which
-``python -O`` strips, or defines a public function, class, method or
-property that only the tests use. Every differentiable op has a
-finite-difference test."""
+``python -O`` strips, or defines a public function, class, method,
+property or module constant that only the tests use. Every differentiable
+op has a finite-difference test."""
 
 import ast
 from pathlib import Path
@@ -90,6 +90,14 @@ def public_names(source: str):
             and not node.name.startswith("_")]
 
 
+def public_constants(source: str):
+    """(line, name) of every public name a module-level assignment binds."""
+    return [(node.lineno, target.id) for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and not target.id.startswith("_")]
+
+
 def public_members(source: str):
     """(line, name) of every public method and property of every class."""
     return [(item.lineno, item.name) for node in ast.walk(ast.parse(source))
@@ -106,25 +114,22 @@ def attribute_names(source: str):
 
 def referenced_names(source: str):
     """Every name the code reads, bare or as an attribute; imports,
-    definitions and ``__all__`` entries do not count."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+    definitions, assignment targets and ``__all__`` entries do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
 def names_without_users(modules: Mapping[str, str], users: Iterable[str]):
     """(module, line, name) of every public definition in ``modules`` that no
-    source in ``users`` references: a function or class by name, a method
-    or property as an attribute."""
+    source in ``users`` references: a function, class or module constant by
+    name, a method or property as an attribute."""
     users = list(users)
     used = set().union(*(referenced_names(source) for source in users))
     read = set().union(*(attribute_names(source) for source in users))
     return sorted([(path, line, name) for path, source in modules.items()
-                   for line, name in public_names(source) if name not in used]
+                   for line, name in public_names(source) + public_constants(source)
+                   if name not in used]
                   + [(path, line, name) for path, source in modules.items()
                      for line, name in public_members(source) if name not in read])
 
@@ -156,6 +161,17 @@ def test_checker_finds_members_with_no_user():
     # width is read inside the module itself; a bare name ``load`` is no call
     assert names_without_users({"lib.py": lib}, [lib, caller]) == [
         ("lib.py", 7, "tested"), ("lib.py", 12, "load")]
+    assert names_without_users({"lib.py": lib}, [lib, caller, test]) == []
+
+
+def test_checker_finds_constants_with_no_reader():
+    lib = ('__all__ = ["RATE", "STORED", "SCALE", "rate"]\n'
+           'RATE = 10.0\nSTORED = 2\nSCALE: float = 3.0\n_HIDDEN = 4\n'
+           'def rate():\n    return RATE\n')
+    caller = 'import lib\nfrom lib import STORED\nlib.STORED = 5\nprint(lib.rate(), lib.SCALE)\n'
+    test = 'from lib import STORED\nassert STORED == 2\n'
+    # an import, an assignment and an ``__all__`` entry are no reads
+    assert names_without_users({"lib.py": lib}, [lib, caller]) == [("lib.py", 3, "STORED")]
     assert names_without_users({"lib.py": lib}, [lib, caller, test]) == []
 
 

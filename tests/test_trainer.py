@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +235,26 @@ class TestTrainLoop:
         assert all(out._parents for out in outputs["train"])
         for out in outputs["eval"]:
             assert out._parents == () and not out.requires_grad
+
+    def test_each_step_frees_the_previous_graph(self, monkeypatch):
+        # the previous step's graph must be gone before the next forward
+        # builds one, or two graphs and their gradients are alive at once
+        model = DeepTrack(tiny_model_config(), seed=0)
+        forward_batch = model.forward_batch
+        previous = []
+        alive = []
+
+        def spy(batch, mode="eval"):
+            if mode == "train":
+                alive.extend(ref() is not None for ref in previous[-1:])
+            out = forward_batch(batch, mode)
+            if mode == "train":
+                previous.append(weakref.ref(out.data))  # Tensor has no __weakref__
+            return out
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        train(model, dataset(24), dataset(8, seed=1), TrainConfig(epochs=2, batch_size=8))
+        assert len(previous) == 6 and alive == [False] * 5
 
     def test_empty_sets_rejected(self):
         model = DeepTrack(tiny_model_config(), seed=0)
