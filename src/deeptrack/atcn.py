@@ -10,9 +10,11 @@ depthwise-separable bottleneck:
     pointwise B -> C_out, BN, act
 
 with B = max(1, C_in // bottleneck_divisor). Batch normalization and the
-activation follow every convolution. The factorized blocks cost well under
-half the multiply-accumulates of a standard convolution with the same
-in/out widths whenever the divisor is at least 2.
+activation follow every convolution; each such unit is one graph node,
+``conv_unit``, which in eval mode folds the running statistics into the
+convolution on every call. The factorized blocks cost well under half the
+multiply-accumulates of a standard convolution with the same in/out widths
+whenever the divisor is at least 2.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .numcore import (
     Kernel1D,
     RunningStats,
     Tensor,
-    batch_norm,
     check_fields,
-    dilated_conv1d,
+    conv_unit,
 )
 from .numcore.functional import PAD_MODES, activation_fn
 
@@ -107,7 +108,8 @@ def _init_kernel(rng: np.random.Generator, c_out: int, c_in_per_group: int,
 
 
 class _ConvUnit:
-    """One convolution plus its optional batch norm and activation."""
+    """One convolution plus its optional batch norm and activation, run as
+    one :func:`conv_unit` node."""
 
     def __init__(self, name: str, kern: Kernel1D, cfg: AtcnConfig, dtype):
         self.name = name
@@ -124,11 +126,8 @@ class _ConvUnit:
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         cfg = self._cfg
-        out = dilated_conv1d(x, self.kern, cfg.pad_mode)
-        if self.gamma is not None:
-            out = batch_norm(out, self.gamma, self.beta, self.stats, mode,
-                             momentum=cfg.bn_momentum, eps=cfg.bn_epsilon)
-        return activation_fn(cfg.activation)(out)
+        return conv_unit(x, self.kern, self.gamma, self.beta, self.stats, mode,
+                         cfg.activation, cfg.pad_mode, cfg.bn_momentum, cfg.bn_epsilon)
 
     def parameters(self) -> Dict[str, Tensor]:
         """This unit's tensors keyed by suffix: ``w``, ``b``, ``bn.gamma``, ``bn.beta``."""
@@ -180,11 +179,13 @@ class AtcnEncoder:
         A causal eval-mode summary reads only the last
         ``receptive_field(config)`` steps, the only ones the newest output
         depends on. Train mode, whose batch statistics span all T steps, and
-        symmetric mode run every step.
+        symmetric mode run every step. The summary owns its memory.
         """
         if mode == "eval" and self.config.pad_mode == "causal":
             x = x[..., -receptive_field(self.config):]
-        return self.forward(x, mode)[..., -1]
+        last = self.forward(x, mode)[..., -1]
+        last.data = last.data.copy()  # a view would keep every step's output alive
+        return last
 
     def parameters(self) -> Dict[str, Tensor]:
         return {f"{unit.name}.{suffix}": t for unit in self.units

@@ -2,9 +2,10 @@
 
 Forward pass over one batch:
 
-1. A shared temporal encoder summarizes each neighbor history; summaries
-   land in an ego-centered occupancy grid ``[B, C, rows, cols]`` (empty
-   cells stay zero).
+1. A shared temporal encoder summarizes each neighbor history, each of
+   its convolution, batch-norm and activation units one graph node
+   (``conv_unit``); summaries land in an ego-centered occupancy grid
+   ``[B, C, rows, cols]`` (empty cells stay zero).
 2. Two grid convolutions and a max-pool compress the grid into a flat
    social feature; a second encoder plus a dense remap summarizes the ego
    history to the same width.
@@ -13,7 +14,7 @@ Forward pass over one batch:
    graph node (``lstm_unroll``, working in buffers allocated once per
    call), or one ``lstm_cell`` node per step on its own output when
    configured autoregressive; one shared dense head maps each hidden state
-   to an (x, y) offset. A default train step is 136 graph nodes.
+   to an (x, y) offset. A default train step is 108 graph nodes.
 
 All outputs are meters relative to the ego position at the anchor frame.
 """
@@ -328,4 +329,4 @@ class DeepTrack:
                 batch = collate(samples[lo:lo + batch_size], self.config)
                 chunks.append(self.forward_batch(batch, "eval").data)
         return np.concatenate(chunks, axis=0) if chunks else \
-            np.zeros((0, self.config.horizon_steps, self.config.output_dim))
+            np.zeros((0, self.config.horizon_steps, self.config.output_dim), dtype=self.dtype)

@@ -12,8 +12,10 @@ zeros, so they preserve sequence length:
 * ``"symmetric"`` — ``ceil((k-1)*d / 2)`` zeros on the left, the rest on
   the right.
 
-Every convolution is one call of ``_conv``; ``_tap_window`` alone maps
-kernel taps to input cells, for it and for max pooling.
+Every convolution runs through ``_conv_forward``, which returns its own
+backward; ``_conv`` makes it a graph node, and ``conv_unit`` runs it with
+batch norm and an activation as one node. ``_tap_window`` alone maps kernel
+taps to input cells, for it and for max pooling.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "conv2d",
     "max_pool2d",
     "batch_norm",
+    "conv_unit",
     "lstm_cell",
     "lstm_unroll",
     "concat",
@@ -65,60 +68,86 @@ def _logistic(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
+def _sigmoid(v: np.ndarray, inplace: bool):
+    """The numpy forward of an activation: ``(out, grad)``, where ``grad`` maps
+    the output gradient to that of ``v``. With ``inplace`` the output
+    overwrites ``v`` and ``grad`` is None, since the input it may read is gone.
+    The same holds for :func:`_tanh`, :func:`_swish`, :func:`_relu` and
+    :func:`_identity`."""
     with np.errstate(over="ignore"):
-        s = _logistic(x.data)
+        s = _logistic(v, out=v if inplace else None)
+    return s, None if inplace else (lambda g: g * s * (1.0 - s))
 
-    def backward(g):
-        x.accumulate_grad(g * s * (1.0 - s))
 
-    return Tensor._node(s, (x,), backward)
+def _tanh(v: np.ndarray, inplace: bool):
+    t = np.tanh(v, out=v if inplace else None)
+    return t, None if inplace else (lambda g: g * (1.0 - t * t))
+
+
+def _swish(v: np.ndarray, inplace: bool):
+    with np.errstate(over="ignore"):
+        s = _logistic(v)
+    out = np.multiply(v, s, out=v if inplace else None)
+    return out, None if inplace else (lambda g: _swish_grad(g, v, s))
+
+
+def _swish_grad(g: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d/dv v*s(v) = s(v) * (1 + v * (1 - s(v))), times ``g``, in two buffers."""
+    inner = 1.0 - s
+    inner *= v
+    inner += 1.0
+    out = g * s
+    out *= inner
+    return out
+
+
+def _relu(v: np.ndarray, inplace: bool):
+    mask = v > 0
+    out = np.multiply(v, mask, out=v if inplace else None)
+    return out, None if inplace else (lambda g: g * mask)
+
+
+def _identity(v: np.ndarray, inplace: bool):
+    return v, None if inplace else (lambda g: g)
+
+
+def _activation_node(x: Tensor, forward) -> Tensor:
+    x = as_tensor(x)
+    out, grad = forward(x.data, False)
+    return Tensor._node(out, (x,), lambda g: x.accumulate_grad(grad(g)))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    return _activation_node(x, _sigmoid)
 
 
 def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.data)
-
-    def backward(g):
-        x.accumulate_grad(g * (1.0 - t * t))
-
-    return Tensor._node(t, (x,), backward)
+    return _activation_node(x, _tanh)
 
 
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotonic, bounded below by about -0.2785."""
-    x = as_tensor(x)
-    with np.errstate(over="ignore"):
-        s = _logistic(x.data)
-    out = x.data * s
-
-    def backward(g):
-        # d/dx x*s(x) = s(x) * (1 + x * (1 - s(x)))
-        x.accumulate_grad(g * s * (1.0 + x.data * (1.0 - s)))
-
-    return Tensor._node(out, (x,), backward)
+    return _activation_node(x, _swish)
 
 
 def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-
-    def backward(g):
-        x.accumulate_grad(g * mask)
-
-    return Tensor._node(x.data * mask, (x,), backward)
+    return _activation_node(x, _relu)
 
 
-_ACTIVATIONS = {"swish": swish, "relu": relu, "tanh": tanh, "sigmoid": sigmoid,
-                "identity": lambda t: t}
+# name -> (graph op, numpy forward); the identity op adds no node
+_ACTIVATIONS = {"swish": (swish, _swish), "relu": (relu, _relu), "tanh": (tanh, _tanh),
+                "sigmoid": (sigmoid, _sigmoid), "identity": (lambda t: t, _identity)}
 
 
-def activation_fn(name: str):
+def _activation(name: str):
     try:
         return _ACTIVATIONS[name]
     except KeyError:
         raise ConfigurationError(f"unknown activation {name!r}") from None
+
+
+def activation_fn(name: str):
+    return _activation(name)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +237,20 @@ def same_length_padding(out_len: int, in_len: int, stride: int, k: int, d: int) 
     return max(0, math.ceil(interior / 2))
 
 
+def _sequence_pads(x: Tensor, kern: Kernel1D, pad_mode: str):
+    """The ``pads`` of :func:`_conv` that keep a ``[C, T]`` or ``[B, C, T]``
+    sequence's length under ``kern`` in ``pad_mode``."""
+    if pad_mode not in PAD_MODES:
+        raise ConfigurationError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
+    if x.data.ndim not in (2, 3):
+        raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
+    length = x.data.shape[-1]
+    k, d = kern.k, kern.dilation
+    span = (k - 1) * d
+    left = span if pad_mode == "causal" else same_length_padding(length, length, 1, k, d)
+    return ((0, 0), (left, span - left))
+
+
 def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tensor:
     """Length-preserving dilated 1-d convolution.
 
@@ -218,16 +261,8 @@ def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tenso
     grid with window step ``-d``.
     """
     x = as_tensor(x)
-    if pad_mode not in PAD_MODES:
-        raise ConfigurationError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
-    if x.data.ndim not in (2, 3):
-        raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
-    length = x.data.shape[-1]
-    k, d = kern.k, kern.dilation
-    span = (k - 1) * d
-    left = span if pad_mode == "causal" else same_length_padding(length, length, 1, k, d)
-    return _conv(x, kern.weights, kern.bias, ((0, 0), (left, span - left)),
-                 kern.groups, step=(1, -d))
+    return _conv(x, kern.weights, kern.bias, _sequence_pads(x, kern, pad_mode),
+                 kern.groups, step=(1, -kern.dilation))
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +335,26 @@ def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
 # the convolution core
 # ---------------------------------------------------------------------------
 
-def _padded(xd: np.ndarray, pads, fill: float = 0.0) -> np.ndarray:
-    """C-contiguous ``[B, C, H, W]`` framed by ``((top, bottom), (left, right))`` fill cells."""
+def _padded(xd: np.ndarray, pads, fill: float = 0.0, channels_last: bool = False) -> np.ndarray:
+    """``[B, C, H, W]`` framed by ``((top, bottom), (left, right))`` fill cells,
+    C-contiguous or, with ``channels_last``, a view of a C-contiguous
+    ``[B, H, W, C]`` buffer."""
     (top, bottom), (left, right) = pads
     batch, chans, height, width = xd.shape
-    shape = (batch, chans, top + height + bottom, left + width + right)
+    shape = (batch, top + height + bottom, left + width + right, chans)
+    if not channels_last:
+        shape = (batch, chans) + shape[1:3]
     xp = np.full(shape, fill, xd.dtype) if fill else np.zeros(shape, xd.dtype)
+    if channels_last:
+        xp = xp.transpose(0, 3, 1, 2)
     xp[:, :, top: top + height, left: left + width] = xd
     return xp
 
 
 def _tap_window(xp: np.ndarray, taps, stride, step=(1, 1)) -> np.ndarray:
-    """The view ``win[b, c, i, j, p, q]`` of the C-contiguous ``xp`` cell that
-    tap (p, q) of output (i, j) reads: the one place taps are laid out.
+    """The view ``win[b, c, i, j, p, q]`` of the ``xp`` cell that tap (p, q) of
+    output (i, j) reads, ``xp`` in either layout of :func:`_padded` (or made
+    like it by ``np.zeros_like``): the one place taps are laid out.
 
     Along each axis output i starts ``i * stride`` cells in and tap p lies
     ``p * step`` further; a negative step counts back from the far end of
@@ -326,38 +368,62 @@ def _tap_window(xp: np.ndarray, taps, stride, step=(1, 1)) -> np.ndarray:
     start = (span_h * s_h if eh < 0 else 0) + (span_w * s_w if ew < 0 else 0)
     shape = (batch, chans, (height - span_h - 1) // sh + 1, (width - span_w - 1) // sw + 1,
              kh, kw)
+    # the byte strides address the buffer itself, read flat in memory order;
     # an empty buffer takes no offset, and an empty view reads nothing
-    return np.ndarray(shape, xp.dtype, xp, start if xp.size else 0,
+    return np.ndarray(shape, xp.dtype, xp.ravel("K"), start if xp.size else 0,
                       (s_b, s_c, sh * s_h, sw * s_w, eh * s_h, ew * s_w))
 
 
-def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int = 1,
-          stride=(1, 1), step=(1, 1)) -> Tensor:
-    """Every convolution, as one graph node: ``x`` ``[B, C, *S]`` or ``[C, *S]``
-    zero-padded by ``pads`` and correlated with ``weight`` ``[O, C // groups, *K]``,
-    S and K both a grid or both a sequence (run as height 1). With groups == 1
-    the tap window is an im2col matrix, row (b, i, j) in (c, p, q) order like
-    ``weight.reshape(O, -1)``, and one GEMM does the rest. Grouped kernels (the
-    depthwise layers) keep a per-tap multiply-add, faster at their few
-    channels per group.
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads,
+                  groups: int = 1, stride=(1, 1), step=(1, 1)):
+    """The numpy forward of every convolution: ``xd`` ``[B, C, *S]`` or
+    ``[C, *S]`` zero-padded by ``pads``, correlated with ``wd``
+    ``[O, C // groups, *K]`` and shifted by ``bd`` (None for no bias), S and
+    K both a grid or both a sequence (run as height 1).
+
+    Returns the output ``[B, O, *S_out]`` (``[O, *S_out]``) and its backward,
+    a function from the output gradient to those of ``xd``, ``wd`` and ``bd``.
+    With groups == 1 the tap window is an im2col matrix, row (b, i, j) in
+    (c, p, q) order like ``wd.reshape(O, -1)``, and one GEMM does the rest;
+    a pointwise kernel (one tap, no padding, stride 1) goes to
+    :func:`_pointwise`, whose GEMM reads the input itself. Depthwise kernels
+    (one channel per group) pad channels-last, the layout a GEMM leaves its
+    output in, and run a broadcast multiply-add per tap over the contiguous
+    channels; other grouped kernels run an ``einsum`` per tap.
     """
-    xd, wd = x.data, weight.data
     n_spatial = wd.ndim - 2
-    lead, lift = xd.shape[:xd.ndim - n_spatial - 1], (1,) * (2 - n_spatial)
+    c_axis = xd.ndim - n_spatial - 1
     c_out, cg = wd.shape[:2]
     c_in = cg * groups
-    if xd.shape[-n_spatial - 1] != c_in:
+    if xd.shape[c_axis] != c_in:
         raise ConfigurationError(
-            f"input has {xd.shape[-n_spatial - 1]} channels but the weight expects {c_in}")
-    x4 = xd.reshape((lead or (1,)) + (c_in,) + lift + xd.shape[-n_spatial:])
-    xp = _padded(x4, pads)
+            f"input has {xd.shape[c_axis]} channels but the weight expects {c_in}")
+    if groups == 1 and wd.size == c_out * c_in and stride == (1, 1) \
+            and pads == ((0, 0), (0, 0)):
+        return _pointwise(xd, wd, bd, c_axis)
+    lead, lift = xd.shape[:c_axis], (1,) * (2 - n_spatial)
+    x4 = xd.reshape((lead or (1,)) + (c_in,) + lift + xd.shape[c_axis + 1:])
     kh, kw = taps = lift + wd.shape[2:]
+    batch = x4.shape[0]
+    depthwise = groups > 1 and cg == 1 and c_out == groups
+    xp = _padded(x4, pads, channels_last=depthwise)
     win = _tap_window(xp, taps, stride, step)
-    batch, _, h_out, w_out = win.shape[:4]
+    h_out, w_out = win.shape[2:4]
     if groups == 1:
         cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
         w2 = wd.reshape(c_out, c_in * kh * kw)
-        out = (cols @ w2.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+        out = cols @ w2.T
+        if bd is not None:
+            out += bd
+        out = out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+    elif depthwise:
+        wt = wd.reshape(c_out, 1, 1, kh, kw)
+        out = wt[..., 0, 0] * win[..., 0, 0]
+        for p, q in product(range(kh), range(kw)):
+            if p or q:
+                out += wt[..., p, q] * win[..., p, q]
+        if bd is not None:
+            out += bd[:, None, None]
     else:
         og = c_out // groups
         wg = wd.reshape(groups, og, cg, kh, kw)
@@ -366,8 +432,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int =
             out += np.einsum("goc,bgct->bgot", wg[..., p, q],
                              win[..., p, q].reshape(batch, groups, cg, h_out * w_out))
         out = out.reshape(batch, c_out, h_out, w_out)
-    if bias is not None:
-        out = out + bias.data[:, None, None]
+        if bd is not None:
+            out += bd[:, None, None]
 
     def backward(g):
         g4 = g.reshape(batch, c_out, h_out, w_out)
@@ -380,6 +446,11 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int =
             gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
             for p, q in product(range(kh), range(kw)):
                 gwin[..., p, q] += gcols[..., p, q].transpose(0, 3, 1, 2)
+        elif depthwise:
+            gw = np.empty((c_out, kh, kw), dtype=wd.dtype)
+            for p, q in product(range(kh), range(kw)):
+                gw[:, p, q] = np.einsum("bchw,bchw->c", g4, win[..., p, q])
+                gwin[..., p, q] += wt[..., p, q] * g4
         else:
             gg = g4.reshape(batch, groups, og, h_out * w_out)
             gw = np.empty_like(wg)
@@ -389,15 +460,50 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int =
                 gwin[..., p, q] += np.einsum("goc,bgot->bgct", wg[..., p, q], gg) \
                     .reshape(batch, c_in, h_out, w_out)
         (top, _), (left, _) = pads
-        x.accumulate_grad(gxp[:, :, top: top + x4.shape[2], left: left + x4.shape[3]]
-                          .reshape(xd.shape))
-        weight.accumulate_grad(gw.reshape(wd.shape))
+        gx = gxp[:, :, top: top + x4.shape[2], left: left + x4.shape[3]]
+        return gx.reshape(xd.shape), gw.reshape(wd.shape), \
+            None if bd is None else g4.sum(axis=(0, 2, 3))
+
+    return out.reshape(lead + (c_out,) + (h_out, w_out)[2 - n_spatial:]), backward
+
+
+def _pointwise(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], c_axis: int):
+    """:func:`_conv_forward` of a one-tap kernel: one GEMM over the input
+    itself with its channel axis swapped last, which for a sequence is the
+    im2col matrix of the general path, row for row. No padded copy, no tap
+    window."""
+    c_out, c_in = wd.shape[:2]
+    w2 = wd.reshape(c_out, c_in)
+    moved = xd.swapaxes(c_axis, -1)
+    cols = moved.reshape(-1, c_in)
+    out = cols @ w2.T
+    if bd is not None:
+        out += bd
+    positions = moved.shape[:-1]
+
+    def backward(g):
+        g2 = g.swapaxes(c_axis, -1).reshape(-1, c_out)
+        gx = (g2 @ w2).reshape(positions + (c_in,)).swapaxes(c_axis, -1)
+        return gx, (g2.T @ cols).reshape(wd.shape), None if bd is None else g2.sum(axis=0)
+
+    return out.reshape(positions + (c_out,)).swapaxes(c_axis, -1), backward
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int = 1,
+          stride=(1, 1), step=(1, 1)) -> Tensor:
+    """Every convolution op as one graph node over :func:`_conv_forward`."""
+    out, grads = _conv_forward(x.data, weight.data, None if bias is None else bias.data,
+                               pads, groups, stride, step)
+
+    def backward(g):
+        gx, gw, gb = grads(g)
+        x.accumulate_grad(gx)
+        weight.accumulate_grad(gw)
         if bias is not None:
-            bias.accumulate_grad(g4.sum(axis=(0, 2, 3)))
+            bias.accumulate_grad(gb)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._node(out.reshape(lead + (c_out,) + (h_out, w_out)[2 - n_spatial:]),
-                        parents, backward)
+    return Tensor._node(out, parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +522,45 @@ class RunningStats:
 
     def copy(self) -> "RunningStats":
         return RunningStats(self.mean.copy(), self.var.copy())
+
+
+def _batch_statistics(xd: np.ndarray, axes, eps: float):
+    """``(xhat, mean, var, inv_sd)`` of ``xd`` over ``axes``: the normalized
+    input and its statistics, kept as broadcastable dimensions."""
+    mean = xd.mean(axis=axes, keepdims=True)
+    xhat = xd - mean
+    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    inv_sd = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_sd
+    return xhat, mean, var, inv_sd
+
+
+def _track(running: Optional[RunningStats], mean: np.ndarray, var: np.ndarray,
+           momentum: float) -> None:
+    """``running = (1 - momentum) * running + momentum * batch``, in place."""
+    if running is not None:
+        m = float(momentum)
+        running.mean[:] = (1.0 - m) * running.mean + m * mean.reshape(-1)
+        running.var[:] = (1.0 - m) * running.var + m * var.reshape(-1)
+
+
+def _batch_norm_backward(grad: np.ndarray, xhat: np.ndarray, scale: np.ndarray, axes,
+                         train: bool):
+    """Gradients of the input, ``gamma`` and ``beta`` of ``xhat * gamma + beta``
+    from the output gradient; ``scale`` is ``gamma * inv_sd``. In train mode
+    the batch statistics depend on the input too."""
+    gsum = grad.sum(axis=axes, keepdims=True)
+    gx = grad * xhat
+    gdot = gx.sum(axis=axes, keepdims=True)
+    if train:  # grad - (gsum + xhat * gdot) * (1 / N), in one buffer
+        np.multiply(xhat, gdot, out=gx)
+        gx += gsum
+        gx *= gsum.size / xhat.size
+        np.subtract(grad, gx, out=gx)
+        gx *= scale
+    else:
+        gx = grad * scale
+    return gx, gdot.reshape(-1), gsum.reshape(-1)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -443,16 +588,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     g, b = gamma.data.reshape(bshape), beta.data.reshape(bshape)
 
     if mode == "train":
-        mean = xd.mean(axis=axes, keepdims=True)
-        xhat = xd - mean
-        var = (xhat * xhat).mean(axis=axes, keepdims=True)
-        inv_sd = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_sd
+        xhat, mean, var, inv_sd = _batch_statistics(xd, axes, eps)
         out = xhat * g + b
-        if running is not None:
-            m = float(momentum)
-            running.mean[:] = (1.0 - m) * running.mean + m * mean.reshape(channels)
-            running.var[:] = (1.0 - m) * running.var + m * var.reshape(channels)
+        _track(running, mean, var, momentum)
     else:
         if running is None:
             raise ConfigurationError(
@@ -465,15 +603,96 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def backward(grad):
         xh = (xd - mean) * inv_sd if xhat is None else xhat
-        gsum = grad.sum(axis=axes, keepdims=True)
-        gdot = (grad * xh).sum(axis=axes, keepdims=True)
-        gamma.accumulate_grad(gdot.reshape(channels))
-        beta.accumulate_grad(gsum.reshape(channels))
-        if xhat is not None:  # in train mode the batch statistics depend on x too
-            grad = grad - (gsum + xh * gdot) * (channels / xd.size)
-        x.accumulate_grad(grad * (g * inv_sd))
+        gx, ggamma, gbeta = _batch_norm_backward(grad, xh, g * inv_sd, axes, xhat is not None)
+        gamma.accumulate_grad(ggamma)
+        beta.accumulate_grad(gbeta)
+        x.accumulate_grad(gx)
 
     return Tensor._node(out, (x, gamma, beta), backward)
+
+
+def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional[Tensor],
+              stats: Optional[RunningStats], mode: str, activation: str = "identity",
+              pad_mode: str = "causal", momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """``activation(batch_norm(dilated_conv1d(x, kern, pad_mode), gamma, beta,
+    stats, mode, momentum, eps))`` as one graph node; without batch norm when
+    ``gamma`` is None.
+
+    Eval mode folds the running statistics, ``gamma`` and ``beta`` into the
+    convolution on every call, ``w * a`` and ``(b - mean) * a + beta`` with
+    ``a = gamma / sqrt(var + eps)``; nothing is cached, so a later change to
+    any of them shows in the next call. Its output matches the chain of
+    three ops to rounding, and its backward carries the gradient back
+    through the fold. Train mode normalizes with the statistics over every
+    batch and time position and moves ``stats`` as :func:`batch_norm` does;
+    output and statistics equal the chain's bit for bit. When no graph
+    records, the activation runs in place.
+    """
+    x = as_tensor(x)
+    pads = _sequence_pads(x, kern, pad_mode)
+    if mode not in ("train", "eval"):
+        raise ConfigurationError(f"conv_unit mode must be 'train' or 'eval', got {mode!r}")
+    act = _activation(activation)[1]
+    w, b = kern.weights, kern.bias
+    norm = gamma is not None
+    if norm:
+        channels = w.data.shape[0]
+        if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
+            raise ConfigurationError(
+                f"conv_unit scale/shift must have shape ({channels},), "
+                f"got {gamma.shape}, {beta.shape}")
+        if stats is None and mode == "eval":
+            raise ConfigurationError(
+                "conv_unit eval mode needs running statistics; none were recorded")
+        parents = (x, w, b, gamma, beta)
+    else:
+        parents = (x, w, b)
+    records = Tensor._records(parents)
+    fold = norm and mode == "eval"
+    train_norm = norm and mode == "train"
+
+    wd, bd = w.data, b.data
+    if fold:
+        sd = np.sqrt(stats.var + eps)
+        scale = gamma.data / sd
+        centered = bd - stats.mean
+        wd = wd * scale[:, None, None]
+        bd = centered * scale + beta.data
+    z, conv_grads = _conv_forward(x.data, wd, bd, pads, kern.groups, step=(1, -kern.dilation))
+    if train_norm:
+        axes = (1,) if z.ndim == 2 else (0, 2)
+        g = gamma.data.reshape(-1, 1)
+        xhat, mean, var, inv_sd = _batch_statistics(z, axes, eps)
+        z = xhat * g
+        z += beta.data.reshape(-1, 1)
+        _track(stats, mean, var, momentum)
+    if records:
+        out, act_grad = act(z, False)
+    else:
+        # z is fresh and dense in some axis order; its flat view keeps the
+        # small in-place ufuncs off strided loops
+        act(z.ravel("K"), True)
+        out = z
+
+    def backward(grad):
+        gz = act_grad(grad)
+        if train_norm:
+            gz, ggamma, gbeta = _batch_norm_backward(gz, xhat, g * inv_sd, axes, True)
+        gx, gw, gb = conv_grads(gz)
+        if fold:
+            # back through w * a and (b - mean) * a + beta, a = gamma / sd
+            gbeta = gb
+            ggamma = ((gw * w.data).sum(axis=(1, 2)) + gb * centered) / sd
+            gw = gw * scale[:, None, None]
+            gb = gb * scale
+        x.accumulate_grad(gx)
+        w.accumulate_grad(gw)
+        b.accumulate_grad(gb)
+        if norm:
+            gamma.accumulate_grad(ggamma)
+            beta.accumulate_grad(gbeta)
+
+    return Tensor._node(out, parents, backward)
 
 
 # ---------------------------------------------------------------------------

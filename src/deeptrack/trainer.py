@@ -152,6 +152,12 @@ class TrainingDiverged(NumericsError):
         self.buffers = buffers
 
 
+def _clip_flag(record: EpochRecord) -> str:
+    """A marker for an epoch in which every step clipped: the bound then
+    rescaled each update rather than guarding against outliers."""
+    return "  <- every step clipped" if record.clip_rate == 1.0 else ""
+
+
 def history_to_text(history: Sequence[EpochRecord]) -> str:
     lines = [f"{'epoch':>5}  {'train':>12}  {'val':>12}  {'lr':>10}  {'seconds':>8}"
              f"  {'samples/s':>9}  {'norm mean':>10}  {'norm max':>10}  {'clipped':>7}"]
@@ -159,7 +165,7 @@ def history_to_text(history: Sequence[EpochRecord]) -> str:
         lines.append(f"{r.epoch:>5}  {r.train_loss:>12.6f}  {r.val_loss:>12.6f}"
                      f"  {r.learning_rate:>10.2e}  {r.seconds:>8.2f}  {r.samples_per_s:>9.1f}"
                      f"  {r.grad_norm_mean:>10.4g}  {r.grad_norm_max:>10.4g}"
-                     f"  {r.clip_rate:>7.1%}")
+                     f"  {r.clip_rate:>7.1%}{_clip_flag(r)}")
     return "\n".join(lines) + "\n"
 
 
@@ -254,7 +260,8 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
             log(f"epoch {epoch}: train {train_loss:.6f} val {val_loss:.6f} "
                 f"lr {epoch_lr:.2e} {record.seconds:.2f} s {record.samples_per_s:.1f} "
                 f"samples/s grad norm mean {record.grad_norm_mean:.4g} "
-                f"max {record.grad_norm_max:.4g} clipped {record.clip_rate:.1%}")
+                f"max {record.grad_norm_max:.4g} clipped {record.clip_rate:.1%}"
+                f"{_clip_flag(record)}")
 
         if val_loss < best_val - config.min_improvement:
             best_val = val_loss

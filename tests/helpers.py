@@ -1,5 +1,6 @@
 """Shared test oracles: naive convolution, pooling and batch-norm loops, an
-LSTM step composed from public ops, an unroll chained from LSTM cells,
+encoder run as a chain of conv, batch-norm and activation ops, an LSTM step
+composed from public ops, an unroll chained from LSTM cells,
 per-layer cost formulas, finite-difference
 checks, a graph-node count, a corrupt-file probe, a small model configuration
 reused across suites, and seeded random model configurations.
@@ -20,8 +21,10 @@ from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
 from deeptrack.model import social_geometry
 from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
 from deeptrack.numcore import (
-    ConfigurationError, Tensor, dense, lstm_cell, sigmoid, stack, tanh,
+    ConfigurationError, Tensor, batch_norm, dense, dilated_conv1d, lstm_cell, sigmoid,
+    stack, tanh,
 )
+from deeptrack.numcore.functional import activation_fn
 
 
 def tiny_model_config(**overrides) -> ModelConfig:
@@ -218,6 +221,22 @@ def naive_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             mu, sigma2 = mean[c], var[c]
         out[c] = gamma[c] * (values - mu) / math.sqrt(sigma2 + eps) + beta[c]
     return np.moveaxis(out, 0, axis), new_mean, new_var
+
+
+def chained_encoder_forward(encoder, x: Tensor, mode: str) -> Tensor:
+    """``encoder.forward`` with every unit run as three graph nodes:
+    ``dilated_conv1d``, ``batch_norm`` (when the unit has one) and the
+    activation op. Train mode moves the running statistics as the encoder
+    does."""
+    cfg = encoder.config
+    out = x
+    for unit in encoder.units:
+        out = dilated_conv1d(out, unit.kern, cfg.pad_mode)
+        if unit.gamma is not None:
+            out = batch_norm(out, unit.gamma, unit.beta, unit.stats, mode,
+                             momentum=cfg.bn_momentum, eps=cfg.bn_epsilon)
+        out = activation_fn(cfg.activation)(out)
+    return out
 
 
 def composed_lstm_cell(x_t, h_prev, c_prev, weights):

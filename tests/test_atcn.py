@@ -8,11 +8,13 @@ from deeptrack.numcore import (
     ConfigurationError,
     Kernel1D,
     Tensor,
+    conv_unit,
     dilated_conv1d,
     same_length_padding,
 )
+from deeptrack.numcore.tensor import no_grad
 
-from helpers import check_gradients
+from helpers import chained_encoder_forward, check_gradients, graph_nodes
 
 NBR_CONFIG = AtcnConfig(input_channels=2, channels=(16, 32, 64),
                         kernel_sizes=(2, 2, 2), dilations=(1, 1, 1))
@@ -88,6 +90,16 @@ class TestEncoderShapes:
         full = enc.forward(x, "eval").data
         summ = enc.summary(x, "eval").data
         assert np.array_equal(summ, full[:, :, -1])
+
+    def test_summary_owns_its_memory(self):
+        # a view of the last step would keep the whole [B, C, T] output alive
+        rng = np.random.default_rng(12)
+        enc = AtcnEncoder(NBR_CONFIG, rng)
+        x = Tensor(rng.normal(size=(29, 2, 16)))
+        with no_grad():
+            for mode in ("eval", "train"):
+                summ = enc.summary(x, mode)
+                assert summ.shape == (29, 64) and summ.data.base is None
 
     def test_batched_matches_per_sample_eval(self):
         rng = np.random.default_rng(2)
@@ -301,11 +313,11 @@ class TestReceptiveFieldSummary:
         import deeptrack.atcn as atcn
         seen = []
 
-        def spy(x, kern, pad_mode="causal"):
+        def spy(x, *args):
             seen.append(x.data.shape[-1])
-            return dilated_conv1d(x, kern, pad_mode)
+            return conv_unit(x, *args)
 
-        monkeypatch.setattr(atcn, "dilated_conv1d", spy)
+        monkeypatch.setattr(atcn, "conv_unit", spy)
         cfg = AtcnConfig(2, (16, 32, 64), (2, 2, 2), (1, 1, 1), pad_mode=pad_mode)
         enc = AtcnEncoder(cfg, np.random.default_rng(0))
         enc.summary(Tensor(np.ones((3, 2, t))), mode)
@@ -321,3 +333,123 @@ class TestReceptiveFieldSummary:
         check_gradients(lambda: (enc.summary(x, "eval") ** 2.0).mean(),
                         dict(enc.parameters(), x=x))
         assert not x.grad[..., :6 - receptive_field(cfg)].any()
+
+
+ACTIVATIONS = ("swish", "relu", "tanh", "sigmoid", "identity")
+
+
+def _random_encoder(rng, dtype):
+    """An encoder of random shape, pad mode, activation and batch-norm use,
+    with non-trivial weights and running statistics."""
+    depth = int(rng.integers(1, 5))
+    cfg = AtcnConfig(
+        input_channels=int(rng.integers(1, 4)),
+        channels=tuple(int(c) for c in rng.integers(1, 40, size=depth)),
+        kernel_sizes=tuple(int(k) for k in rng.integers(1, 5, size=depth)),
+        dilations=tuple(int(d) for d in rng.integers(1, 4, size=depth)),
+        pad_mode=str(rng.choice(["causal", "symmetric"])),
+        bottleneck_divisor=int(rng.integers(1, 5)),
+        activation=str(rng.choice(ACTIVATIONS)),
+        use_batch_norm=bool(rng.random() < 0.7),
+        bn_momentum=float(rng.uniform(0.0, 1.0)))
+    enc = AtcnEncoder(cfg, rng, dtype=dtype)
+    for unit in enc.units:
+        if unit.gamma is not None:
+            c = unit.kern.out_channels
+            unit.gamma.data[:] = rng.uniform(-2.0, 2.0, size=c)
+            unit.beta.data[:] = rng.normal(size=c)
+            unit.stats.mean[:] = rng.normal(size=c)
+            unit.stats.var[:] = rng.uniform(0.2, 3.0, size=c)
+    return enc
+
+
+class TestFusedUnits:
+    """Each unit is one conv_unit node; the chain of dilated_conv1d,
+    batch_norm and the activation op is the oracle."""
+
+    def test_eval_matches_the_chain_within_16_eps(self):
+        rng = np.random.default_rng(1717)
+        leads = [(), (1,), (3,), (17,), (300,)]
+        seen = set()
+        for trial in range(150):
+            dtype = (np.float64, np.float32)[trial % 2]
+            enc = _random_encoder(rng, dtype)
+            cfg = enc.config
+            lead = leads[trial % len(leads)]
+            t = int(rng.integers(1, 20))
+            x = Tensor(rng.normal(size=lead + (cfg.input_channels, t)).astype(dtype))
+            with no_grad():
+                got = enc.forward(x, "eval").data
+                want = chained_encoder_forward(enc, x, "eval").data
+            assert got.shape == want.shape and got.dtype == want.dtype
+            bound = 16 * np.finfo(dtype).eps * max(float(np.abs(want).max()), 1e-30)
+            assert float(np.abs(got - want).max()) <= bound, (trial, cfg, lead, t)
+            seen.add((cfg.activation, cfg.use_batch_norm, cfg.pad_mode))
+        assert len(seen) == 2 * 2 * len(ACTIVATIONS)
+
+    def test_train_matches_the_chain_bit_for_bit(self):
+        rng = np.random.default_rng(1718)
+        for trial in range(40):
+            enc = _random_encoder(rng, np.float64)
+            lead = ((2,), (5,), (17,))[trial % 3]
+            xd = rng.normal(size=lead + (enc.config.input_channels, int(rng.integers(2, 12))))
+            stats = {k: v.copy() for k, v in enc.buffers().items()}
+            upstream, runs = None, []
+            for forward in (enc.forward, lambda x, mode: chained_encoder_forward(enc, x, mode)):
+                for k, v in enc.buffers().items():
+                    v[...] = stats[k]
+                params = enc.parameters()
+                for p in params.values():
+                    p.zero_grad()
+                x = Tensor(xd, requires_grad=True)
+                out = forward(x, "train")
+                if upstream is None:
+                    upstream = Tensor(rng.normal(size=out.shape))
+                (out * upstream).sum().backward()
+                runs.append((out.data, {k: v.copy() for k, v in enc.buffers().items()},
+                             dict({k: p.grad for k, p in params.items()}, x=x.grad)))
+            (out_f, buf_f, grad_f), (out_c, buf_c, grad_c) = runs
+            assert out_f.tobytes() == out_c.tobytes(), (trial, enc.config)
+            for k in buf_c:
+                assert buf_f[k].tobytes() == buf_c[k].tobytes(), (trial, k)
+            for k in grad_c:
+                scale = max(float(np.abs(grad_c[k]).max()), 1e-300)
+                assert float(np.abs(grad_f[k] - grad_c[k]).max()) <= 1e-12 * scale, (trial, k)
+
+    def test_graph_free_eval_equals_recorded_eval_bit_for_bit(self):
+        # without a graph each unit's activation overwrites the unit's output
+        rng = np.random.default_rng(1719)
+        for trial in range(30):
+            dtype = (np.float64, np.float32)[trial % 2]
+            enc = _random_encoder(rng, dtype)
+            x = Tensor(rng.normal(size=(4, enc.config.input_channels, 9)).astype(dtype))
+            recorded = enc.forward(x, "eval")
+            assert recorded.requires_grad
+            with no_grad():
+                free = enc.forward(x, "eval")
+            assert free.data.tobytes() == recorded.data.tobytes(), (trial, enc.config)
+
+    def test_eval_folds_the_current_weights_and_statistics(self):
+        # nothing is kept between calls: a change made in place shows at once
+        rng = np.random.default_rng(1720)
+        enc = AtcnEncoder(EGO_CONFIG, rng)
+        x = Tensor(rng.normal(size=(3, 2, 8)))
+        before = enc.forward(x, "eval").data
+        for unit in enc.units:
+            unit.stats.mean += 0.5
+            unit.stats.var *= 2.0
+            unit.gamma.data *= -1.5
+            unit.beta.data += 0.25
+            unit.kern.weights.data += 0.1
+        got = enc.forward(x, "eval").data
+        want = chained_encoder_forward(enc, x, "eval").data
+        assert not np.allclose(got, before)
+        assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_one_node_per_unit(self, mode):
+        enc = AtcnEncoder(NBR_CONFIG, np.random.default_rng(11))
+        x = Tensor(np.ones((2, 2, 5)), requires_grad=True)
+        leaves = 1 + len(enc.parameters())
+        assert graph_nodes(enc.forward(x, mode)) == len(enc.units) + leaves
+        assert graph_nodes(chained_encoder_forward(enc, x, mode)) == 3 * len(enc.units) + leaves

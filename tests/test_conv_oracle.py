@@ -11,6 +11,7 @@ from deeptrack.numcore import (
     Tensor,
     conv2d,
     dilated_conv1d,
+    same_length_padding,
 )
 
 from helpers import (
@@ -84,6 +85,65 @@ class TestCausalOracle:
             for mode in PAD_MODES:
                 check_gradients(lambda: (dilated_conv1d(x, kern, mode) ** 2.0).sum(),
                                 {"x": x, "w": w, "b": b})
+
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """The same values, laid out with channels innermost, as a GEMM leaves them."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+
+
+class TestFastPaths:
+    """The pointwise and depthwise paths against the paths they replace, bit
+    for bit, from inputs in either memory layout."""
+
+    def test_pointwise_is_the_im2col_gemm(self):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            c_in, c_out, t = (int(v) for v in rng.integers(1, 20, size=3))
+            lead = ((), (1,), (int(rng.integers(2, 40)),))[trial % 3]
+            x = rng.normal(size=lead + (c_in, t))
+            if trial % 2:
+                x = _channels_last(x)
+            w, b = rng.normal(size=(c_out, c_in, 1)), rng.normal(size=c_out)
+            got = dilated_conv1d(Tensor(x), Kernel1D(Tensor(w), Tensor(b)),
+                                 PAD_MODES[trial % 2]).data
+            cols = np.ascontiguousarray(np.swapaxes(x, -1, -2)).reshape(-1, c_in)
+            want = np.swapaxes((cols @ w[:, :, 0].T + b).reshape(lead + (t, c_out)), -1, -2)
+            assert np.array_equal(got, want), trial
+
+    def test_one_by_one_grid_conv_matches_naive_loop(self):
+        rng = np.random.default_rng(42)
+        x, w, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.max(np.abs(got - naive_conv2d(x, w, b, (1, 1), (0, 0)))) < 1e-9
+
+    def test_depthwise_is_the_per_tap_einsum(self):
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            c, k, d, t = (int(v) for v in (rng.integers(2, 20), rng.integers(1, 5),
+                                            rng.integers(1, 4), rng.integers(1, 16)))
+            lead = ((), (1,), (int(rng.integers(2, 40)),))[trial % 3]
+            pad_mode = PAD_MODES[trial % 2]
+            x = rng.normal(size=lead + (c, t))
+            if trial % 4 < 2:
+                x = _channels_last(x)
+            w, b = rng.normal(size=(c, 1, k)), rng.normal(size=c)
+            got = dilated_conv1d(Tensor(x), Kernel1D(Tensor(w), Tensor(b), dilation=d, groups=c),
+                                 pad_mode).data
+            # the replaced path: zeros, one einsum per tap over the padded
+            # sequence (tap i reads i * d steps back from the span's far end),
+            # then the bias
+            span = (k - 1) * d
+            left = span if pad_mode == "causal" else same_length_padding(t, t, 1, k, d)
+            xb = x.reshape((-1, c, t))
+            xp = np.zeros((xb.shape[0], c, t + span))
+            xp[:, :, left:left + t] = xb
+            out = np.zeros((xb.shape[0], c, 1, t))
+            for i in range(k):
+                tap = xp[:, :, span - i * d: span - i * d + t].reshape(-1, c, 1, t)
+                out += np.einsum("goc,bgct->bgot", w[:, None, :, i], tap)
+            want = (out.reshape(-1, c, t) + b[:, None]).reshape(x.shape)
+            assert np.array_equal(got, want), trial
 
 
 class TestWorkedValues:

@@ -7,12 +7,15 @@ import pytest
 
 from deeptrack.numcore import (
     ConfigurationError,
+    Kernel1D,
     LstmWeights,
     RunningStats,
     Tensor,
     batch_norm,
     concat,
+    conv_unit,
     dense,
+    dilated_conv1d,
     lstm_cell,
     lstm_unroll,
     max_pool2d,
@@ -145,6 +148,66 @@ class TestBatchNorm:
         with pytest.raises(ConfigurationError):
             batch_norm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)),
                        Tensor(np.zeros(3)), RunningStats.fresh(3), mode="train")
+
+
+class TestConvUnit:
+    @staticmethod
+    def unit(rng):
+        w = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+        kern = Kernel1D(w, Tensor(rng.normal(size=3), requires_grad=True))
+        gamma = Tensor(rng.uniform(0.5, 2.0, size=3), requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        return kern, gamma, beta, RunningStats(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+
+    def test_one_node_over_its_parents(self):
+        kern, gamma, beta, stats = self.unit(np.random.default_rng(0))
+        x = Tensor(np.ones((4, 2, 5)), requires_grad=True)
+        for mode in ("train", "eval"):
+            out = conv_unit(x, kern, gamma, beta, stats, mode, "swish")
+            assert out._parents == (x, kern.weights, kern.bias, gamma, beta)
+            out = conv_unit(x, kern, None, None, None, mode, "swish")
+            assert out._parents == (x, kern.weights, kern.bias)
+
+    def test_train_moves_statistics_as_batch_norm_does(self):
+        rng = np.random.default_rng(1)
+        kern, gamma, beta, stats = self.unit(rng)
+        x = Tensor(rng.normal(size=(4, 2, 7)))
+        chain_stats = stats.copy()
+        out = conv_unit(x, kern, gamma, beta, stats, "train", "tanh", momentum=0.3, eps=1e-3)
+        want = tanh(batch_norm(dilated_conv1d(x, kern), gamma, beta, chain_stats, "train",
+                               momentum=0.3, eps=1e-3))
+        assert out.data.tobytes() == want.data.tobytes()
+        assert stats.mean.tobytes() == chain_stats.mean.tobytes()
+        assert stats.var.tobytes() == chain_stats.var.tobytes()
+
+    def test_eval_leaves_statistics_alone(self):
+        rng = np.random.default_rng(2)
+        kern, gamma, beta, stats = self.unit(rng)
+        before = stats.copy()
+        conv_unit(Tensor(rng.normal(size=(4, 2, 7))), kern, gamma, beta, stats, "eval")
+        assert np.array_equal(stats.mean, before.mean) and np.array_equal(stats.var, before.var)
+
+    @pytest.mark.parametrize("call", [
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, gamma, beta, None, "eval"),
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, gamma, beta, stats, "test"),
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, Tensor(np.ones(4)), beta,
+                                                      stats, "train"),
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, gamma, Tensor(np.ones(2)),
+                                                      stats, "train"),
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, gamma, beta, stats, "eval",
+                                                      "gelu"),
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, gamma, beta, stats, "eval",
+                                                      pad_mode="wrap"),
+        lambda x, kern, gamma, beta, stats: conv_unit(Tensor(np.ones((2, 3, 5))), kern,
+                                                      gamma, beta, stats, "eval"),
+        lambda x, kern, gamma, beta, stats: conv_unit(Tensor(np.ones(5)), kern,
+                                                      gamma, beta, stats, "eval"),
+    ], ids=["eval-without-stats", "mode", "gamma-shape", "beta-shape", "activation",
+            "pad-mode", "channels", "rank"])
+    def test_rejects_bad_arguments(self, call):
+        kern, gamma, beta, stats = self.unit(np.random.default_rng(3))
+        with pytest.raises(ConfigurationError):
+            call(Tensor(np.ones((2, 2, 5))), kern, gamma, beta, stats)
 
 
 class TestLstmCell:

@@ -17,6 +17,7 @@ from deeptrack.numcore import (
     batch_norm,
     concat,
     conv2d,
+    conv_unit,
     dense,
     dilated_conv1d,
     lstm_cell,
@@ -94,6 +95,55 @@ class TestConvGradients:
         check_gradients(
             lambda: (conv2d(x, w, b, stride=(2, 1), padding=(1, 0)) ** 2.0).sum(),
             {"x": x, "w": w, "b": b})
+
+    def test_conv2d_one_by_one(self):
+        # the pointwise path: one GEMM over the input itself
+        x, w, b = t((2, 3, 4, 2)), t((4, 3, 1, 1)), t((4,))
+        check_gradients(lambda: (conv2d(x, w, b) ** 2.0).sum(), {"x": x, "w": w, "b": b})
+
+
+class TestConvUnitGradients:
+    """conv_unit in both modes, both pad modes, with and without batch norm,
+    from random running statistics; eval mode goes back through the fold."""
+
+    @staticmethod
+    def check(mode, pad_mode, norm, groups, c_in, c_out, k, d, lead, activation="swish"):
+        x = t(lead + (c_in, 7))
+        w, b = t((c_out, c_in // groups, k)), t((c_out,))
+        kern = Kernel1D(w, b, dilation=d, groups=groups)
+        tensors = {"x": x, "w": w, "b": b}
+        gamma = beta = stats = None
+        if norm:
+            gamma, beta = t((c_out,)), t((c_out,))
+            stats = RunningStats(RNG.normal(size=c_out), RNG.uniform(0.5, 2.0, size=c_out))
+            tensors.update(gamma=gamma, beta=beta)
+        start = stats.copy() if norm else None
+        upstream = Tensor(RNG.normal(size=lead + (c_out, 7)))
+
+        def loss():
+            if norm:  # train mode moves the statistics every call
+                stats.mean[:], stats.var[:] = start.mean, start.var
+            return (conv_unit(x, kern, gamma, beta, stats, mode, activation, pad_mode)
+                    * upstream).sum()
+
+        check_gradients(loss, tensors)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("pad_mode", ["causal", "symmetric"])
+    @pytest.mark.parametrize("norm", [True, False], ids=["bn", "no-bn"])
+    @pytest.mark.parametrize("groups,c_in,c_out,k,d,lead", [
+        (1, 2, 3, 3, 2, (2,)),  # standard
+        (1, 3, 2, 1, 1, (3,)),  # pointwise
+        (3, 3, 3, 2, 2, (2,)),  # depthwise
+        (1, 2, 3, 2, 1, ()),    # one [C, T] sequence
+    ], ids=["standard", "pointwise", "depthwise", "sequence"])
+    def test_all_inputs(self, mode, pad_mode, norm, groups, c_in, c_out, k, d, lead):
+        self.check(mode, pad_mode, norm, groups, c_in, c_out, k, d, lead)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "identity"])
+    def test_smooth_activations(self, mode, activation):
+        self.check(mode, "causal", True, 1, 2, 3, 2, 1, (3,), activation)
 
 
 class TestPoolingGradients:

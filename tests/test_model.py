@@ -434,6 +434,13 @@ class TestPredictRecordsNoGraph:
     def test_predict_equals_eval_forward_bit_for_bit_in_float32(self):
         self._check_predict_equals_eval_forward("float32")
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_empty_input_keeps_the_model_dtype(self, dtype):
+        model, samples = self._model_and_samples(dtype)
+        empty = model.predict([])
+        assert empty.shape == (0, model.config.horizon_steps, model.config.output_dim)
+        assert empty.dtype == model.predict(samples).dtype == np.dtype(dtype)
+
     def test_predict_outputs_have_no_parents(self, monkeypatch):
         model, samples = self._model_and_samples()
         outputs = []
@@ -518,13 +525,13 @@ class TestDecoderAgainstCellChain:
 
 class TestGraphSize:
     def test_default_train_step_node_count(self):
-        # each of the 14 batch norms is one node, the 25-step decoder unroll
-        # one node that the head reads through one reshape, and the loss one
-        # node
+        # each of the 14 encoder units (conv, batch norm and activation) is
+        # one node, the 25-step decoder unroll one node that the head reads
+        # through one reshape, and the loss one node
         model = DeepTrack(default_model_config(), seed=0)
         batch = collate(constant_velocity_samples(32, seed=0), model.config)
         loss = mse_loss(model.forward_batch(batch, "train"), batch.future)
-        assert graph_nodes(loss) == 136
+        assert graph_nodes(loss) == 108
 
 
 class TestInvariantsUnderOptimize:

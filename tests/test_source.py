@@ -1,8 +1,8 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
-never uses, and no module under src/ relies on an ``assert``, which
-``python -O`` strips, or defines a public function, class, method,
-property or module constant that only the tests use. Every differentiable
-op has a finite-difference test."""
+never uses, and no module under src/ imports another module's private name,
+relies on an ``assert``, which ``python -O`` strips, or defines a public
+function, class, method, property or module constant that only the tests
+use. Every differentiable op has a finite-difference test."""
 
 import ast
 from pathlib import Path
@@ -62,6 +62,49 @@ def test_no_unused_imports_in_src():
 def test_no_unused_imports_in_tests_and_demos():
     found = unused_imports_under("tests", "demos")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str):
+    """(line, name) of every private name the module takes from another
+    module: ``from m import _name``, ``import m._name``, or ``m._name`` read
+    through a module bound by ``import m``. Dunder names such as
+    ``__version__`` are public; a class's private members are not module
+    names."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                found += [(node.lineno, part) for part in alias.name.split(".") if _private(part)]
+                modules.add(alias.asname or alias.name.split(".")[0])
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return sorted(found)
+
+
+def test_checker_finds_private_imports():
+    source = ('from __future__ import annotations\n'
+              'import numpy as np\n'
+              'from . import __version__\n'
+              'from .functional import _logistic, swish\n'
+              'import pkg._impl as impl\n'
+              'from .tensor import Tensor\n'
+              'x = np._core\ny = Tensor._node\nz = swish._private\n')
+    assert private_imports(source) == [(4, "_logistic"), (5, "_impl"), (7, "_core")]
+
+
+def test_no_module_in_src_imports_a_private_name():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in private_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "private names taken from another module:\n" + "\n".join(found)
 
 
 def assert_lines(source: str):

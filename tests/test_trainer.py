@@ -311,6 +311,21 @@ class TestTelemetry:
                                        clip_mode=mode))
             assert result.history[0].clip_rate == rate, clip_norm
 
+    def test_epochs_in_which_every_step_clipped_are_flagged(self):
+        # the log line and the history.txt row of each such epoch carry the
+        # marker; an epoch that never clipped carries none
+        for clip_norm, flagged in ((1e-6, True), (1e9, False)):
+            lines = []
+            model = DeepTrack(tiny_model_config(), seed=0)
+            result = train(model, dataset(16), dataset(8, seed=1),
+                           TrainConfig(epochs=2, batch_size=8, clip_norm=clip_norm),
+                           log=lines.append)
+            assert [r.clip_rate for r in result.history] == [float(flagged)] * 2
+            rows = history_to_text(result.history).splitlines()[1:]
+            assert len(lines) == len(rows) == 2
+            for line in lines + rows:
+                assert ("every step clipped" in line) is flagged, (clip_norm, line)
+
     def test_clip_rate_turns_at_the_bound(self):
         # one step: its gradient comes before any update, whatever the bound
         def epoch(clip_norm):
