@@ -335,26 +335,19 @@ def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
 # the convolution core
 # ---------------------------------------------------------------------------
 
-def _padded(xd: np.ndarray, pads, fill: float = 0.0, channels_last: bool = False) -> np.ndarray:
-    """``[B, C, H, W]`` framed by ``((top, bottom), (left, right))`` fill cells,
-    C-contiguous or, with ``channels_last``, a view of a C-contiguous
-    ``[B, H, W, C]`` buffer."""
+def _padded(xd: np.ndarray, pads, fill: float = 0.0) -> np.ndarray:
+    """C-contiguous ``[B, C, H, W]`` framed by ``((top, bottom), (left, right))`` fill cells."""
     (top, bottom), (left, right) = pads
     batch, chans, height, width = xd.shape
-    shape = (batch, top + height + bottom, left + width + right, chans)
-    if not channels_last:
-        shape = (batch, chans) + shape[1:3]
+    shape = (batch, chans, top + height + bottom, left + width + right)
     xp = np.full(shape, fill, xd.dtype) if fill else np.zeros(shape, xd.dtype)
-    if channels_last:
-        xp = xp.transpose(0, 3, 1, 2)
     xp[:, :, top: top + height, left: left + width] = xd
     return xp
 
 
 def _tap_window(xp: np.ndarray, taps, stride, step=(1, 1)) -> np.ndarray:
-    """The view ``win[b, c, i, j, p, q]`` of the ``xp`` cell that tap (p, q) of
-    output (i, j) reads, ``xp`` in either layout of :func:`_padded` (or made
-    like it by ``np.zeros_like``): the one place taps are laid out.
+    """The view ``win[b, c, i, j, p, q]`` of the C-contiguous ``xp`` cell that
+    tap (p, q) of output (i, j) reads: the one place taps are laid out.
 
     Along each axis output i starts ``i * stride`` cells in and tap p lies
     ``p * step`` further; a negative step counts back from the far end of
@@ -368,9 +361,8 @@ def _tap_window(xp: np.ndarray, taps, stride, step=(1, 1)) -> np.ndarray:
     start = (span_h * s_h if eh < 0 else 0) + (span_w * s_w if ew < 0 else 0)
     shape = (batch, chans, (height - span_h - 1) // sh + 1, (width - span_w - 1) // sw + 1,
              kh, kw)
-    # the byte strides address the buffer itself, read flat in memory order;
     # an empty buffer takes no offset, and an empty view reads nothing
-    return np.ndarray(shape, xp.dtype, xp.ravel("K"), start if xp.size else 0,
+    return np.ndarray(shape, xp.dtype, xp, start if xp.size else 0,
                       (s_b, s_c, sh * s_h, sw * s_w, eh * s_h, ew * s_w))
 
 
@@ -384,12 +376,9 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
     Returns the output ``[B, O, *S_out]`` (``[O, *S_out]``) and its backward,
     a function from the output gradient to those of ``xd``, ``wd`` and ``bd``.
     With groups == 1 the tap window is an im2col matrix, row (b, i, j) in
-    (c, p, q) order like ``wd.reshape(O, -1)``, and one GEMM does the rest;
-    a pointwise kernel (one tap, no padding, stride 1) goes to
-    :func:`_pointwise`, whose GEMM reads the input itself. Depthwise kernels
-    (one channel per group) pad channels-last, the layout a GEMM leaves its
-    output in, and run a broadcast multiply-add per tap over the contiguous
-    channels; other grouped kernels run an ``einsum`` per tap.
+    (c, p, q) order like ``wd.reshape(O, -1)``, and one GEMM does the rest.
+    Grouped kernels (the depthwise layers) keep a per-tap multiply-add,
+    faster at their few channels per group.
     """
     n_spatial = wd.ndim - 2
     c_axis = xd.ndim - n_spatial - 1
@@ -398,15 +387,11 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
     if xd.shape[c_axis] != c_in:
         raise ConfigurationError(
             f"input has {xd.shape[c_axis]} channels but the weight expects {c_in}")
-    if groups == 1 and wd.size == c_out * c_in and stride == (1, 1) \
-            and pads == ((0, 0), (0, 0)):
-        return _pointwise(xd, wd, bd, c_axis)
     lead, lift = xd.shape[:c_axis], (1,) * (2 - n_spatial)
     x4 = xd.reshape((lead or (1,)) + (c_in,) + lift + xd.shape[c_axis + 1:])
     kh, kw = taps = lift + wd.shape[2:]
     batch = x4.shape[0]
-    depthwise = groups > 1 and cg == 1 and c_out == groups
-    xp = _padded(x4, pads, channels_last=depthwise)
+    xp = _padded(x4, pads)
     win = _tap_window(xp, taps, stride, step)
     h_out, w_out = win.shape[2:4]
     if groups == 1:
@@ -416,14 +401,6 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
         if bd is not None:
             out += bd
         out = out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    elif depthwise:
-        wt = wd.reshape(c_out, 1, 1, kh, kw)
-        out = wt[..., 0, 0] * win[..., 0, 0]
-        for p, q in product(range(kh), range(kw)):
-            if p or q:
-                out += wt[..., p, q] * win[..., p, q]
-        if bd is not None:
-            out += bd[:, None, None]
     else:
         og = c_out // groups
         wg = wd.reshape(groups, og, cg, kh, kw)
@@ -446,11 +423,6 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
             gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
             for p, q in product(range(kh), range(kw)):
                 gwin[..., p, q] += gcols[..., p, q].transpose(0, 3, 1, 2)
-        elif depthwise:
-            gw = np.empty((c_out, kh, kw), dtype=wd.dtype)
-            for p, q in product(range(kh), range(kw)):
-                gw[:, p, q] = np.einsum("bchw,bchw->c", g4, win[..., p, q])
-                gwin[..., p, q] += wt[..., p, q] * g4
         else:
             gg = g4.reshape(batch, groups, og, h_out * w_out)
             gw = np.empty_like(wg)
@@ -465,28 +437,6 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
             None if bd is None else g4.sum(axis=(0, 2, 3))
 
     return out.reshape(lead + (c_out,) + (h_out, w_out)[2 - n_spatial:]), backward
-
-
-def _pointwise(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], c_axis: int):
-    """:func:`_conv_forward` of a one-tap kernel: one GEMM over the input
-    itself with its channel axis swapped last, which for a sequence is the
-    im2col matrix of the general path, row for row. No padded copy, no tap
-    window."""
-    c_out, c_in = wd.shape[:2]
-    w2 = wd.reshape(c_out, c_in)
-    moved = xd.swapaxes(c_axis, -1)
-    cols = moved.reshape(-1, c_in)
-    out = cols @ w2.T
-    if bd is not None:
-        out += bd
-    positions = moved.shape[:-1]
-
-    def backward(g):
-        g2 = g.swapaxes(c_axis, -1).reshape(-1, c_out)
-        gx = (g2 @ w2).reshape(positions + (c_in,)).swapaxes(c_axis, -1)
-        return gx, (g2.T @ cols).reshape(wd.shape), None if bd is None else g2.sum(axis=0)
-
-    return out.reshape(positions + (c_out,)).swapaxes(c_axis, -1), backward
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int = 1,

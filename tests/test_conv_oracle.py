@@ -35,6 +35,11 @@ def random_instance(rng):
     return x, w, b, d, groups
 
 
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """The same values, laid out with channels innermost, as a GEMM leaves them."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+
+
 class TestCausalOracle:
     def test_200_random_instances_match_naive_loop(self):
         rng = np.random.default_rng(2024)
@@ -86,17 +91,8 @@ class TestCausalOracle:
                 check_gradients(lambda: (dilated_conv1d(x, kern, mode) ** 2.0).sum(),
                                 {"x": x, "w": w, "b": b})
 
-
-def _channels_last(x: np.ndarray) -> np.ndarray:
-    """The same values, laid out with channels innermost, as a GEMM leaves them."""
-    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
-
-
-class TestFastPaths:
-    """The pointwise and depthwise paths against the paths they replace, bit
-    for bit, from inputs in either memory layout."""
-
-    def test_pointwise_is_the_im2col_gemm(self):
+    def test_one_tap_kernel_is_one_gemm(self):
+        # from inputs in either memory layout
         rng = np.random.default_rng(41)
         for trial in range(60):
             c_in, c_out, t = (int(v) for v in rng.integers(1, 20, size=3))
@@ -109,15 +105,10 @@ class TestFastPaths:
                                  PAD_MODES[trial % 2]).data
             cols = np.ascontiguousarray(np.swapaxes(x, -1, -2)).reshape(-1, c_in)
             want = np.swapaxes((cols @ w[:, :, 0].T + b).reshape(lead + (t, c_out)), -1, -2)
-            assert np.array_equal(got, want), trial
+            assert np.max(np.abs(got - want)) < 1e-9, trial
 
-    def test_one_by_one_grid_conv_matches_naive_loop(self):
-        rng = np.random.default_rng(42)
-        x, w, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-        assert np.max(np.abs(got - naive_conv2d(x, w, b, (1, 1), (0, 0)))) < 1e-9
-
-    def test_depthwise_is_the_per_tap_einsum(self):
+    def test_depthwise_is_a_per_tap_einsum(self):
+        # bit for bit, from inputs in either memory layout
         rng = np.random.default_rng(43)
         for trial in range(60):
             c, k, d, t = (int(v) for v in (rng.integers(2, 20), rng.integers(1, 5),
@@ -130,9 +121,8 @@ class TestFastPaths:
             w, b = rng.normal(size=(c, 1, k)), rng.normal(size=c)
             got = dilated_conv1d(Tensor(x), Kernel1D(Tensor(w), Tensor(b), dilation=d, groups=c),
                                  pad_mode).data
-            # the replaced path: zeros, one einsum per tap over the padded
-            # sequence (tap i reads i * d steps back from the span's far end),
-            # then the bias
+            # zeros, one einsum per tap over the padded sequence (tap i reads
+            # i * d steps back from the span's far end), then the bias
             span = (k - 1) * d
             left = span if pad_mode == "causal" else same_length_padding(t, t, 1, k, d)
             xb = x.reshape((-1, c, t))
@@ -261,6 +251,12 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 1), padding=(1, 0)).data
         want = naive_conv2d(x, w, b, (2, 1), (1, 0))
         assert np.max(np.abs(out - want)) < 1e-9
+
+    def test_one_by_one_matches_naive_loop(self):
+        rng = np.random.default_rng(42)
+        x, w, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.max(np.abs(got - naive_conv2d(x, w, b, (1, 1), (0, 0)))) < 1e-9
 
     def test_120_random_instances_match_loop_reference(self):
         rng = np.random.default_rng(2026)

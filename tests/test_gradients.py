@@ -97,7 +97,6 @@ class TestConvGradients:
             {"x": x, "w": w, "b": b})
 
     def test_conv2d_one_by_one(self):
-        # the pointwise path: one GEMM over the input itself
         x, w, b = t((2, 3, 4, 2)), t((4, 3, 1, 1)), t((4,))
         check_gradients(lambda: (conv2d(x, w, b) ** 2.0).sum(), {"x": x, "w": w, "b": b})
 
