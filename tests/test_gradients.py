@@ -96,10 +96,6 @@ class TestConvGradients:
             lambda: (conv2d(x, w, b, stride=(2, 1), padding=(1, 0)) ** 2.0).sum(),
             {"x": x, "w": w, "b": b})
 
-    def test_conv2d_one_by_one(self):
-        x, w, b = t((2, 3, 4, 2)), t((4, 3, 1, 1)), t((4,))
-        check_gradients(lambda: (conv2d(x, w, b) ** 2.0).sum(), {"x": x, "w": w, "b": b})
-
 
 class TestConvUnitGradients:
     """conv_unit in both modes, both pad modes, with and without batch norm,
