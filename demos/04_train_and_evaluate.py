@@ -11,7 +11,7 @@ weight snapshots, and bit-exact checkpoint round-trips.
 import tempfile
 from pathlib import Path
 
-from deeptrack.configio import config_hash, default_model_config
+from deeptrack.configio import ModelConfig, config_hash
 from deeptrack.model import DeepTrack
 from deeptrack.numcore import load_weights, save_weights
 from deeptrack.synthetic import constant_velocity_samples
@@ -23,7 +23,7 @@ from deeptrack.trainer import (
 
 samples = constant_velocity_samples(320, seed=0)
 fit, val = samples[:280], samples[280:]
-model = DeepTrack(default_model_config(), seed=0)
+model = DeepTrack(ModelConfig(), seed=0)
 
 baseline = zero_baseline(val)
 print("standing-still baseline by horizon:")
@@ -53,7 +53,7 @@ print(f"improvement over standing still: "
 path = Path(tempfile.mkdtemp(prefix="train_demo_")) / "checkpoint.bin"
 save_weights(path, model.parameters(), model.buffers(),
              config_hash(model.config))
-restored = DeepTrack(default_model_config(), seed=99)
+restored = DeepTrack(ModelConfig(), seed=99)
 blob = load_weights(path)
 restored.load_state(blob.params, blob.buffers)
 again = evaluate(restored, val)

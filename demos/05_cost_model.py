@@ -17,10 +17,10 @@ import dataclasses
 
 from deeptrack.atcn import AtcnConfig
 from deeptrack.complexity import SampleShape, complexity_report
-from deeptrack.configio import default_model_config
+from deeptrack.configio import ModelConfig
 from deeptrack.model import DeepTrack
 
-cfg = default_model_config()
+cfg = ModelConfig()
 report = complexity_report(cfg)
 print(report.to_text())
 

@@ -371,12 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True, out=True):
+    def add_common(p, config=True):
         if config:
             p.add_argument("--config", help="model config JSON")
-        if out:
-            p.add_argument("--out", help=f"output directory "
-                           f"(default ${OUT_ROOT_VAR}/<command>)")
+        p.add_argument("--out", help=f"output directory "
+                       f"(default ${OUT_ROOT_VAR}/<command>)")
 
     p = sub.add_parser("ingest", help="raw tracks -> windowed sample archives")
     p.add_argument("--data", required=True, help="raw track file (csv/tsv)")

@@ -9,6 +9,7 @@ downstream is metric. Frames tick at 10 Hz.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, List, Tuple, Union
 
@@ -44,8 +45,15 @@ class ParseStats:
     vehicles: int = 0
 
 
-def _integer(text: str) -> int:
+def _finite(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    value = _finite(text)
     if value != int(value):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(value)
@@ -58,13 +66,18 @@ def _sniff_delimiter(header_line: str) -> str:
 def parse_tracks(source: Union[str, IO[str]]) -> Tuple[List[TrackPoint], ParseStats]:
     """Parse one table into points sorted by (vehicle, frame).
 
-    Malformed rows are skipped and counted; a duplicate (vehicle, frame)
-    keeps the first occurrence in file order. A missing required column is
+    Malformed rows, among them any with a non-finite value, are skipped and
+    counted; a duplicate (vehicle, frame) keeps the first occurrence in file
+    order. A missing required column or a file that is not UTF-8 text is
     fatal.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_tracks(fh)
+            try:
+                return parse_tracks(fh)
+            except UnicodeDecodeError as err:
+                raise ConfigurationError(
+                    f"track table {source} is not UTF-8 text: {err}") from None
 
     first = source.readline()
     if not first.strip():
@@ -92,8 +105,8 @@ def parse_tracks(source: Union[str, IO[str]]) -> Tuple[List[TrackPoint], ParseSt
             vid = _integer(row[col["Vehicle_ID"]])
             frame = _integer(row[col["Frame_ID"]])
             lane = _integer(row[col["Lane_ID"]])
-            x_ft = float(row[col["Local_X"]])
-            y_ft = float(row[col["Local_Y"]])
+            x_ft = _finite(row[col["Local_X"]])
+            y_ft = _finite(row[col["Local_Y"]])
         except ValueError:
             stats.malformed += 1
             continue

@@ -12,9 +12,10 @@ Forward pass over one batch:
 3. Their concatenation seeds the LSTM decoder state through a two-layer
    MLP. The decoder unrolls ``horizon_steps`` times without input as one
    graph node (``lstm_unroll``, working in buffers allocated once per
-   call), or one ``lstm_cell`` node per step on its own output when
-   configured autoregressive; one shared dense head maps each hidden state
-   to an (x, y) offset. A default train step is 108 graph nodes.
+   call), or one ``lstm_cell`` node per step on its own output (zeros
+   before the first) when configured autoregressive; one shared dense head
+   maps each hidden state to an (x, y) offset. A default train step is 108
+   graph nodes.
 
 All outputs are meters relative to the ego position at the anchor frame.
 """
@@ -293,7 +294,8 @@ class DeepTrack:
         h, c = z[:, :hidden], z[:, hidden:]
 
         if cfg.autoregressive:
-            prev = None  # nothing to feed back before the first step
+            # nothing to feed back before the first step: a zero input
+            prev = Tensor(np.zeros((b, cfg.output_dim), dtype=self.dtype))
             steps: List[Tensor] = []
             for _ in range(cfg.horizon_steps):
                 h, c = lstm_cell(prev, h, c, self.decoder)

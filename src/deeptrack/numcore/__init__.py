@@ -29,7 +29,7 @@ from .functional import (
     scatter_grid,
     same_length_padding,
 )
-from .optim import AdamState, GradNorm, adam_step, global_grad_norm, clip_gradients
+from .optim import AdamState, adam_step, global_grad_norm, clip_gradients
 from .checkpoint import CheckpointData, save_weights, load_weights, CHECKPOINT_MAGIC
 
 __all__ = [
@@ -38,6 +38,6 @@ __all__ = [
     "sigmoid", "tanh", "swish", "relu", "dense",
     "dilated_conv1d", "conv2d", "max_pool2d", "batch_norm", "conv_unit", "lstm_cell", "lstm_unroll",
     "concat", "stack", "scatter_grid", "same_length_padding",
-    "AdamState", "GradNorm", "adam_step", "global_grad_norm", "clip_gradients",
+    "AdamState", "adam_step", "global_grad_norm", "clip_gradients",
     "CheckpointData", "save_weights", "load_weights", "CHECKPOINT_MAGIC",
 ]

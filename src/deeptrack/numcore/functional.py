@@ -717,25 +717,19 @@ def _lstm_step_backward(dh: np.ndarray, dc: Optional[np.ndarray], act: np.ndarra
     return dc * f
 
 
-def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
+def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
               weights: LstmWeights) -> Tuple[Tensor, Tensor]:
-    """One LSTM step over a batch: returns (h_t, c_t), the halves of one node.
-
-    ``x_t=None`` stands for a zero input: the gates start from
-    ``h_prev @ w_hh.T + bias`` and ``w_ih`` takes no part in the step.
-    """
-    x_t = None if x_t is None else as_tensor(x_t)
-    h_prev, c_prev = as_tensor(h_prev), as_tensor(c_prev)
+    """One LSTM step over a batch: returns (h_t, c_t), the halves of one node."""
+    x_t, h_prev, c_prev = as_tensor(x_t), as_tensor(h_prev), as_tensor(c_prev)
     h, rows = weights.hidden, h_prev.data.shape[:1]
-    if (x_t is not None and x_t.data.shape != rows + (weights.input_size,)) \
+    if x_t.data.shape != rows + (weights.input_size,) \
             or h_prev.data.shape != rows + (h,) or c_prev.data.shape != h_prev.data.shape:
         raise ConfigurationError(
-            f"lstm_cell shapes: x {None if x_t is None else x_t.shape}, h {h_prev.shape}, "
+            f"lstm_cell shapes: x {x_t.shape}, h {h_prev.shape}, "
             f"c {c_prev.shape}, input {weights.input_size}, hidden {h}")
     w_ih, w_hh, bias = weights.w_ih, weights.w_hh, weights.bias
     # ops run in the composed cell's order, so every bit matches it forward and back
-    gates = h_prev.data @ w_hh.data.T + bias.data if x_t is None else \
-        (x_t.data @ w_ih.data.T + bias.data) + h_prev.data @ w_hh.data.T
+    gates = (x_t.data @ w_ih.data.T + bias.data) + h_prev.data @ w_hh.data.T
     act = np.empty_like(gates)
     out = np.empty((2,) + h_prev.data.shape, np.result_type(gates, c_prev.data))
     tc = np.empty_like(out[1])
@@ -748,12 +742,10 @@ def lstm_cell(x_t: Optional[Tensor], h_prev: Tensor, c_prev: Tensor,
         h_prev.accumulate_grad(da @ w_hh.data)
         w_hh.accumulate_grad(da.T @ h_prev.data)
         bias.accumulate_grad(da.sum(axis=0))
-        if x_t is not None:
-            x_t.accumulate_grad(da @ w_ih.data)
-            w_ih.accumulate_grad(da.T @ x_t.data)
+        x_t.accumulate_grad(da @ w_ih.data)
+        w_ih.accumulate_grad(da.T @ x_t.data)
 
-    parents = (h_prev, c_prev, w_hh, bias) + (() if x_t is None else (x_t, w_ih))
-    step = Tensor._node(out, parents, backward)
+    step = Tensor._node(out, (h_prev, c_prev, w_hh, bias, x_t, w_ih), backward)
     return step[0], step[1]
 
 
@@ -761,13 +753,14 @@ def lstm_unroll(h0: Tensor, c0: Tensor, weights: LstmWeights, steps: int) -> Ten
     """``steps`` LSTM steps without input from ``(h0, c0)`` as one graph node:
     the hidden state of every step, ``[B, steps, h]``.
 
-    The output equals a chain of ``lstm_cell(None, ...)`` calls bit for bit.
-    Every step runs in buffers allocated once per call (never kept between
-    calls, so concurrent inference shares nothing). Only while the graph
-    records does the op keep each step's activations and cell state for its
-    backward through time, which computes the ``w_hh`` gradient as one GEMM
-    over all ``steps * B`` rows and so sums in another order than the chain.
-    ``w_ih`` takes no part.
+    The output equals a chain of ``lstm_cell`` calls on a zero input bit
+    for bit. Every step runs in buffers allocated once per call (never kept
+    between calls, so concurrent inference shares nothing). Only while the
+    graph records does the op keep each step's activations and cell state
+    for its backward through time, which computes the ``w_hh`` gradient as
+    one GEMM over all ``steps * B`` rows and so sums in another order than
+    the chain. ``w_ih`` takes no part, where the chain gives it an all-zero
+    gradient.
     """
     h0, c0 = as_tensor(h0), as_tensor(c0)
     h, rows = weights.hidden, h0.data.shape[:1]

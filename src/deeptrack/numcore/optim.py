@@ -9,9 +9,7 @@ import numpy as np
 
 from .tensor import NumericsError, ConfigurationError, Tensor, check_fields
 
-__all__ = ["AdamState", "GradNorm", "adam_step", "global_grad_norm", "clip_gradients"]
-
-CLIP_MODES = ("norm", "value", "none")
+__all__ = ["AdamState", "adam_step", "global_grad_norm", "clip_gradients"]
 
 
 @dataclass
@@ -22,16 +20,12 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     clip_norm: float = 10.0
-    clip_mode: str = "norm"
     step_count: int = 0
     first_moment: Dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         check_fields(self)
-        if self.clip_mode not in CLIP_MODES:
-            raise ConfigurationError(
-                f"clip_mode must be one of {CLIP_MODES}, got {self.clip_mode!r}")
         if not self.lr > 0:
             raise ConfigurationError(f"learning rate must be positive, got {self.lr}")
         # a negative bound flips the sign of every clipped gradient, so the
@@ -48,40 +42,21 @@ def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-class GradNorm(float):
-    """The global gradient norm before clipping. It is that number wherever
-    a float goes; ``clipped`` tells whether clipping changed any gradient."""
-
-    def __new__(cls, norm: float, clipped: bool):
-        out = super().__new__(cls, norm)
-        out.clipped = clipped
-        return out
-
-
-def clip_gradients(grads: Dict[str, np.ndarray], state: AdamState) -> GradNorm:
-    """Clip ``grads`` in place per ``state.clip_mode``; returns the pre-clip norm.
-
-    norm mode rescales every gradient by clip_norm / ||g|| when the global
-    norm exceeds the threshold; value mode clamps each entry to
-    [-clip_norm, clip_norm].
-    """
+def clip_gradients(grads: Dict[str, np.ndarray], state: AdamState) -> float:
+    """Rescale every gradient in place by clip_norm / ||g|| when the global
+    norm ||g|| exceeds ``state.clip_norm``; returns the pre-clip norm."""
     norm = global_grad_norm(grads)
-    clipped = state.clip_mode == "norm" and norm > state.clip_norm
-    if clipped:
+    if norm > state.clip_norm:
         scale = state.clip_norm / norm
         for name in grads:
             grads[name] = grads[name] * scale
-    elif state.clip_mode == "value":
-        for name, g in grads.items():
-            clipped = clipped or bool(np.any(np.abs(g) > state.clip_norm))
-            grads[name] = np.clip(g, -state.clip_norm, state.clip_norm)
-    return GradNorm(norm, clipped)
+    return norm
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
-              state: AdamState) -> GradNorm:
+              state: AdamState) -> float:
     """One Adam update, in place on ``params`` data; returns the global
-    gradient norm before clipping, as :func:`clip_gradients` reports it.
+    gradient norm before clipping.
 
     Gradients are validated for finiteness before any state mutation so an
     aborted step leaves parameters and moments untouched.

@@ -75,8 +75,9 @@ def constant_velocity_samples(count: int, seed: int = 0,
 
 
 def write_tracks_csv(path, n_vehicles: int = 10, n_frames: int = 140,
-                     seed: int = 0, delimiter: str = "\t") -> None:
-    """Write a raw constant-velocity track file covering frames 1..n_frames.
+                     seed: int = 0) -> None:
+    """Write a raw tab-separated constant-velocity track file covering
+    frames 1..n_frames.
 
     Every vehicle is observed on every frame, so each one yields eligible
     windows once ``n_frames`` covers a full history-plus-future span. Lanes
@@ -95,7 +96,7 @@ def write_tracks_csv(path, n_vehicles: int = 10, n_frames: int = 140,
             t = (frame - 1) / FRAME_RATE_HZ
             rows.append((vid, frame, x0 + drift * t, y0 + speed * t, lane))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(columns) + "\n")
+        fh.write("\t".join(columns) + "\n")
         for vid, frame, x, y, lane in rows:
-            fh.write(delimiter.join((str(vid), str(frame),
-                                     f"{x:.3f}", f"{y:.3f}", str(lane))) + "\n")
+            fh.write("\t".join((str(vid), str(frame),
+                                f"{x:.3f}", f"{y:.3f}", str(lane))) + "\n")

@@ -87,7 +87,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     clip_norm: float = 10.0
-    clip_mode: str = "norm"
     loss: str = "mse"
     seed: int = 0
     plateau_factor: float = 0.1
@@ -106,15 +105,14 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         loss_fn(self.loss)
-        self.optimizer()  # rejects a bad learning rate, clip norm or clip mode now
+        self.optimizer()  # rejects a bad learning rate or clip norm now
         if not 0.0 <= self.min_learning_rate <= self.learning_rate:
             raise ConfigurationError(
                 f"min_learning_rate must be in [0, learning_rate], got {self.min_learning_rate}")
 
     def optimizer(self) -> AdamState:
         """A fresh Adam state with this run's learning rate and clipping."""
-        return AdamState(lr=self.learning_rate, clip_norm=self.clip_norm,
-                         clip_mode=self.clip_mode)
+        return AdamState(lr=self.learning_rate, clip_norm=self.clip_norm)
 
 
 @dataclass
@@ -241,8 +239,8 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
                                  optimizer)
             except NumericsError as exc:
                 raise diverged(str(exc)) from exc
-            norms.append(float(norm))
-            clipped += norm.clipped
+            norms.append(norm)
+            clipped += norm > config.clip_norm
             terms.append(step_loss * batch.size)
         train_loss = math.fsum(terms) / len(train_samples)
         train_seconds = time.perf_counter() - started
@@ -290,10 +288,11 @@ class EvalReport:
     ade: float
     samples: int
 
-    def to_text(self, seconds_per_step: float = 0.2) -> str:
+    def to_text(self) -> str:
         lines = [f"{'step':>6}  {'horizon':>8}  {'rmse_m':>8}"]
         for step, rmse in sorted(self.horizon_rmse.items()):
-            lines.append(f"{step:>6}  {step * seconds_per_step:>7.1f}s  {rmse:>8.3f}")
+            # decoder steps are 0.2 s apart (5 Hz)
+            lines.append(f"{step:>6}  {step * 0.2:>7.1f}s  {rmse:>8.3f}")
         lines.append(f"mean displacement {self.ade:.3f} m over {self.samples} samples")
         return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ they only consume public signatures and raw numpy arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Dict, List, Mapping, Tuple
 
@@ -41,6 +42,14 @@ def tiny_model_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def symmetric_model_config() -> ModelConfig:
+    """The default model with both encoders padded symmetrically."""
+    cfg = ModelConfig()
+    return dataclasses.replace(
+        cfg, neighbor_atcn=dataclasses.replace(cfg.neighbor_atcn, pad_mode="symmetric"),
+        ego_atcn=dataclasses.replace(cfg.ego_atcn, pad_mode="symmetric"))
 
 
 def tiny_window_config(**overrides) -> WindowConfig:
@@ -241,13 +250,9 @@ def chained_encoder_forward(encoder, x: Tensor, mode: str) -> Tensor:
 
 def composed_lstm_cell(x_t, h_prev, c_prev, weights):
     """One LSTM step built from public ops, gate order (input, forget, cell,
-    output): a graph of about fourteen nodes. ``x_t=None`` leaves out the
-    input term."""
+    output): a graph of about fourteen nodes."""
     h = weights.hidden
-    if x_t is None:
-        gates = dense(h_prev, weights.w_hh, weights.bias)
-    else:
-        gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
+    gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
     i = sigmoid(gates[:, 0 * h:1 * h])
     f = sigmoid(gates[:, 1 * h:2 * h])
     g = tanh(gates[:, 2 * h:3 * h])
@@ -257,12 +262,14 @@ def composed_lstm_cell(x_t, h_prev, c_prev, weights):
 
 
 def chained_lstm_cells(h0, c0, weights, steps):
-    """``lstm_unroll`` as a chain of ``steps`` input-free ``lstm_cell`` calls,
-    hidden states stacked to ``[B, steps, h]``: a graph of about three nodes
-    a step."""
+    """``lstm_unroll`` as a chain of ``steps`` ``lstm_cell`` calls on a zero
+    input, hidden states stacked to ``[B, steps, h]``: a graph of about three
+    nodes a step. The zero input gives ``w_ih`` an all-zero gradient where
+    the unroll leaves it out."""
+    zero = Tensor(np.zeros((h0.shape[0], weights.input_size), dtype=h0.data.dtype))
     h, c, hs = h0, c0, []
     for _ in range(steps):
-        h, c = lstm_cell(None, h, c, weights)
+        h, c = lstm_cell(zero, h, c, weights)
         hs.append(h)
     return stack(hs, axis=1)
 

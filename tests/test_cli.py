@@ -72,6 +72,37 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "vehicle -3 at frame" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("column, value", [("Vehicle_ID", "inf")] + [
+        (column, value) for column in ("Local_X", "Local_Y") for value in ("nan", "inf", "1e400")])
+    def test_non_finite_cell_drops_its_row(self, tmp_path, tracks_file, column, value):
+        # one bad cell at frame 61 of a vehicle: that row counts as malformed
+        # and every stored window stays finite
+        lines = tracks_file.read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split("\t")
+        cells = lines[61].rstrip("\n").split("\t")
+        assert cells[header.index("Frame_ID")] == "61"
+        cells[header.index(column)] = value
+        lines[61] = "\t".join(cells) + "\n"
+        tracks_file.write_text("".join(lines))
+        out = tmp_path / "ing"
+        assert main(["ingest", "--data", str(tracks_file), "--out", str(out),
+                     "--stride", "12"]) == 0
+        parse = json.loads((out / "stats.json").read_text())["parse"]
+        assert parse["malformed"] == 1 and parse["rows_kept"] == parse["rows_read"] - 1
+        for part in ("train", "val", "test"):
+            for sample in load_samples(out / f"{part}_samples.bin"):
+                arrays = [sample.ego_history, sample.future,
+                          *(n.track for n in sample.neighbors)]
+                assert all(np.isfinite(a).all() for a in arrays)
+
+    def test_undecodable_track_file_is_exit_2(self, tmp_path, tracks_file, capsys):
+        blob = bytearray(tracks_file.read_bytes())
+        blob[blob.index(b"\n", 1000) - 2] = 0xFF
+        tracks_file.write_bytes(bytes(blob))
+        assert main(["ingest", "--data", str(tracks_file), "--out", str(tmp_path / "ing")]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err and "Traceback" not in err
+
     def test_stride_thins_samples(self, tmp_path, tracks_file):
         dense = tmp_path / "dense"
         sparse = tmp_path / "sparse"
@@ -161,6 +192,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_clip_mode_setting_is_exit_2_but_old_run_configs_still_load(
+            self, tmp_path, ingested, trained, capsys):
+        # global-norm rescaling is the one clipping rule; a config.json an
+        # earlier run wrote with "clipMode" still serves eval and predict,
+        # which ignore the train section
+        config = json.loads((trained / "config.json").read_text())
+        config["train"]["clipMode"] = "norm"
+        path = tmp_path / "old_config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--config", str(path), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown TrainConfig settings: ['clipMode']" in err and "Traceback" not in err
+        (trained / "config.json").write_text(json.dumps(config))
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(ingested)]) == 0
+        assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(ingested), "--out", str(tmp_path / "pred"),
+                     "--limit", "1"]) == 0
 
     @pytest.mark.parametrize("entry, field", [
         ({"train": {"minImprovement": float("nan")}}, "min_improvement"),

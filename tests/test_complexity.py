@@ -17,7 +17,7 @@ from deeptrack.configio import default_model_config
 from deeptrack.model import DeepTrack
 from deeptrack.numcore import ConfigurationError
 
-from helpers import formula_costs, random_model_config
+from helpers import formula_costs, random_model_config, symmetric_model_config
 
 
 def layer(report, name):
@@ -155,7 +155,7 @@ class TestSeparableSavings:
 class TestAgainstFormulas:
     def test_seeded_sweep_matches_every_layer(self):
         rng = np.random.default_rng(2017)
-        configs = [default_model_config(), default_model_config("symmetric")]
+        configs = [default_model_config(), symmetric_model_config()]
         configs += [random_model_config(rng) for _ in range(40)]
         for cfg in configs:
             for t in (1, 9, 16, 23):

@@ -269,7 +269,8 @@ class TestLstmCell:
         n_in = 3
         weights = LstmWeights(leaf(4 * hidden, n_in), leaf(4 * hidden, hidden),
                               leaf(4 * hidden))
-        xs = [leaf(batch, n_in) if with_input else None for _ in range(steps)]
+        xs = [leaf(batch, n_in) if with_input
+              else Tensor(np.zeros((batch, n_in), dtype)) for _ in range(steps)]
         h0, c0 = leaf(batch, hidden), leaf(batch, hidden)
         h, c, loss, outputs = h0, c0, None, []
         for x in xs:
@@ -279,8 +280,8 @@ class TestLstmCell:
             loss = term if loss is None else loss + term
         loss = loss + (c * Tensor(rng.normal(size=(batch, hidden)).astype(dtype))).sum()
         loss.backward()
-        leaves = [x for x in xs if x is not None] + [h0, c0, weights.w_ih,
-                                                     weights.w_hh, weights.bias]
+        leaves = [x for x in xs if x.requires_grad] + [h0, c0, weights.w_ih,
+                                                       weights.w_hh, weights.bias]
         return outputs, [t.grad for t in leaves]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -294,11 +295,8 @@ class TestLstmCell:
             for got, want in zip(got_out, want_out):
                 assert got.dtype == want.dtype and np.array_equal(got, want), args
             for got, want in zip(got_grads, want_grads):
-                if want is None:  # w_ih takes no part without an input
-                    assert got is None, args
-                else:
-                    assert got.dtype == want.dtype, args
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(args))
+                assert got.dtype == want.dtype, args
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(args))
 
     def test_one_node_and_two_slices_per_call(self):
         weights = LstmWeights(Tensor(np.ones((8, 3)), requires_grad=True),
@@ -306,11 +304,9 @@ class TestLstmCell:
                               Tensor(np.zeros(8), requires_grad=True))
         h0 = Tensor(np.ones((4, 2)), requires_grad=True)
         c0 = Tensor(np.ones((4, 2)), requires_grad=True)
-        x = Tensor(np.ones((4, 3)))
-        for x_t, leaves in ((x, 6), (None, 4)):
-            h, c = lstm_cell(x_t, h0, c0, weights)
-            assert h._parents == c._parents and len(h._parents) == 1
-            assert graph_nodes(h, c) == leaves + 3
+        h, c = lstm_cell(Tensor(np.ones((4, 3))), h0, c0, weights)
+        assert h._parents == c._parents and len(h._parents) == 1
+        assert graph_nodes(h, c) == 6 + 3
 
     def test_input_width_checked(self):
         weights = LstmWeights(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))),
@@ -319,6 +315,8 @@ class TestLstmCell:
         for x in (np.zeros((1, 2)), np.zeros((1, 4)), np.zeros(3), np.zeros((1, 1, 3))):
             with pytest.raises(ConfigurationError):
                 lstm_cell(Tensor(x), h0, c0, weights)
+        with pytest.raises(ConfigurationError):
+            lstm_cell(Tensor(np.zeros((1, 3))), h0, Tensor(np.zeros((2, 2))), weights)
 
 
 class TestLstmUnroll:
@@ -361,7 +359,8 @@ class TestLstmUnroll:
             g_h0, g_c0, g_ih, g_hh, g_bias = got
             # the recurrence itself runs the chain's ops in the chain's order
             assert np.array_equal(g_h0, want[0]) and np.array_equal(g_c0, want[1]), args
-            assert g_ih is None and want[2] is None, args
+            # the unroll leaves w_ih out; the chain's zero input gives it zeros
+            assert g_ih is None and not want[2].any(), args
             # one GEMM over every step sums the weight gradients in another
             # order; an entry summed from cancelling terms carries the rounding
             # of its larger terms, so the error is relative to the largest entry

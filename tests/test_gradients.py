@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from deeptrack.numcore import (
-    ConfigurationError,
     Kernel1D,
     LstmWeights,
     RunningStats,
@@ -187,28 +186,6 @@ class TestLstmGradients:
             return (h ** 2.0).sum() + (c ** 2.0).sum()
 
         check_gradients(loss, tensors)
-
-    def test_no_input_step(self):
-        # x_t=None is a zero input: w_ih gets no gradient, the rest match
-        hidden = 3
-        h0, c0 = t((2, hidden)), t((2, hidden))
-        weights = LstmWeights(t((4 * hidden, 2)), t((4 * hidden, hidden)),
-                              t((4 * hidden,)))
-        tensors = {"h0": h0, "c0": c0, "w_hh": weights.w_hh, "bias": weights.bias}
-
-        def loss():
-            h, c = lstm_cell(None, h0, c0, weights)
-            return (h ** 2.0).sum() + (c ** 2.0).sum()
-
-        check_gradients(loss, tensors)
-        weights.w_ih.zero_grad()
-        loss().backward()
-        assert weights.w_ih.grad is None
-        zero_in = lstm_cell(Tensor(np.zeros((2, 2))), h0, c0, weights)
-        for got, want in zip(lstm_cell(None, h0, c0, weights), zero_in):
-            assert np.array_equal(got.data, want.data)
-        with pytest.raises(ConfigurationError):
-            lstm_cell(None, h0, c0[:1], weights)
 
     def test_unrolled_three_steps(self):
         hidden, n_in = 2, 2

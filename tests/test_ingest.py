@@ -69,6 +69,21 @@ class TestParsing:
         assert stats.rows_kept == 2
         assert [p.vehicle_id for p in points] == [1, 2]
 
+    @pytest.mark.parametrize("row", [
+        "inf,2,1.0,10.0,1", "1,inf,1.0,10.0,1", "1,2,1.0,10.0,-inf",
+        "1,2,nan,10.0,1", "1,2,-Infinity,10.0,1", "1,2,1e400,10.0,1",
+        "1,2,1.0,nan,1", "1,2,1.0,inf,1", "1,2,1.0,1e400,1"])
+    def test_non_finite_values_are_malformed(self, row):
+        points, stats = parse_tracks(table(["1,1,1.0,10.0,1", row]))
+        assert (stats.malformed, stats.rows_kept) == (1, 1)
+        assert [(p.vehicle_id, p.frame_id) for p in points] == [(1, 1)]
+
+    def test_undecodable_file_is_fatal(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        path.write_bytes(HEADER.encode() + b"1,1,1.0,10.0,1\n1,2,1.0,\xff0.0,1\n")
+        with pytest.raises(ConfigurationError, match="not UTF-8 text"):
+            parse_tracks(path)
+
     def test_duplicate_keeps_first_occurrence(self):
         points, stats = parse_tracks(table([
             "1,1,1.0,10.0,1",

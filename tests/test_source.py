@@ -1,10 +1,12 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses, and no module under src/ imports another module's private name,
-relies on an ``assert``, which ``python -O`` strips, or defines a public
+relies on an ``assert``, which ``python -O`` strips, defines a public
 function, class, method, property or module constant that only the tests
-use. Every differentiable op has a finite-difference test."""
+use, or gives a parameter a default that no call overrides. Every
+differentiable op has a finite-difference test."""
 
 import ast
+import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -229,6 +231,91 @@ def test_no_public_name_in_src_is_used_only_by_tests():
     found = [f"{path}:{line}: {name}"
              for path, line, name in names_without_users(modules, users)]
     assert not found, "public names no code outside tests uses:\n" + "\n".join(found)
+
+
+def defaulted_parameters(source: str):
+    """(line, function, parameter, position) of every parameter with a
+    default in every function and method but ``__init__``. ``position`` is
+    the index a positional argument lands on, counted after a method's
+    ``self``; a keyword-only parameter has none."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                             for d in child.decorator_list)
+                first = len(positional) - len(args.defaults)
+                if child.name != "__init__":
+                    found.extend((arg.lineno, child.name, arg.arg, first + i - bound)
+                                 for i, arg in enumerate(positional[first:]))
+                    found.extend((arg.lineno, child.name, arg.arg, None)
+                                 for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None)
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def passed_arguments(sources: Iterable[str]):
+    """Per called name, the most positional arguments any call passes and
+    the keywords calls pass; ``*args`` passes every position and
+    ``**kwargs`` every keyword (recorded as ``None``)."""
+    passed = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                count, keywords = passed.get(name, (0, set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passed[name] = (max(count, math.inf if starred else len(node.args)),
+                                keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def defaults_never_passed(modules: Mapping[str, str], callers: Iterable[str]):
+    """(module, line, function, parameter) of every defaulted parameter that
+    no call in ``callers`` passes. Calls match by name alone, so a call of
+    another function of the same name counts as a pass."""
+    passed = passed_arguments(callers)
+    return [(path, line, function, name) for path, source in modules.items()
+            for line, function, name, position in defaulted_parameters(source)
+            if not (lambda count, keywords: name in keywords or None in keywords
+                    or (position is not None and position < count))(
+                        *passed.get(function, (0, set())))]
+
+
+def test_checker_finds_defaults_no_call_passes():
+    lib = ('def scale(x, factor=2.0, *, clip=None, mode="a"):\n    return x\n'
+           'class Report:\n'
+           '    def __init__(self, width=3):\n        pass\n'
+           '    def text(self, places=2, unit="m"):\n        return ""\n'
+           '    @staticmethod\n    def parse(text, strict=True):\n        return text\n'
+           'def forward(x, *rest, **extra):\n    return x\n')
+    caller = ('scale(1, 3.0)\nscale(1, clip=5)\nReport().text(4)\n'
+              'Report.parse("x", False)\nforward(1, 2)\n')
+    assert defaults_never_passed({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", 1, "scale", "mode"), ("lib.py", 6, "text", "unit")]
+    spread = 'opts = {}\nscale(1, **opts)\nargs = ()\nReport().text(*args)\n'
+    assert defaults_never_passed({"lib.py": lib}, [lib, caller, spread]) == []
+    # a call that matches only by name still counts
+    assert defaults_never_passed({"lib.py": lib}, [lib, caller, 'x.text(unit="s")\n']) == [
+        ("lib.py", 1, "scale", "mode")]
+
+
+def test_every_default_in_src_is_passed_somewhere():
+    # __init__ is out of scope: a dataclass-like default there is a setting
+    modules = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    callers = [path.read_text(encoding="utf-8")
+               for folder in ("src", "demos", "perfbench", "tests")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    found = [f"{path}:{line}: {function}({name})"
+             for path, line, function, name in defaults_never_passed(modules, callers)]
+    assert not found, "defaulted parameters no call passes:\n" + "\n".join(found)
 
 
 def node_builders(source: str):
