@@ -6,19 +6,26 @@ of [t0 - history_frames, t0 + future_frames]; history keeps every
 ``sample_every``-th frame after t0. All positions are expressed relative to
 the ego position at t0, so the last history point is exactly (0, 0).
 
-Neighbors are the vehicles co-observed at t0. Each maps to a grid cell by
-lane offset (column) and longitudinal gap (row); vehicles beyond the grid
-stay in the sample marked outside and are ignored by the model. When two
-vehicles land in one cell the smaller |dy| wins (ties: lower vehicle id)
-and the loser is marked outside.
+Neighbors are the vehicles co-observed at t0, in vehicle-id order. Each
+maps to a grid cell by lane offset (column) and longitudinal gap (row);
+vehicles beyond the grid stay in the sample marked outside and are ignored
+by the model. When two vehicles land in one cell the smaller |dy| wins
+(ties: lower vehicle id) and the loser is marked outside.
+
+The points are windowed as columns. Sorted by (vehicle, frame), each
+vehicle's points form one block of slots, one slot per frame from its first
+to its last; a gap longer than the history is cut short, since no lookup
+reaches across it, and an empty slot points at a sentinel row. A neighbor's
+history is then a fixed set of slot offsets from its slot at t0. All
+windows of one ego vehicle are gathered at once, into one array each for
+the ego histories, the futures, the neighbor tracks and their valid masks;
+a sample's arrays are views into these per-ego-vehicle blocks.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,93 +115,173 @@ class WindowStats:
     neighbors_outside: int = 0
 
 
-def grid_assign(ego: TrackPoint, neighbor: TrackPoint,
-                config: WindowConfig) -> Optional[Tuple[int, int]]:
-    """Cell of ``neighbor`` in the ego-centered grid, or None when outside.
+def grid_assign(dy: np.ndarray, lane_offset: np.ndarray,
+                config: WindowConfig) -> np.ndarray:
+    """Cells [N, 2] as (row, col) of neighbors at longitudinal gaps ``dy`` and
+    lane offsets ``lane_offset`` from the ego; (-1, -1) where outside the grid.
 
     Column is the lane offset shifted to the middle column; row bins the
     longitudinal gap dy into cell_length stripes with the ego mid-grid, so
     dy in [0, cell_length) already sits one row ahead of dy < 0.
     """
-    col = neighbor.lane_id - ego.lane_id + config.grid_cols // 2
-    row = math.floor((neighbor.y - ego.y) / config.cell_length) + config.grid_rows // 2
-    if 0 <= row < config.grid_rows and 0 <= col < config.grid_cols:
-        return (row, col)
-    return None
-
-
-def _resolve_occupancy(ego: TrackPoint, neighbors: List[TrackPoint],
-                       config: WindowConfig,
-                       stats: WindowStats) -> Dict[int, Optional[Tuple[int, int]]]:
-    """Assign cells, demoting all but the closest claimant of each cell."""
-    order = sorted(neighbors, key=lambda p: (abs(p.y - ego.y), p.vehicle_id))
-    taken: set = set()
-    cells: Dict[int, Optional[Tuple[int, int]]] = {}
-    for nbr in order:
-        cell = grid_assign(ego, nbr, config)
-        if cell is not None and cell in taken:
-            stats.grid_collisions += 1
-            cell = None
-        if cell is not None:
-            taken.add(cell)
-        cells[nbr.vehicle_id] = cell
+    row = np.floor(dy / config.cell_length) + config.grid_rows // 2
+    col = lane_offset + config.grid_cols // 2
+    inside = (row >= 0) & (row < config.grid_rows) & (col >= 0) & (col < config.grid_cols)
+    cells = np.full((len(dy), 2), -1, dtype=np.int64)
+    cells[inside, 0] = row[inside]
+    cells[inside, 1] = col[inside]
     return cells
+
+
+def _sorted_columns(points: Sequence[TrackPoint]):
+    """Vehicle, frame and lane ids and x, y positions sorted by (vehicle,
+    frame); a duplicate (vehicle, frame) or a non-finite position raises
+    ConfigurationError naming the point."""
+    n = len(points)
+    try:
+        ids = np.array([(p.vehicle_id, p.frame_id, p.lane_id) for p in points],
+                       dtype=np.int64).reshape(n, 3)
+    except OverflowError:
+        raise ConfigurationError(
+            "vehicle, frame and lane ids must fit in 64-bit integers") from None
+    xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(n, 2)
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
+    vid, frame, lane = ids[order].T.copy()
+    x, y = xy[order].T.copy()
+    bad = np.flatnonzero(~np.isfinite(x) | ~np.isfinite(y))
+    if bad.size:
+        i = bad[0]
+        raise ConfigurationError(f"vehicle {vid[i]} at frame {frame[i]}: "
+                                 f"non-finite position ({x[i]}, {y[i]})")
+    twice = np.flatnonzero((vid[1:] == vid[:-1]) & (frame[1:] == frame[:-1]))
+    if twice.size:
+        i = twice[0]
+        raise ConfigurationError(f"vehicle {vid[i]} at frame {frame[i]}: "
+                                 "the point is given twice")
+    return vid, frame, lane, x, y
 
 
 def window_samples(points: Sequence[TrackPoint], config: WindowConfig,
                    dataset_id: str = "") -> Tuple[List[TrajectorySample], WindowStats]:
-    """Extract every eligible window, in (vehicle, t0) order."""
-    by_vehicle: Dict[int, Dict[int, TrackPoint]] = defaultdict(dict)
-    at_frame: Dict[int, List[TrackPoint]] = defaultdict(list)
-    for p in points:
-        by_vehicle[p.vehicle_id][p.frame_id] = p
-        at_frame[p.frame_id].append(p)
+    """Extract every eligible window, in (vehicle, t0) order.
 
+    A duplicate (vehicle, frame) point or a non-finite position raises
+    ConfigurationError; ``parse_tracks`` output has neither.
+    """
+    columns = _sorted_columns(points)
     stats = WindowStats()
+    if len(points) <= config.history_frames + config.future_frames:
+        return [], stats  # too few points for a single window
+    gather = _Gather(*columns, config)
     samples: List[TrajectorySample] = []
-    for vid in sorted(by_vehicle):
-        frames = by_vehicle[vid]
-        eligible = [t0 for t0 in sorted(frames)
-                    if all(t in frames
-                           for t in range(t0 - config.history_frames,
-                                          t0 + config.future_frames + 1))]
-        had_any = False
-        for idx, t0 in enumerate(eligible):
-            if idx % config.stride:
-                continue
-            ego0 = frames[t0]
-            hist_frames = range(t0 - config.history_frames, t0 + 1, config.sample_every)
-            fut_frames = range(t0 + config.sample_every,
-                               t0 + config.future_frames + 1, config.sample_every)
-            ego_history = np.array([[frames[t].x - ego0.x, frames[t].y - ego0.y]
-                                    for t in hist_frames])
-            future = np.array([[frames[t].x - ego0.x, frames[t].y - ego0.y]
-                               for t in fut_frames])
-
-            nbr_points = [p for p in at_frame[t0] if p.vehicle_id != vid]
-            cells = _resolve_occupancy(ego0, nbr_points, config, stats)
-            neighbors: List[NeighborTrack] = []
-            for nbr in sorted(nbr_points, key=lambda p: p.vehicle_id):
-                nbr_frames = by_vehicle[nbr.vehicle_id]
-                track = np.zeros((config.history_points, 2))
-                valid = np.zeros(config.history_points, dtype=bool)
-                for i, t in enumerate(hist_frames):
-                    q = nbr_frames.get(t)
-                    if q is not None:
-                        track[i] = (q.x - ego0.x, q.y - ego0.y)
-                        valid[i] = True
-                cell = cells[nbr.vehicle_id]
-                if cell is None:
-                    stats.neighbors_outside += 1
-                else:
-                    stats.neighbors_in_grid += 1
-                neighbors.append(NeighborTrack(nbr.vehicle_id, cell, track, valid))
-
-            samples.append(TrajectorySample(
-                dataset_id=dataset_id, vehicle_id=vid, t0_frame=t0,
-                ego_history=ego_history, future=future, neighbors=neighbors))
-            had_any = True
-        if had_any:
-            stats.vehicles_with_samples += 1
+    for rows in gather.anchors_by_ego():
+        samples += gather.windows(rows, dataset_id, stats)
+        stats.vehicles_with_samples += 1
     stats.samples = len(samples)
     return samples, stats
+
+
+class _Gather:
+    """Lookups over the sorted columns: the runs of consecutive frames, each
+    point's slot in its vehicle's block, and each frame's points in vehicle
+    order."""
+
+    def __init__(self, vid, frame, lane, x, y, config: WindowConfig):
+        self.vid, self.frame, self.lane, self.config = vid, frame, lane, config
+        # row n is a sentinel at position zero, the row of every empty slot
+        self.x, self.y = np.r_[x, 0.0], np.r_[y, 0.0]
+        n, hist_len = vid.size, config.history_frames
+        same_vehicle = vid[1:] == vid[:-1]
+        gap = frame[1:] - frame[:-1]  # >= 1 within a vehicle; wraps negative on overflow
+        self.run_start = np.flatnonzero(np.r_[True, ~same_vehicle | (gap != 1)])
+
+        # gaps beyond the history are cut short, since no lookup crosses them
+        advance = np.where(same_vehicle & (gap >= 1) & (gap <= hist_len), gap, hist_len + 1)
+        self.slot = np.cumsum(np.r_[hist_len + 1, advance])
+        self.row_at_slot = np.full(self.slot[-1] + 1, n)
+        self.row_at_slot[self.slot] = np.arange(n)
+
+        self.by_frame = np.lexsort((vid, frame))
+        in_order = frame[self.by_frame]
+        self.frame_start = np.flatnonzero(np.r_[True, in_order[1:] != in_order[:-1]])
+        self.frame_count = np.diff(np.r_[self.frame_start, n])
+        self.frame_of = np.empty(n, dtype=np.int64)
+        self.frame_of[self.by_frame] = np.repeat(np.arange(self.frame_start.size),
+                                                 self.frame_count)
+        self.hist_off = np.arange(-hist_len, 1, config.sample_every)
+        self.fut_off = np.arange(config.sample_every, config.future_frames + 1,
+                                 config.sample_every)
+
+    def anchors_by_ego(self) -> List[np.ndarray]:
+        """The anchor rows of each ego vehicle: every stride-th of the rows
+        whose whole window lies in one run."""
+        n, cfg = self.vid.size, self.config
+        run_len = np.diff(np.r_[self.run_start, n])
+        run_first = np.repeat(self.run_start, run_len)
+        run_last = np.repeat(self.run_start + run_len - 1, run_len)
+        rows = np.arange(n)
+        eligible = np.flatnonzero((rows - cfg.history_frames >= run_first)
+                                  & (rows + cfg.future_frames <= run_last))
+        if not eligible.size:
+            return []
+        ego = self.vid[eligible]
+        first = np.flatnonzero(np.r_[True, ego[1:] != ego[:-1]])
+        rank = np.arange(eligible.size) - np.repeat(first, np.diff(np.r_[first, eligible.size]))
+        anchors = eligible[rank % cfg.stride == 0]
+        return np.split(anchors, np.flatnonzero(np.diff(self.vid[anchors])) + 1)
+
+    def windows(self, a: np.ndarray, dataset_id: str,
+                stats: WindowStats) -> List[TrajectorySample]:
+        """The windows anchored on rows ``a``, all of one ego vehicle."""
+        vid, lane, x, y = self.vid, self.lane, self.x, self.y
+        hist_off, fut_off = self.hist_off, self.fut_off
+        ex, ey = x[a][:, None], y[a][:, None]
+        ego = np.empty((a.size, hist_off.size, 2))
+        ego[..., 0] = x[a[:, None] + hist_off] - ex
+        ego[..., 1] = y[a[:, None] + hist_off] - ey
+        future = np.empty((a.size, fut_off.size, 2))
+        future[..., 0] = x[a[:, None] + fut_off] - ex
+        future[..., 1] = y[a[:, None] + fut_off] - ey
+
+        # every point on each anchor frame but the ego's own
+        group = self.frame_of[a]
+        count = self.frame_count[group]
+        owner = np.repeat(np.arange(a.size), count)
+        at = np.arange(count.sum()) + np.repeat(self.frame_start[group] - np.cumsum(count)
+                                                + count, count)
+        nbr = self.by_frame[at]
+        keep = nbr != a[owner]
+        nbr, owner = nbr[keep], owner[keep]
+        bounds = np.r_[0, np.cumsum(count - 1)].tolist()
+
+        # the nearest claimant of each cell wins it; the sort is stable and
+        # the claims come in vehicle order, so a tie goes to the lower id
+        dy = y[nbr] - ey[owner, 0]
+        cells = grid_assign(dy, lane[nbr] - lane[a][owner], self.config)
+        claims = np.flatnonzero(cells[:, 0] >= 0)
+        row, col, who = cells[claims, 0], cells[claims, 1], owner[claims]
+        order = np.lexsort((np.abs(dy[claims]), col, row, who))
+        row, col, who = row[order], col[order], who[order]
+        wins = np.ones(order.size, dtype=bool)
+        wins[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1]) | (who[1:] != who[:-1])
+        winners = claims[order[wins]]
+        stats.grid_collisions += claims.size - winners.size
+        stats.neighbors_in_grid += winners.size
+        stats.neighbors_outside += nbr.size - winners.size
+
+        held = self.row_at_slot[self.slot[nbr][:, None] + hist_off]
+        valid = held < vid.size
+        track = np.empty((nbr.size, hist_off.size, 2))
+        track[..., 0] = x[held] - ex[owner]
+        track[..., 1] = y[held] - ey[owner]
+        track[~valid] = 0.0
+
+        cell_of: List[Optional[Tuple[int, int]]] = [None] * nbr.size
+        for i, r, c in zip(winners.tolist(), cells[winners, 0].tolist(),
+                           cells[winners, 1].tolist()):
+            cell_of[i] = (r, c)
+        neighbors = list(map(NeighborTrack, vid[nbr].tolist(), cell_of, track, valid))
+        ego_id = int(vid[a[0]])
+        return [TrajectorySample(dataset_id, ego_id, t0, h, f, neighbors[lo:hi])
+                for t0, h, f, lo, hi in zip(self.frame[a].tolist(), ego, future,
+                                            bounds[:-1], bounds[1:])]

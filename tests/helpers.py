@@ -2,8 +2,9 @@
 encoder run as a chain of conv, batch-norm and activation ops, an LSTM step
 composed from public ops, an unroll chained from LSTM cells,
 per-layer cost formulas, finite-difference
-checks, a graph-node count, a corrupt-file probe, a small model configuration
-reused across suites, and seeded random model configurations.
+checks, a graph-node count, a corrupt-file probe, the point-by-point
+windowing loop, a small model configuration reused across suites, and seeded
+random model configurations.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -13,14 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Mapping, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
 from deeptrack.model import social_geometry
-from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
+from deeptrack.ingest import (
+    NeighborTrack, TrackPoint, TrajectorySample, WindowConfig, WindowStats,
+)
 from deeptrack.numcore import (
     ConfigurationError, Tensor, batch_norm, dense, dilated_conv1d, lstm_cell, sigmoid,
     stack, tanh,
@@ -425,3 +429,93 @@ def loads_or_rejects(load: Callable, blob: bytes, path) -> bool:
     except ConfigurationError:
         return False
     return True
+
+
+def _scalar_grid_cell(ego: TrackPoint, neighbor: TrackPoint,
+                      config: WindowConfig) -> Optional[Tuple[int, int]]:
+    """Cell of ``neighbor`` in the ego-centered grid, or None when outside."""
+    col = neighbor.lane_id - ego.lane_id + config.grid_cols // 2
+    row = math.floor((neighbor.y - ego.y) / config.cell_length) + config.grid_rows // 2
+    if 0 <= row < config.grid_rows and 0 <= col < config.grid_cols:
+        return (row, col)
+    return None
+
+
+def _resolve_occupancy(ego: TrackPoint, neighbors: List[TrackPoint],
+                       config: WindowConfig,
+                       stats: WindowStats) -> Dict[int, Optional[Tuple[int, int]]]:
+    """Assign cells, demoting all but the closest claimant of each cell."""
+    order = sorted(neighbors, key=lambda p: (abs(p.y - ego.y), p.vehicle_id))
+    taken: set = set()
+    cells: Dict[int, Optional[Tuple[int, int]]] = {}
+    for nbr in order:
+        cell = _scalar_grid_cell(ego, nbr, config)
+        if cell is not None and cell in taken:
+            stats.grid_collisions += 1
+            cell = None
+        if cell is not None:
+            taken.add(cell)
+        cells[nbr.vehicle_id] = cell
+    return cells
+
+
+def reference_window_samples(points: Sequence[TrackPoint], config: WindowConfig,
+                             dataset_id: str = "") -> Tuple[List[TrajectorySample],
+                                                            WindowStats]:
+    """The windowing oracle: ``window_samples`` as a point-by-point walk over
+    per-vehicle and per-frame dicts. Its input must hold no duplicate
+    (vehicle, frame) and no non-finite position."""
+    by_vehicle: Dict[int, Dict[int, TrackPoint]] = defaultdict(dict)
+    at_frame: Dict[int, List[TrackPoint]] = defaultdict(list)
+    for p in points:
+        by_vehicle[p.vehicle_id][p.frame_id] = p
+        at_frame[p.frame_id].append(p)
+
+    stats = WindowStats()
+    samples: List[TrajectorySample] = []
+    for vid in sorted(by_vehicle):
+        frames = by_vehicle[vid]
+        eligible = [t0 for t0 in sorted(frames)
+                    if all(t in frames
+                           for t in range(t0 - config.history_frames,
+                                          t0 + config.future_frames + 1))]
+        had_any = False
+        for idx, t0 in enumerate(eligible):
+            if idx % config.stride:
+                continue
+            ego0 = frames[t0]
+            hist_frames = range(t0 - config.history_frames, t0 + 1, config.sample_every)
+            fut_frames = range(t0 + config.sample_every,
+                               t0 + config.future_frames + 1, config.sample_every)
+            ego_history = np.array([[frames[t].x - ego0.x, frames[t].y - ego0.y]
+                                    for t in hist_frames])
+            future = np.array([[frames[t].x - ego0.x, frames[t].y - ego0.y]
+                               for t in fut_frames])
+
+            nbr_points = [p for p in at_frame[t0] if p.vehicle_id != vid]
+            cells = _resolve_occupancy(ego0, nbr_points, config, stats)
+            neighbors: List[NeighborTrack] = []
+            for nbr in sorted(nbr_points, key=lambda p: p.vehicle_id):
+                nbr_frames = by_vehicle[nbr.vehicle_id]
+                track = np.zeros((config.history_points, 2))
+                valid = np.zeros(config.history_points, dtype=bool)
+                for i, t in enumerate(hist_frames):
+                    q = nbr_frames.get(t)
+                    if q is not None:
+                        track[i] = (q.x - ego0.x, q.y - ego0.y)
+                        valid[i] = True
+                cell = cells[nbr.vehicle_id]
+                if cell is None:
+                    stats.neighbors_outside += 1
+                else:
+                    stats.neighbors_in_grid += 1
+                neighbors.append(NeighborTrack(nbr.vehicle_id, cell, track, valid))
+
+            samples.append(TrajectorySample(
+                dataset_id=dataset_id, vehicle_id=vid, t0_frame=t0,
+                ego_history=ego_history, future=future, neighbors=neighbors))
+            had_any = True
+        if had_any:
+            stats.vehicles_with_samples += 1
+    stats.samples = len(samples)
+    return samples, stats

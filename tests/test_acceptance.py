@@ -304,22 +304,19 @@ class TestCriterion8PipelineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(dy_ft=st.floats(-90.0, 105.0, exclude_max=True))
     def test_grid_row_binning(self, dy_ft):
-        ego = TrackPoint(1, 10, 0.0, 0.0, 2)
-        other = TrackPoint(2, 10, 0.0, dy_ft * FT, 2)
-        cell = grid_assign(ego, other, WindowConfig())
-        assert cell is not None
-        assert cell[0] == math.floor(dy_ft * FT / 4.572) + 6
+        (row, col), = grid_assign(np.array([dy_ft * FT]), np.array([0]),
+                                  WindowConfig()).tolist()
+        assert (row, col) != (-1, -1)
+        assert row == math.floor(dy_ft * FT / 4.572) + 6
 
     def test_grid_row_landmarks(self):
-        ego = TrackPoint(1, 10, 0.0, 0.0, 2)
         cases = {-90.0: 0, -80.0: 0, 0.0: 6, 14.9: 6, 90.0: 12, 104.9: 12}
-        for dy_ft, row in cases.items():
-            cell = grid_assign(ego, TrackPoint(2, 10, 0.0, dy_ft * FT, 2),
-                               WindowConfig())
-            assert cell == (row, 1), f"{dy_ft} ft"
-        beyond = grid_assign(ego, TrackPoint(2, 10, 0.0, 105.0 * FT, 2),
-                             WindowConfig())
-        assert beyond is None
+        cells = grid_assign(np.array(list(cases)) * FT, np.zeros(len(cases), dtype=np.int64),
+                            WindowConfig())
+        for (dy_ft, row), cell in zip(cases.items(), cells.tolist()):
+            assert cell == [row, 1], f"{dy_ft} ft"
+        beyond = grid_assign(np.array([105.0 * FT]), np.array([0]), WindowConfig())
+        assert beyond.tolist() == [[-1, -1]]
 
 
 @pytest.mark.skip(reason="non-gating stretch experiment: requires the real "

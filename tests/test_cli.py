@@ -1,6 +1,7 @@
 """End-to-end command line flows on synthetic data."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestIngest:
         manifest = json.loads((ingested / "manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert len(manifest["datasetFingerprint"]) == 64
+
+    def test_output_bytes_are_pinned(self, ingested):
+        # windowing, splitting and the archive layout all feed these digests
+        digests = {
+            "train_samples.bin": "a8841524f772e7d1652386636503b498dd9187aecac4c46117bd607a50a1fe0a",
+            "val_samples.bin": "2baf491f5e982dd7c111800dc3c57bf477b048018ddba9665c38d63fee6775b7",
+            "test_samples.bin": "df72fa630ea5833ffef6deed63c807e0a76c1c3f60b16ebcfc454ec1e9425e4c",
+            "stats.json": "cdb0d36ddf075271c524256952c799b17630d17ee93e10bfef13f939123dbef5",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((ingested / name).read_bytes()).hexdigest() == digest, name
 
     def test_format_option_is_gone(self, tmp_path, tracks_file):
         with pytest.raises(SystemExit) as info:

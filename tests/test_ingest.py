@@ -13,6 +13,7 @@ from deeptrack.ingest import (
     NeighborTrack,
     TrackPoint,
     WindowConfig,
+    WindowStats,
     grid_assign,
     load_samples,
     parse_tracks,
@@ -23,7 +24,7 @@ from deeptrack.ingest import (
 )
 from deeptrack.numcore import ConfigurationError
 
-from helpers import loads_or_rejects
+from helpers import loads_or_rejects, reference_window_samples
 
 HEADER = "Vehicle_ID,Frame_ID,Local_X,Local_Y,Lane_ID\n"
 
@@ -114,31 +115,41 @@ def pt(vid, frame, x_m, y_m, lane):
 class TestGridAssign:
     CFG = WindowConfig()
 
-    def ego(self):
-        return pt(1, 0, 3.0, 100.0, 2)
-
-    def at_dy_feet(self, feet, lane=2):
-        return pt(2, 0, 3.0, 100.0 + feet * FEET_TO_METERS, lane)
+    def cell(self, feet, lane=2):
+        """Cell of a neighbor ``feet`` ahead of an ego at y = 100 m in lane 2."""
+        ego_y, ego_lane = 100.0, 2
+        dy = np.array([(100.0 + feet * FEET_TO_METERS) - ego_y])
+        (cell,) = grid_assign(dy, np.array([lane - ego_lane]), self.CFG).tolist()
+        return tuple(cell)
 
     def test_ego_position_maps_to_center_cell(self):
-        assert grid_assign(self.ego(), self.at_dy_feet(0.0), self.CFG) == (6, 1)
+        assert self.cell(0.0) == (6, 1)
 
     def test_20_feet_ahead(self):
-        assert grid_assign(self.ego(), self.at_dy_feet(20.0), self.CFG) == (7, 1)
+        assert self.cell(20.0) == (7, 1)
 
     def test_100_feet_ahead_is_last_row(self):
-        assert grid_assign(self.ego(), self.at_dy_feet(100.0), self.CFG) == (12, 1)
+        assert self.cell(100.0) == (12, 1)
 
     def test_105_feet_ahead_is_outside(self):
-        assert grid_assign(self.ego(), self.at_dy_feet(105.0), self.CFG) is None
+        assert self.cell(105.0) == (-1, -1)
 
     def test_just_behind_drops_a_row(self):
-        assert grid_assign(self.ego(), self.at_dy_feet(-1.0), self.CFG) == (5, 1)
+        assert self.cell(-1.0) == (5, 1)
 
     def test_lane_offsets_map_to_columns(self):
-        assert grid_assign(self.ego(), self.at_dy_feet(0.0, lane=1), self.CFG) == (6, 0)
-        assert grid_assign(self.ego(), self.at_dy_feet(0.0, lane=3), self.CFG) == (6, 2)
-        assert grid_assign(self.ego(), self.at_dy_feet(0.0, lane=4), self.CFG) is None
+        assert self.cell(0.0, lane=1) == (6, 0)
+        assert self.cell(0.0, lane=3) == (6, 2)
+        assert self.cell(0.0, lane=4) == (-1, -1)
+
+    def test_one_call_bins_like_one_call_each(self):
+        feet = [0.0, 20.0, 100.0, 105.0, -1.0, 0.0, 0.0, 0.0]
+        lanes = [2, 2, 2, 2, 2, 1, 3, 4]
+        dy = np.array([(100.0 + f * FEET_TO_METERS) - 100.0 for f in feet])
+        cells = grid_assign(dy, np.array(lanes) - 2, self.CFG)
+        assert cells.dtype == np.int64 and cells.shape == (8, 2)
+        assert [tuple(c) for c in cells.tolist()] == [
+            self.cell(f, lane) for f, lane in zip(feet, lanes)]
 
 
 class TestWindowing:
@@ -296,6 +307,150 @@ class TestWindowing:
         after, _ = window_samples(corrupted, WindowConfig())
         assert np.array_equal(base[0].future, after[0].future)
         assert not np.array_equal(base[0].ego_history, after[0].ego_history)
+
+
+class TestBadPoints:
+    """Points handed to window_samples directly, past parse_tracks' checks."""
+
+    def scene(self):
+        rows = straight_track(1, range(81), lane=2) + straight_track(2, range(81), y0_ft=90.0)
+        return parse_tracks(table(rows))[0]
+
+    def test_duplicate_point_is_rejected(self):
+        points = self.scene()
+        points.append(points[-20])
+        with pytest.raises(ConfigurationError, match="vehicle 2 at frame 61: the point is "
+                                                     "given twice"):
+            window_samples(points, WindowConfig())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_position_is_rejected(self, value):
+        points = self.scene()
+        assert (points[111].vehicle_id, points[111].frame_id) == (2, 30)  # on the anchor frame
+        points[111] = TrackPoint(2, 30, points[111].x, value, 2)
+        with pytest.raises(ConfigurationError, match="vehicle 2 at frame 30: non-finite"):
+            window_samples(points, WindowConfig())
+
+    def test_id_beyond_64_bits_is_rejected(self):
+        points = self.scene() + [TrackPoint(3, 2 ** 63, 0.0, 0.0, 2)]
+        with pytest.raises(ConfigurationError, match="fit in 64-bit integers"):
+            window_samples(points, WindowConfig())
+
+
+def random_scene(rng):
+    """Points of a small scene that exercises the windowing rules: vehicles
+    enter late and leave early, drop frames, change lanes and share exact
+    positions (cell collisions, |dy| ties); ids are sparse, frames may be
+    negative, and the points come in no particular order."""
+    points = []
+    ids = rng.choice(10_000, size=int(rng.integers(1, 11)), replace=False)
+    start = int(rng.integers(-40, 20))
+    span = int(rng.integers(5, 50))
+    for vid in ids.tolist():
+        enter = start + int(rng.integers(0, span // 2 + 1))
+        leave = start + span - int(rng.integers(0, span // 2 + 1))
+        lane = int(rng.integers(1, 4))
+        drop = rng.choice([0.0, 0.05, 0.2])
+        for frame in range(enter, leave + 1):
+            if rng.random() < drop:
+                continue
+            if rng.random() < 0.1:
+                lane += int(rng.choice([-1, 1]))
+            y = 0.5 * int(rng.integers(-12, 13))  # exact in binary: ties are common
+            points.append(TrackPoint(vid, frame, lane * 3.7 + rng.normal(scale=0.3), y, lane))
+    rng.shuffle(points)
+    return points
+
+
+def random_window_config(rng):
+    step = int(rng.integers(1, 4))
+    return WindowConfig(history_frames=step * int(rng.integers(0, 5)),
+                        future_frames=step * int(rng.integers(1, 4)),
+                        sample_every=step, stride=int(rng.integers(1, 8)),
+                        grid_rows=int(rng.integers(1, 7)), grid_cols=int(rng.integers(1, 5)),
+                        cell_length=float(rng.choice([0.5, 1.0, 1.5, 3.0])))
+
+
+class TestWindowOracle:
+    """window_samples against the point-by-point loop it replaced."""
+
+    def assert_same(self, points, config, tmp_path):
+        got, got_stats = window_samples(points, config, "sweep")
+        want, want_stats = reference_window_samples(points, config, "sweep")
+        assert got_stats == want_stats
+        assert got == want
+        for s, r in zip(got, want):
+            assert type(s.vehicle_id) is int and type(s.t0_frame) is int
+            assert s.ego_history.tobytes() == r.ego_history.tobytes()
+            assert s.future.tobytes() == r.future.tobytes()
+            for n, m in zip(s.neighbors, r.neighbors):
+                assert type(n.vehicle_id) is int
+                assert n.cell is None or (type(n.cell) is tuple
+                                          and [type(c) for c in n.cell] == [int, int])
+                assert n.valid.dtype == bool
+                assert n.track.tobytes() == m.track.tobytes()
+        save_samples(tmp_path / "got.bin", got)
+        save_samples(tmp_path / "want.bin", want)
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+        return got_stats
+
+    def test_seeded_sweep(self, tmp_path):
+        rng = np.random.default_rng(19)
+        seen = dict(samples=0, collisions=0, ties=0, empty_egos=0, grids=set(),
+                    strides=set(), steps=set())
+        for _ in range(150):
+            points, config = random_scene(rng), random_window_config(rng)
+            stats = self.assert_same(points, config, tmp_path)
+            seen["samples"] += stats.samples
+            seen["collisions"] += stats.grid_collisions
+            seen["empty_egos"] += len({p.vehicle_id for p in points}) - stats.vehicles_with_samples
+            seen["grids"].add((config.grid_rows % 2, config.grid_cols % 2))
+            seen["strides"].add(config.stride)
+            seen["steps"].add(config.sample_every)
+            at = {(p.vehicle_id, p.frame_id): p for p in points}
+            for s in window_samples(points, config)[0]:
+                spots = [(at[n.vehicle_id, s.t0_frame].lane_id, at[n.vehicle_id, s.t0_frame].y)
+                         for n in s.neighbors]
+                seen["ties"] += len(spots) - len(set(spots))
+        # the sweep reached every case it is meant to cover
+        assert seen["samples"] > 1000 and seen["collisions"] > 25 and seen["ties"] > 50
+        assert seen["empty_egos"] > 50
+        assert seen["grids"] == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert seen["strides"] == set(range(1, 8)) and seen["steps"] == {1, 2, 3}
+
+    def test_one_cell_grid(self, tmp_path):
+        rng = np.random.default_rng(5)
+        config = WindowConfig(history_frames=4, future_frames=2, sample_every=2,
+                              grid_rows=1, grid_cols=1, cell_length=3.0)
+        collisions = [self.assert_same(random_scene(rng), config, tmp_path).grid_collisions
+                      for _ in range(20)]
+        assert sum(collisions) > 0
+
+    def test_exact_tie_goes_to_lower_id(self, tmp_path):
+        # one lane: 7 and 3 share y = 2 m, 9 sits at -2 m and 40 at 0 m
+        points = [TrackPoint(vid, frame, 3.0, y, 2)
+                  for vid, y in ((40, 0.0), (7, 2.0), (3, 2.0), (9, -2.0))
+                  for frame in range(-6, 3)]
+        config = WindowConfig(history_frames=4, future_frames=2, sample_every=2)
+        stats = self.assert_same(points[::-1], config, tmp_path)
+        # per anchor frame, egos 40, 3 and 7 lose one claimant each, ego 9 two
+        assert stats.samples == 12 and stats.grid_collisions == 3 * 5
+        samples, _ = window_samples(points, config)
+        cells = {n.vehicle_id: n.cell for n in samples[-1].neighbors}
+        assert samples[-1].vehicle_id == 40
+        assert cells == {3: (6, 1), 7: None, 9: (5, 1)}
+
+    def test_frame_ids_at_the_ends_of_int64(self, tmp_path):
+        # frame gaps wider than int64 wrap negative in numpy, not in the loop
+        edge = 2 ** 63 - 40
+        frames = [*range(-edge, -edge + 30), *range(edge, edge + 30)]
+        points = [TrackPoint(vid, frame, 3.0, 2.0 * vid, 2) for vid in (1, 2) for frame in frames]
+        config = WindowConfig(history_frames=10, future_frames=4, sample_every=2, stride=3)
+        # 2 x 16 eligible anchors per vehicle, every third of them kept
+        assert self.assert_same(points, config, tmp_path).samples == 2 * 11
+
+    def test_empty_input(self, tmp_path):
+        assert self.assert_same([], WindowConfig(), tmp_path) == WindowStats()
 
 
 class TestSplit:
