@@ -16,7 +16,7 @@ MAC saving that buys.
 import dataclasses
 
 from deeptrack.atcn import AtcnConfig
-from deeptrack.complexity import SampleShape, complexity_report
+from deeptrack.complexity import complexity_report
 from deeptrack.configio import ModelConfig
 from deeptrack.model import DeepTrack
 
@@ -35,7 +35,7 @@ print(f"allocated weights: {allocated:,} == counted {report.total_params:,}: "
 # the neighbor encoder runs once per occupied cell
 
 for n in (1, 3, 6):
-    macs = complexity_report(cfg, SampleShape(neighbor_count=n)).total_macs
+    macs = complexity_report(cfg, n).total_macs
     print(f"  {n} occupied cells -> {macs:,} MACs")
 
 # -- why the factored blocks exist --------------------------------------------

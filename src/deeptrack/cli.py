@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .complexity import SampleShape, complexity_report
+from .complexity import complexity_report
 from .configio import (
     ModelConfig,
     config_from_dict,
@@ -338,8 +338,7 @@ def cmd_predict(args) -> int:
 def cmd_complexity(args) -> int:
     started = _now()
     cfg, _ = _load_model_config(args)
-    report = complexity_report(cfg, SampleShape(history_steps=cfg.history_steps,
-                                                neighbor_count=args.neighbors))
+    report = complexity_report(cfg, args.neighbors)
     text = report.to_text()
     print(text, end="")
     out = _out_dir(args, "complexity", required=False)

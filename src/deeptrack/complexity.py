@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .configio import ModelConfig
 from .model import DeepTrack
-from .numcore import ConfigurationError, check_fields
+from .numcore import ConfigurationError
 
 __all__ = [
-    "SampleShape",
     "LayerCost",
     "ComplexityReport",
     "complexity_report",
@@ -45,18 +44,6 @@ __all__ = [
 # calibrated to land within a few percent of these
 REFERENCE_PARAMS = 171_703
 REFERENCE_MACS = 1_667_425
-
-
-@dataclass
-class SampleShape:
-    """Input extent used for MAC counting."""
-    history_steps: int = 16
-    neighbor_count: int = 1
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.history_steps < 1 or self.neighbor_count < 0:
-            raise ConfigurationError(f"need history_steps >= 1 and neighbor_count >= 0: {self}")
 
 
 @dataclass
@@ -101,14 +88,19 @@ class ComplexityReport:
         return "\n".join(lines) + "\n"
 
 
-def complexity_report(config: ModelConfig,
-                      shape: Optional[SampleShape] = None) -> ComplexityReport:
+def complexity_report(config: ModelConfig, neighbors: int = 1) -> ComplexityReport:
     """Cost of every layer of the model's layer table for one forward pass
-    over ``shape``."""
-    shape = shape or SampleShape(history_steps=config.history_steps)
+    over a sample of ``config.history_steps`` steps.
+
+    ``neighbors`` is the number of occupied grid cells assumed per sample,
+    each one run of the neighbor encoder; an integer >= 0, else a
+    ``ConfigurationError``.
+    """
+    if isinstance(neighbors, bool) or not isinstance(neighbors, int) or neighbors < 0:
+        raise ConfigurationError(f"neighbors must be an integer >= 0, got {neighbors!r}")
     model = DeepTrack(config)
-    t, geo = shape.history_steps, model.geometry
-    applications = {"neighbor_encoder": t * shape.neighbor_count, "ego_encoder": t,
+    t, geo = config.history_steps, model.geometry
+    applications = {"neighbor_encoder": t * neighbors, "ego_encoder": t,
                     "social.conv1": math.prod(geo.conv1_hw),
                     "social.conv2": math.prod(geo.conv2_hw),
                     "decoder": config.horizon_steps, "head": config.horizon_steps}

@@ -32,13 +32,19 @@ SAMPLE_VERSION = 1
 
 def save_samples(path, samples: Sequence[TrajectorySample]) -> None:
     """Write ``samples`` to ``path``; a field the layout cannot hold, such as
-    a negative vehicle id, raises ConfigurationError naming the sample."""
+    a negative vehicle id or a track whose shape is not the sample's
+    ``(H, 2)``, raises ConfigurationError naming the sample, and no file is
+    written."""
     chunks: List[bytes] = [SAMPLE_MAGIC, struct.pack("<IQ", SAMPLE_VERSION, len(samples))]
     try:
         for s in samples:
             ds = s.dataset_id.encode("utf-8")
             h = s.ego_history.shape[0]
             f = s.future.shape[0]
+            track, mask = (h, 2), (h,)
+            if s.ego_history.shape != track or s.future.shape != (f, 2):
+                raise ValueError(f"ego history {s.ego_history.shape} and future "
+                                 f"{s.future.shape} must both be [points, 2]")
             chunks.append(struct.pack("<H", len(ds)))
             chunks.append(ds)
             chunks.append(struct.pack("<QqHHI", s.vehicle_id, s.t0_frame, h, f,
@@ -46,11 +52,17 @@ def save_samples(path, samples: Sequence[TrajectorySample]) -> None:
             chunks.append(np.ascontiguousarray(s.ego_history, dtype="<f8").tobytes())
             chunks.append(np.ascontiguousarray(s.future, dtype="<f8").tobytes())
             for n in s.neighbors:
+                valid = np.asarray(n.valid, dtype=bool)  # one byte each, 0 or 1
+                points = np.ascontiguousarray(n.track, dtype="<f8")
+                if points.shape != track or valid.shape != mask:
+                    raise ValueError(
+                        f"neighbor {n.vehicle_id} has track {points.shape} and valid mask "
+                        f"{valid.shape}; the ego history needs {track} and {mask}")
                 row, col = n.cell if n.cell is not None else (-1, -1)
                 chunks.append(struct.pack("<Qii", n.vehicle_id, row, col))
-                chunks.append(np.asarray(n.valid, dtype=np.uint8).tobytes())
-                chunks.append(np.ascontiguousarray(n.track, dtype="<f8").tobytes())
-    except struct.error as err:
+                chunks.append(valid.tobytes())
+                chunks.append(points.tobytes())
+    except (struct.error, ValueError) as err:
         raise ConfigurationError(
             f"{path}: cannot archive the sample of vehicle {s.vehicle_id} at frame "
             f"{s.t0_frame} in {s.dataset_id!r}: {err}") from err

@@ -375,10 +375,9 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
 
     Returns the output ``[B, O, *S_out]`` (``[O, *S_out]``) and its backward,
     a function from the output gradient to those of ``xd``, ``wd`` and ``bd``.
-    With groups == 1 the tap window is an im2col matrix, row (b, i, j) in
-    (c, p, q) order like ``wd.reshape(O, -1)``, and one GEMM does the rest.
-    Grouped kernels (the depthwise layers) keep a per-tap multiply-add,
-    faster at their few channels per group.
+    Each group's tap window is an im2col matrix, row (b, i, j) in (c, p, q)
+    order like its rows of ``wd.reshape(O, -1)``, and one stacked GEMM over
+    the groups does the rest; an ungrouped kernel is the one-group case.
     """
     n_spatial = wd.ndim - 2
     c_axis = xd.ndim - n_spatial - 1
@@ -394,43 +393,28 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
     xp = _padded(x4, pads)
     win = _tap_window(xp, taps, stride, step)
     h_out, w_out = win.shape[2:4]
-    if groups == 1:
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
-        w2 = wd.reshape(c_out, c_in * kh * kw)
-        out = cols @ w2.T
-        if bd is not None:
-            out += bd
-        out = out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    else:
-        og = c_out // groups
-        wg = wd.reshape(groups, og, cg, kh, kw)
-        out = np.zeros((batch, groups, og, h_out * w_out), dtype=xd.dtype)
-        for p, q in product(range(kh), range(kw)):
-            out += np.einsum("goc,bgct->bgot", wg[..., p, q],
-                             win[..., p, q].reshape(batch, groups, cg, h_out * w_out))
-        out = out.reshape(batch, c_out, h_out, w_out)
-        if bd is not None:
-            out += bd[:, None, None]
+    og, rows = c_out // groups, batch * h_out * w_out
+    cols = win.reshape(batch, groups, cg, h_out, w_out, kh, kw) \
+        .transpose(1, 0, 3, 4, 2, 5, 6).reshape(groups, rows, cg * kh * kw)
+    wg = wd.reshape(groups, og, cg * kh * kw)
+    out = cols @ wg.transpose(0, 2, 1)
+    if bd is not None:
+        out += bd.reshape(groups, 1, og)
+    out = out.reshape(groups, batch, h_out, w_out, og).transpose(1, 0, 4, 2, 3) \
+        .reshape(batch, c_out, h_out, w_out)
 
     def backward(g):
         g4 = g.reshape(batch, c_out, h_out, w_out)
+        g2 = g4.reshape(batch, groups, og, h_out, w_out).transpose(1, 0, 3, 4, 2) \
+            .reshape(groups, rows, og)
+        gw = g2.transpose(0, 2, 1) @ cols
+        # col2im: each tap's column block goes back where the tap read it
+        gcols = (g2 @ wg).reshape(groups, batch, h_out, w_out, cg, kh, kw)
         gxp = np.zeros_like(xp)
         gwin = _tap_window(gxp, taps, stride, step)
-        if groups == 1:
-            g2 = g4.transpose(0, 2, 3, 1).reshape(batch * h_out * w_out, c_out)
-            gw = g2.T @ cols
-            # col2im: each tap's column block goes back where the tap read it
-            gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
-            for p, q in product(range(kh), range(kw)):
-                gwin[..., p, q] += gcols[..., p, q].transpose(0, 3, 1, 2)
-        else:
-            gg = g4.reshape(batch, groups, og, h_out * w_out)
-            gw = np.empty_like(wg)
-            for p, q in product(range(kh), range(kw)):
-                gw[..., p, q] = np.einsum("bgot,bgct->goc", gg,
-                                          win[..., p, q].reshape(batch, groups, cg, h_out * w_out))
-                gwin[..., p, q] += np.einsum("goc,bgot->bgct", wg[..., p, q], gg) \
-                    .reshape(batch, c_in, h_out, w_out)
+        for p, q in product(range(kh), range(kw)):
+            gwin[..., p, q] += gcols[..., p, q].transpose(1, 0, 4, 2, 3) \
+                .reshape(batch, c_in, h_out, w_out)
         (top, _), (left, _) = pads
         gx = gxp[:, :, top: top + x4.shape[2], left: left + x4.shape[3]]
         return gx.reshape(xd.shape), gw.reshape(wd.shape), \

@@ -406,12 +406,15 @@ class TestEvalAndPredict:
         save_config_file(tmp_path / "config.json", model.config)
         samples = constant_velocity_samples(4, seed=0)
         short = next(n for s in samples for n in s.neighbors if n.cell is not None)
-        short.track = short.track[2:]
-        # the layout stores every track at the history length, so a short one
-        # misaligns the archive and is rejected at load; collate's own check
-        # is covered in test_model.py
+        # save_samples refuses a short track, so the first two steps are cut
+        # from the stored bytes: the layout stores every track at the history
+        # length, so a short one misaligns the archive and is rejected at
+        # load; collate's own check is covered in test_model.py
         archive = tmp_path / "test_samples.bin"
         save_samples(archive, samples)
+        blob = archive.read_bytes()
+        at = blob.index(np.ascontiguousarray(short.track, dtype="<f8").tobytes())
+        archive.write_bytes(blob[:at] + blob[at + 2 * 2 * 8:])
         assert main(["predict", "--checkpoint", str(tmp_path / "checkpoint.bin"),
                      "--data", str(archive), "--out", str(tmp_path / "pred")]) == 2
         assert "corrupt sample archive" in capsys.readouterr().err
@@ -454,7 +457,7 @@ class TestComplexity:
     def test_negative_neighbor_count_is_exit_2(self, capsys, neighbors):
         assert main(["complexity", "--neighbors", neighbors]) == 2
         captured = capsys.readouterr()
-        assert "neighbor_count" in captured.err and captured.out == ""
+        assert "neighbors must be an integer >= 0" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("config", [
         {"decoderHiden": 8},

@@ -10,7 +10,6 @@ from deeptrack.atcn import AtcnConfig
 from deeptrack.complexity import (
     REFERENCE_MACS,
     REFERENCE_PARAMS,
-    SampleShape,
     complexity_report,
 )
 from deeptrack.configio import default_model_config
@@ -114,16 +113,21 @@ class TestDefaultReport:
 
     def test_neighbor_count_scales_macs_not_params(self):
         cfg = default_model_config()
-        one = complexity_report(cfg, SampleShape(neighbor_count=1))
-        five = complexity_report(cfg, SampleShape(neighbor_count=5))
+        one = complexity_report(cfg, neighbors=1)
+        five = complexity_report(cfg, neighbors=5)
         assert five.total_params == one.total_params
         assert five.total_macs > one.total_macs
 
     @pytest.mark.parametrize("shape", [dict(history_steps=9.5), dict(neighbor_count=True),
-                                       dict(neighbor_count=-1), dict(history_steps=0)])
+                                       dict(neighbor_count=-1), dict(history_steps=0),
+                                       dict(neighbor_count=2.0), dict(neighbor_count="3")])
     def test_bad_sample_shape_rejected(self, shape):
+        # T is the config's history_steps, checked by the config; the
+        # neighbor count is complexity_report's own argument
         with pytest.raises(ConfigurationError):
-            SampleShape(**shape)
+            cfg = dataclasses.replace(default_model_config(),
+                                      history_steps=shape.get("history_steps", 16))
+            complexity_report(cfg, shape.get("neighbor_count", 1))
 
     def test_report_renders(self):
         text = complexity_report(default_model_config()).to_text()
@@ -160,7 +164,8 @@ class TestAgainstFormulas:
         for cfg in configs:
             for t in (1, 9, 16, 23):
                 for neighbors in range(6):
-                    report = complexity_report(cfg, SampleShape(t, neighbors))
+                    report = complexity_report(
+                        dataclasses.replace(cfg, history_steps=t), neighbors)
                     expected, bn_state = formula_costs(cfg, t, neighbors)
                     got = [(l.name, l.params, l.macs) for l in report.layers]
                     assert got == expected, (cfg, t, neighbors)

@@ -527,16 +527,30 @@ class TestArchives:
         assert loaded[0].neighbors[-1].cell is None
         assert loaded == samples
 
-    @pytest.mark.parametrize("field", ["vehicle_id", "neighbor_id", "cell"])
+    @pytest.mark.parametrize("field", ["vehicle_id", "neighbor_id", "cell", "ego_3_columns",
+                                       "ego_1d", "future_3_columns", "neighbor_track_short",
+                                       "neighbor_valid_short"])
     def test_field_the_layout_cannot_hold_is_rejected(self, tmp_path, field):
         samples = self.build_samples()
         bad = samples[-1]
+        h, f = bad.ego_history.shape[0], bad.future.shape[0]
+        n = bad.neighbors[0]
         if field == "vehicle_id":
             bad.vehicle_id = -bad.vehicle_id
         elif field == "neighbor_id":
-            bad.neighbors[0].vehicle_id = 2 ** 64
+            n.vehicle_id = 2 ** 64
+        elif field == "cell":
+            n.cell = (2 ** 31, 0)
+        elif field == "ego_3_columns":
+            bad.ego_history = np.zeros((h, 3))
+        elif field == "ego_1d":
+            bad.ego_history = np.zeros(h)
+        elif field == "future_3_columns":
+            bad.future = np.zeros((f, 3))
+        elif field == "neighbor_track_short":
+            n.track = n.track[:-1]
         else:
-            bad.neighbors[0].cell = (2 ** 31, 0)
+            n.valid = n.valid[:-1]
         path = tmp_path / "s.bin"
         with pytest.raises(ConfigurationError, match=f"vehicle {bad.vehicle_id} at frame"):
             save_samples(path, samples)
