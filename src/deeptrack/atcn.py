@@ -12,7 +12,9 @@ depthwise-separable bottleneck:
 with B = max(1, C_in // bottleneck_divisor). Batch normalization and the
 activation follow every convolution; each such unit is one graph node,
 ``conv_unit``, which in eval mode folds the running statistics into the
-convolution on every call. The factorized blocks cost well under half the
+convolution on every call. A convolution followed by batch norm has no
+bias, since the normalization would cancel it; with batch norm off each
+convolution has one. The factorized blocks cost well under half the
 multiply-accumulates of a standard convolution with the same in/out widths
 whenever the divisor is at least 2.
 """
@@ -99,11 +101,12 @@ def receptive_field(config: AtcnConfig) -> int:
 
 
 def _init_kernel(rng: np.random.Generator, c_out: int, c_in_per_group: int,
-                 k: int, dilation: int, groups: int, dtype) -> Kernel1D:
+                 k: int, dilation: int, groups: int, dtype, bias: bool) -> Kernel1D:
     bound = 1.0 / math.sqrt(c_in_per_group * k)
     w = rng.uniform(-bound, bound, size=(c_out, c_in_per_group, k)).astype(dtype)
-    b = rng.uniform(-bound, bound, size=c_out).astype(dtype)
-    return Kernel1D(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True),
+    # drawn even when unused, so every later draw, and every other weight, stays put
+    b = Tensor(rng.uniform(-bound, bound, size=c_out).astype(dtype), requires_grad=True)
+    return Kernel1D(Tensor(w, requires_grad=True), b if bias else None,
                     dilation=dilation, groups=groups)
 
 
@@ -130,12 +133,10 @@ class _ConvUnit:
                          cfg.activation, cfg.pad_mode, cfg.bn_momentum, cfg.bn_epsilon)
 
     def parameters(self) -> Dict[str, Tensor]:
-        """This unit's tensors keyed by suffix: ``w``, ``b``, ``bn.gamma``, ``bn.beta``."""
-        out = {"w": self.kern.weights, "b": self.kern.bias}
-        if self.gamma is not None:
-            out["bn.gamma"] = self.gamma
-            out["bn.beta"] = self.beta
-        return out
+        """This unit's tensors by suffix: ``w``, then ``bn.gamma`` and ``bn.beta``, or ``b``."""
+        if self.gamma is None:
+            return {"w": self.kern.weights, "b": self.kern.bias}
+        return {"w": self.kern.weights, "bn.gamma": self.gamma, "bn.beta": self.beta}
 
 
 class AtcnEncoder:
@@ -146,16 +147,17 @@ class AtcnEncoder:
         self.config = config
         self.units: List[_ConvUnit] = []
         c_in = config.input_channels
+        bias = not config.use_batch_norm
         for j, c_out in enumerate(config.channels):
             k, d = config.kernel_sizes[j], config.dilations[j]
             if j == 0:
-                kern = _init_kernel(rng, c_out, c_in, k, d, 1, dtype)
+                kern = _init_kernel(rng, c_out, c_in, k, d, 1, dtype, bias)
                 self.units.append(_ConvUnit(f"block{j}.conv", kern, config, dtype))
             else:
                 mid = config.mid_channels_of(j)
-                pw_in = _init_kernel(rng, mid, c_in, 1, 1, 1, dtype)
-                dw = _init_kernel(rng, mid, 1, k, d, mid, dtype)
-                pw_out = _init_kernel(rng, c_out, mid, 1, 1, 1, dtype)
+                pw_in = _init_kernel(rng, mid, c_in, 1, 1, 1, dtype, bias)
+                dw = _init_kernel(rng, mid, 1, k, d, mid, dtype, bias)
+                pw_out = _init_kernel(rng, c_out, mid, 1, 1, 1, dtype, bias)
                 self.units.append(_ConvUnit(f"block{j}.pw_in", pw_in, config, dtype))
                 self.units.append(_ConvUnit(f"block{j}.dw", dw, config, dtype))
                 self.units.append(_ConvUnit(f"block{j}.pw_out", pw_out, config, dtype))

@@ -36,7 +36,6 @@ from .ingest import PARTITION_NAMES, WindowConfig, load_samples, parse_tracks, s
     split_dataset, window_samples
 from .model import DeepTrack
 from .numcore import ConfigurationError, NumericsError, load_weights, save_weights
-from .numcore.functional import PAD_MODES
 from .trainer import (
     TrainConfig,
     TrainingDiverged,
@@ -216,11 +215,6 @@ def cmd_train(args) -> int:
     started = _now()
     out = _out_dir(args, "train", required=True)
     cfg, train_dict = _load_model_config(args)
-    if args.pad_mode:
-        cfg = dataclasses.replace(
-            cfg,
-            neighbor_atcn=dataclasses.replace(cfg.neighbor_atcn, pad_mode=args.pad_mode),
-            ego_atcn=dataclasses.replace(cfg.ego_atcn, pad_mode=args.pad_mode))
     flags = {name: getattr(args, name) for name in ("loss", "seed", "epochs", "batch_size")}
     train_cfg = dataclasses.replace(config_from_dict(TrainConfig, train_dict),
                                     **{k: v for k, v in flags.items() if v is not None})
@@ -392,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--pad-mode", choices=PAD_MODES,
-                   help="override the temporal padding mode")
     add_common(p)
     p.set_defaults(handler=cmd_train)
 

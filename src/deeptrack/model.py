@@ -14,7 +14,7 @@ Forward pass over one batch:
    graph node (``lstm_unroll``, working in buffers allocated once per
    call), or one ``lstm_cell`` node per step on its own output (zeros
    before the first) when configured autoregressive; one shared dense head
-   maps each hidden state to an (x, y) offset. A default train step is 108
+   maps each hidden state to an (x, y) offset. A default train step is 94
    graph nodes.
 
 All outputs are meters relative to the ego position at the anchor frame.
@@ -23,6 +23,7 @@ All outputs are meters relative to the ego position at the anchor frame.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -146,6 +147,17 @@ def _uniform(rng, bound: float, shape, dtype) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+@contextmanager
+def _drawing(layer: str):
+    """Report a size numpy cannot draw weights of (too large to index,
+    to convert or to allocate) as a configuration error naming ``layer``."""
+    try:
+        yield
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"{layer}: the configured sizes give weights that cannot be drawn ({exc})") from None
+
+
 class DeepTrack:
     """Interaction-aware trajectory predictor over occupancy grids."""
 
@@ -155,8 +167,10 @@ class DeepTrack:
         self.dtype = np.float64 if cfg.dtype == "float64" else np.float32
         rng = np.random.default_rng(np.random.PCG64(seed))
 
-        self.neighbor_encoder = AtcnEncoder(cfg.neighbor_atcn, rng, self.dtype)
-        self.ego_encoder = AtcnEncoder(cfg.ego_atcn, rng, self.dtype)
+        with _drawing("neighbor_encoder"):
+            self.neighbor_encoder = AtcnEncoder(cfg.neighbor_atcn, rng, self.dtype)
+        with _drawing("ego_encoder"):
+            self.ego_encoder = AtcnEncoder(cfg.ego_atcn, rng, self.dtype)
         self.geometry = social_geometry(cfg)
 
         nbr_c = self.neighbor_encoder.out_channels
@@ -164,35 +178,37 @@ class DeepTrack:
         ctx = self.geometry.flat + cfg.ego_dense_out
         hidden = cfg.decoder_hidden
 
-        def param(shape, bound) -> Tensor:
-            return Tensor(_uniform(rng, bound, shape, self.dtype), requires_grad=True)
-
-        def weight_and_bias(c_out: int, *fan_in) -> Dict[str, Tensor]:
-            """A dense (``fan_in`` = width) or conv2d (``c_in, kh, kw``) layer."""
-            bound = 1.0 / math.sqrt(math.prod(fan_in))
-            return {"w": param((c_out, *fan_in), bound), "b": param((c_out,), bound)}
+        def weight_and_bias(c_out: int, *fan_in):
+            """Fan-in and tensor shapes of a dense (``fan_in`` = width) or
+            conv2d (``c_in, kh, kw``) layer."""
+            return math.prod(fan_in), {"w": (c_out, *fan_in), "b": (c_out,)}
 
         # One ordered table of every layer's tensors, in construction (and so
         # seeding) order; checkpoint names, Adam's order and the cost model
-        # all read it.
+        # all read it. Each layer after the encoders draws its tensors'
+        # shapes uniformly within 1 / sqrt(fan_in).
         c1, c2 = cfg.social_conv1, cfg.social_conv2
-        bound = 1.0 / math.sqrt(hidden)
         self.layers: Dict[str, Dict[str, Tensor]] = {
             f"{prefix}.{unit.name}": unit.parameters()
             for prefix, enc in (("neighbor_encoder", self.neighbor_encoder),
                                 ("ego_encoder", self.ego_encoder))
             for unit in enc.units}
-        self.layers.update({
+        shapes = {
             "social.conv1": weight_and_bias(c1.out_channels, nbr_c, *c1.kernel),
             "social.conv2": weight_and_bias(c2.out_channels, c1.out_channels, *c2.kernel),
             "ego_remap": weight_and_bias(cfg.ego_dense_out, ego_c),
             "decoder_init.fc1": weight_and_bias(cfg.decoder_init_hidden, ctx),
             "decoder_init.fc2": weight_and_bias(2 * hidden, cfg.decoder_init_hidden),
-            "decoder": {"w_ih": param((4 * hidden, cfg.output_dim), bound),
-                        "w_hh": param((4 * hidden, hidden), bound),
-                        "bias": param((4 * hidden,), bound)},
+            "decoder": (hidden, {"w_ih": (4 * hidden, cfg.output_dim),
+                                 "w_hh": (4 * hidden, hidden), "bias": (4 * hidden,)}),
             "head": weight_and_bias(cfg.output_dim, hidden),
-        })
+        }
+        for name, (fan_in, tensors) in shapes.items():
+            with _drawing(name):
+                bound = 1.0 / math.sqrt(fan_in)
+                self.layers[name] = {
+                    suffix: Tensor(_uniform(rng, bound, shape, self.dtype), requires_grad=True)
+                    for suffix, shape in tensors.items()}
         self.layers["decoder"]["bias"].data[hidden:2 * hidden] += 1.0  # open the forget gate
 
         # the same tensors under the names forward_batch and perfbench/layers.py use
@@ -231,8 +247,16 @@ class DeepTrack:
         """Copy weights and running statistics into this model's own arrays.
 
         Every name and shape is checked before anything is written, so a
-        rejected state leaves the model as it was.
+        rejected state leaves the model as it was. A batch-normed unit's
+        ``{unit}.b``, which checkpoints from before such units lost their
+        conv bias hold, is folded into its running mean as ``mean - b``.
         """
+        params, buffers = dict(params), dict(buffers)
+        for name, own in self.buffers().items():
+            bias = name[:-len("bn.mean")] + "b"
+            if name.endswith(".bn.mean") and bias in params \
+                    and np.shape(params[bias]) == np.shape(buffers.get(name)) == own.shape:
+                buffers[name] = np.asarray(buffers[name]) - params.pop(bias)
         writes = []
         for what, own, given in (
                 ("weight", {k: t.data for k, t in self.parameters().items()}, params),

@@ -191,16 +191,16 @@ class Kernel1D:
     """Weights of a dilated 1-d convolution.
 
     weights: Tensor [out_channels, in_channels // groups, k], lag-major taps.
-    bias:    Tensor [out_channels].
+    bias:    Tensor [out_channels], or None for a convolution without one.
     """
     weights: Tensor
-    bias: Tensor
+    bias: Optional[Tensor]
     dilation: int = 1
     groups: int = 1
 
     def __post_init__(self):
         self.weights = as_tensor(self.weights)
-        self.bias = as_tensor(self.bias)
+        self.bias = None if self.bias is None else as_tensor(self.bias)
         if self.weights.data.ndim != 3:
             raise ConfigurationError(
                 f"kernel weights must be [out, in/groups, k], got {self.weights.shape}")
@@ -212,7 +212,7 @@ class Kernel1D:
         if out_ch % self.groups:
             raise ConfigurationError(
                 f"out channels {out_ch} not divisible by groups {self.groups}")
-        if self.bias.data.shape != (out_ch,):
+        if self.bias is not None and self.bias.data.shape != (out_ch,):
             raise ConfigurationError(
                 f"bias shape {self.bias.data.shape} does not match out channels {out_ch}")
 
@@ -550,10 +550,11 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
               pad_mode: str = "causal", momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """``activation(batch_norm(dilated_conv1d(x, kern, pad_mode), gamma, beta,
     stats, mode, momentum, eps))`` as one graph node; without batch norm when
-    ``gamma`` is None.
+    ``gamma`` is None. The kernel has a bias just when batch norm, whose
+    centering would cancel it, is off.
 
     Eval mode folds the running statistics, ``gamma`` and ``beta`` into the
-    convolution on every call, ``w * a`` and ``(b - mean) * a + beta`` with
+    convolution on every call, ``w * a`` and ``beta - mean * a`` with
     ``a = gamma / sqrt(var + eps)``; nothing is cached, so a later change to
     any of them shows in the next call. Its output matches the chain of
     three ops to rounding, and its backward carries the gradient back
@@ -569,6 +570,8 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
     act = _activation(activation)[1]
     w, b = kern.weights, kern.bias
     norm = gamma is not None
+    if norm == (b is not None):
+        raise ConfigurationError("conv_unit needs exactly one of a kernel bias and batch norm")
     if norm:
         channels = w.data.shape[0]
         if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
@@ -578,20 +581,19 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
         if stats is None and mode == "eval":
             raise ConfigurationError(
                 "conv_unit eval mode needs running statistics; none were recorded")
-        parents = (x, w, b, gamma, beta)
+        parents = (x, w, gamma, beta)
     else:
         parents = (x, w, b)
     records = Tensor._records(parents)
     fold = norm and mode == "eval"
     train_norm = norm and mode == "train"
 
-    wd, bd = w.data, b.data
+    wd, bd = w.data, None if norm else b.data
     if fold:
-        sd = np.sqrt(stats.var + eps)
+        mean, sd = stats.mean.copy(), np.sqrt(stats.var + eps)
         scale = gamma.data / sd
-        centered = bd - stats.mean
         wd = wd * scale[:, None, None]
-        bd = centered * scale + beta.data
+        bd = beta.data - mean * scale
     z, conv_grads = _conv_forward(x.data, wd, bd, pads, kern.groups, step=(1, -kern.dilation))
     if train_norm:
         axes = (1,) if z.ndim == 2 else (0, 2)
@@ -614,17 +616,17 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
             gz, ggamma, gbeta = _batch_norm_backward(gz, xhat, g * inv_sd, axes, True)
         gx, gw, gb = conv_grads(gz)
         if fold:
-            # back through w * a and (b - mean) * a + beta, a = gamma / sd
+            # back through w * a and beta - mean * a, a = gamma / sd
             gbeta = gb
-            ggamma = ((gw * w.data).sum(axis=(1, 2)) + gb * centered) / sd
+            ggamma = ((gw * w.data).sum(axis=(1, 2)) - gb * mean) / sd
             gw = gw * scale[:, None, None]
-            gb = gb * scale
         x.accumulate_grad(gx)
         w.accumulate_grad(gw)
-        b.accumulate_grad(gb)
         if norm:
             gamma.accumulate_grad(ggamma)
             beta.accumulate_grad(gbeta)
+        else:
+            b.accumulate_grad(gb)
 
     return Tensor._node(out, parents, backward)
 

@@ -25,7 +25,6 @@ from .numcore import (
     adam_step,
     check_fields,
 )
-from .numcore.tensor import no_grad
 
 __all__ = [
     "TrainConfig", "EpochRecord", "TrainResult", "TrainingDiverged",
@@ -171,16 +170,19 @@ def history_to_text(history: Sequence[EpochRecord]) -> str:
 # the loop
 # ---------------------------------------------------------------------------
 
+def _check_xy(model: DeepTrack) -> None:
+    """Reject a model whose predictions cannot meet the (x, y) targets; the
+    losses would broadcast one coordinate onto both."""
+    if model.config.output_dim != 2:
+        raise ConfigurationError(
+            f"outputDim is {model.config.output_dim}, but the targets are (x, y) offsets")
+
+
 def _epoch_loss(model: DeepTrack, samples: Sequence[TrajectorySample],
                 batch_size: int, loss: Callable) -> float:
     """Eval-mode mean loss over ``samples`` (no graph, no stat updates)."""
-    terms: List[float] = []
-    with no_grad():
-        for lo in range(0, len(samples), batch_size):
-            batch = collate(samples[lo:lo + batch_size], model.config)
-            value = loss(model.forward_batch(batch, "eval"), batch.future).item()
-            terms.append(value * batch.size)
-    return math.fsum(terms) / len(samples)
+    truth = np.stack([s.future for s in samples])
+    return loss(Tensor(model.predict(samples, batch_size)), truth).item()
 
 
 def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
@@ -197,6 +199,7 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
     config = config or TrainConfig()
     if not train_samples or not val_samples:
         raise ConfigurationError("training and validation sets must be non-empty")
+    _check_xy(model)
     loss = loss_fn(config.loss)
     optimizer = config.optimizer()
     rng = np.random.default_rng(config.seed)
@@ -319,6 +322,7 @@ def evaluate(model: DeepTrack, samples: Sequence[TrajectorySample],
     """Eval-mode displacement RMSE of ``model`` at the requested steps."""
     if not samples:
         raise ConfigurationError("cannot evaluate on an empty sample set")
+    _check_xy(model)
     pred = model.predict(samples, batch_size)
     truth = np.stack([s.future for s in samples])
     return _metric_report(pred, truth, steps)

@@ -280,9 +280,10 @@ def chained_lstm_cells(h0, c0, weights, steps):
 
 # -- cost formulas, one per layer kind, written out by hand -----------------
 
-def conv1d_cost(c_in: int, c_out: int, k: int, groups: int, t: int) -> Tuple[int, int]:
+def conv1d_cost(c_in: int, c_out: int, k: int, groups: int, t: int,
+                bias: bool) -> Tuple[int, int]:
     """(params, MACs) of a temporal convolution over ``t`` steps."""
-    params = c_out * (c_in // groups) * k + c_out
+    params = c_out * (c_in // groups) * k + (c_out if bias else 0)
     macs = t * k * (c_in // groups) * c_out
     return params, macs
 
@@ -329,7 +330,8 @@ def formula_costs(config: ModelConfig, history_steps: int,
                           (f"block{j}.dw", mid, mid, k, mid),
                           (f"block{j}.pw_out", mid, c_out, 1, 1)]
         for name, c_in, c_out, k, groups in units:
-            p, m = conv1d_cost(c_in, c_out, k, groups, t)
+            # batch norm's shift takes the place of the convolution's bias
+            p, m = conv1d_cost(c_in, c_out, k, groups, t, bias=not cfg.use_batch_norm)
             if cfg.use_batch_norm:
                 bp, bm = batch_norm_cost(c_out, t)
                 p, m = p + bp, m + bm

@@ -1,5 +1,7 @@
 """Temporal encoder stacks: padding math, receptive field, block structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,16 @@ class TestEncoderShapes:
         assert enc.units[1].kern.out_channels == 8
         assert enc.units[4].kern.out_channels == 16
 
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    def test_only_units_without_batch_norm_own_a_bias(self, batch_norm):
+        # batch norm subtracts the mean of its input, so a bias before it is dead
+        cfg = dataclasses.replace(NBR_CONFIG, use_batch_norm=batch_norm)
+        enc = AtcnEncoder(cfg, np.random.default_rng(3))
+        for unit in enc.units:
+            assert (unit.kern.bias is None) == batch_norm, unit.name
+            assert ("b" in unit.parameters()) != batch_norm, unit.name
+        assert any(name.endswith(".b") for name in enc.parameters()) != batch_norm
+
     def test_wrong_channels_rejected(self):
         enc = AtcnEncoder(NBR_CONFIG, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
@@ -165,7 +177,8 @@ class TestCausality:
 
 
 class TestIdentityConstruction:
-    """With unit-diagonal weights and frozen statistics a block passes input through."""
+    """With unit-diagonal weights and frozen statistics a block passes input
+    through; batch norm's zero shift stands in for the bias its units lack."""
 
     def _identity_encoder(self, depth):
         cfg = AtcnConfig(2, (2,) * depth, (2,) * depth, (1,) * depth,
@@ -177,7 +190,6 @@ class TestIdentityConstruction:
             w[:] = 0.0
             for c in range(w.shape[0]):
                 w[c, c if w.shape[1] > 1 else 0, 0] = 1.0
-            unit.kern.bias.data[:] = 0.0
         return enc
 
     def test_standard_block_identity(self):

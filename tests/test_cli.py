@@ -164,21 +164,12 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["valSamples"] >= 1
 
-    def test_pad_mode_flag_lands_in_config(self, tmp_path, ingested):
-        out = tmp_path / "run_sym"
-        assert main(["train", "--data", str(ingested), "--out", str(out),
-                     "--epochs", "1", "--batch-size", "16",
-                     "--pad-mode", "symmetric"]) == 0
-        raw = json.loads((out / "config.json").read_text())
-        assert raw["neighborAtcn"]["padMode"] == "symmetric"
-        assert raw["egoAtcn"]["padMode"] == "symmetric"
-
-    @pytest.mark.parametrize("command", ["eval", "predict", "complexity"])
-    def test_pad_mode_is_a_train_flag_only(self, tmp_path, ingested, trained, command):
-        # a checkpoint fixes its padding in config.json; complexity counts
-        # the same costs under either mode
-        args = [] if command == "complexity" else [
-            "--checkpoint", str(trained / "checkpoint.bin"), "--data", str(ingested)]
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "complexity"])
+    def test_pad_mode_is_no_flag(self, tmp_path, ingested, trained, command):
+        # each encoder section of the config sets its padMode, and a
+        # checkpoint fixes its padding in config.json
+        args = {"train": ["--data", str(ingested)], "complexity": []}.get(command, [
+            "--checkpoint", str(trained / "checkpoint.bin"), "--data", str(ingested)])
         with pytest.raises(SystemExit) as info:
             main([command, *args, "--out", str(tmp_path / "o"), "--pad-mode", "symmetric"])
         assert info.value.code == 2
@@ -240,6 +231,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"{field} must be a finite number" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("output_dim", [1, 3])
+    def test_output_dim_other_than_two_is_exit_2(self, tmp_path, ingested, capsys,
+                                                 output_dim):
+        # the targets are (x, y) offsets: one output coordinate would
+        # broadcast onto both, three would not fit them
+        cfg = dataclasses.replace(default_model_config(), output_dim=output_dim)
+        path = tmp_path / "config.json"
+        save_config_file(path, cfg)
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "run"),
+                     "--config", str(path), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"outputDim is {output_dim}" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+        model = DeepTrack(cfg, seed=0)
+        save_weights(tmp_path / "checkpoint.bin", model.parameters(), model.buffers(),
+                     model.config_digest)
+        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--data", str(ingested)]) == 2
+        assert f"outputDim is {output_dim}" in capsys.readouterr().err
 
     def test_divergence_keeps_last_good_weights(self, tmp_path):
         samples = constant_velocity_samples(12, seed=0)
@@ -442,14 +453,14 @@ class TestComplexity:
     def test_prints_costs(self, capsys):
         assert main(["complexity"]) == 0
         out = capsys.readouterr().out
-        assert "173,530" in out and "1,674,512" in out
+        assert "173,290" in out and "1,674,512" in out
 
     def test_out_dir_via_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEEPTRACK_OUT_ROOT", str(tmp_path / "envroot"))
         assert main(["complexity"]) == 0
         payload = json.loads(
             (tmp_path / "envroot" / "complexity" / "complexity.json").read_text())
-        assert payload["totalParams"] == 173_530
+        assert payload["totalParams"] == 173_290
         assert payload["totalMacs"] == 1_674_512
         assert (tmp_path / "envroot" / "complexity" / "manifest.json").exists()
 
@@ -495,6 +506,19 @@ class TestComplexity:
         assert main(["complexity", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert field in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("config, layer", [
+        ({"outputDim": 2 ** 63}, "decoder"),
+        ({"neighborAtcn": {**config_to_dict(default_model_config())["neighborAtcn"],
+                           "kernelSizes": [1e308, 2, 2]}}, "neighbor_encoder"),
+    ], ids=["outputDim-2**63", "kernelSizes-1e308"])
+    def test_sizes_no_weight_can_take_are_exit_2(self, tmp_path, capsys, config, layer):
+        # numpy refuses these shapes before it allocates anything
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["complexity", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {layer}: " in captured.err and captured.out == ""
 
     def test_config_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -70,25 +70,26 @@ class TestUnitFormulas:
         assert (decoder.params, decoder.macs) == (44_512, 1_102_400)
 
     def test_batch_norm(self):
-        # 16 channels over 16 steps: scale and shift, 2 MACs per channel per step
+        # 16 channels over 16 steps: scale and shift, 2 MACs per channel per
+        # step; the shift replaces the convolution's 16 bias values
         with_bn = layer(complexity_report(default_model_config()),
                         "neighbor_encoder.block0.conv")
         no_bn = layer(complexity_report(without_batch_norm(default_model_config())),
                       "neighbor_encoder.block0.conv")
-        assert (with_bn.params - no_bn.params, with_bn.macs - no_bn.macs) == (32, 512)
+        assert (with_bn.params - no_bn.params, with_bn.macs - no_bn.macs) == (16, 512)
 
 
 class TestDefaultReport:
     def test_frozen_totals(self):
         report = complexity_report(default_model_config())
-        assert report.total_params == 173_530
+        assert report.total_params == 173_290
         assert report.total_macs == 1_674_512
 
     def test_within_tolerance_of_reference(self):
         report = complexity_report(default_model_config())
         assert abs(report.total_params - REFERENCE_PARAMS) / REFERENCE_PARAMS < 0.10
         assert abs(report.total_macs - REFERENCE_MACS) / REFERENCE_MACS < 0.10
-        assert report.deviation_params == pytest.approx(0.01064, abs=1e-4)
+        assert report.deviation_params == pytest.approx(0.00924, abs=1e-4)
         assert report.deviation_macs == pytest.approx(0.00425, abs=1e-4)
 
     def test_totals_are_layer_sums(self):
@@ -131,7 +132,7 @@ class TestDefaultReport:
 
     def test_report_renders(self):
         text = complexity_report(default_model_config()).to_text()
-        assert "173,530" in text or "173530" in text
+        assert "173,290" in text or "173290" in text
         assert "total" in text.lower()
 
 

@@ -153,8 +153,8 @@ class TestBatchNorm:
 class TestConvUnit:
     @staticmethod
     def unit(rng):
-        w = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-        kern = Kernel1D(w, Tensor(rng.normal(size=3), requires_grad=True))
+        """A batch-normed unit, whose kernel has no bias."""
+        kern = Kernel1D(Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True), None)
         gamma = Tensor(rng.uniform(0.5, 2.0, size=3), requires_grad=True)
         beta = Tensor(rng.normal(size=3), requires_grad=True)
         return kern, gamma, beta, RunningStats(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
@@ -162,11 +162,12 @@ class TestConvUnit:
     def test_one_node_over_its_parents(self):
         kern, gamma, beta, stats = self.unit(np.random.default_rng(0))
         x = Tensor(np.ones((4, 2, 5)), requires_grad=True)
+        biased = Kernel1D(kern.weights, Tensor(np.ones(3), requires_grad=True))
         for mode in ("train", "eval"):
             out = conv_unit(x, kern, gamma, beta, stats, mode, "swish")
-            assert out._parents == (x, kern.weights, kern.bias, gamma, beta)
-            out = conv_unit(x, kern, None, None, None, mode, "swish")
-            assert out._parents == (x, kern.weights, kern.bias)
+            assert out._parents == (x, kern.weights, gamma, beta)
+            out = conv_unit(x, biased, None, None, None, mode, "swish")
+            assert out._parents == (x, biased.weights, biased.bias)
 
     def test_train_moves_statistics_as_batch_norm_does(self):
         rng = np.random.default_rng(1)
@@ -202,8 +203,11 @@ class TestConvUnit:
                                                       gamma, beta, stats, "eval"),
         lambda x, kern, gamma, beta, stats: conv_unit(Tensor(np.ones(5)), kern,
                                                       gamma, beta, stats, "eval"),
+        lambda x, kern, gamma, beta, stats: conv_unit(
+            x, Kernel1D(kern.weights, Tensor(np.zeros(3))), gamma, beta, stats, "train"),
+        lambda x, kern, gamma, beta, stats: conv_unit(x, kern, None, None, None, "train"),
     ], ids=["eval-without-stats", "mode", "gamma-shape", "beta-shape", "activation",
-            "pad-mode", "channels", "rank"])
+            "pad-mode", "channels", "rank", "bias-and-batch-norm", "neither"])
     def test_rejects_bad_arguments(self, call):
         kern, gamma, beta, stats = self.unit(np.random.default_rng(3))
         with pytest.raises(ConfigurationError):

@@ -97,20 +97,23 @@ class TestConvGradients:
 
 
 class TestConvUnitGradients:
-    """conv_unit in both modes, both pad modes, with and without batch norm,
-    from random running statistics; eval mode goes back through the fold."""
+    """conv_unit in both modes, both pad modes, with batch norm (and no
+    conv bias) and without (and a bias), from random running statistics;
+    eval mode goes back through the fold."""
 
     @staticmethod
     def check(mode, pad_mode, norm, groups, c_in, c_out, k, d, lead, activation="swish"):
         x = t(lead + (c_in, 7))
-        w, b = t((c_out, c_in // groups, k)), t((c_out,))
-        kern = Kernel1D(w, b, dilation=d, groups=groups)
-        tensors = {"x": x, "w": w, "b": b}
-        gamma = beta = stats = None
+        w = t((c_out, c_in // groups, k))
+        tensors = {"x": x, "w": w}
+        gamma = beta = stats = b = None
         if norm:
             gamma, beta = t((c_out,)), t((c_out,))
             stats = RunningStats(RNG.normal(size=c_out), RNG.uniform(0.5, 2.0, size=c_out))
             tensors.update(gamma=gamma, beta=beta)
+        else:
+            b = tensors["b"] = t((c_out,))
+        kern = Kernel1D(w, b, dilation=d, groups=groups)
         start = stats.copy() if norm else None
         upstream = Tensor(RNG.normal(size=lead + (c_out, 7)))
 

@@ -266,6 +266,32 @@ class TestDeterminismAndState:
         assert np.array_equal(np.concatenate([a for pair in held for a in pair]),
                               np.concatenate(list(buffers.values())))
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_state_with_the_old_conv_bias_of_batch_normed_units_loads(self, dtype):
+        # checkpoints written before batch-normed units dropped their conv
+        # bias hold a {unit}.b, with running means that absorbed it
+        cfg = dataclasses.replace(default_model_config(), dtype=dtype)
+        model = DeepTrack(cfg, seed=0)
+        rng = np.random.default_rng(21)
+        samples = [make_sample(cfg, rng, vid=i, n_in_grid=i % 4) for i in range(12)]
+        model.forward_batch(collate(samples, cfg), "train")  # move the stats off their init
+        want = model.predict(samples)
+        params, buffers = model.state_copy()
+        for name in [n for n in buffers if n.endswith(".bn.mean")]:
+            bias = rng.uniform(-0.5, 0.5, buffers[name].shape).astype(buffers[name].dtype)
+            params[name[:-len("bn.mean")] + "b"] = bias
+            buffers[name] = buffers[name] + bias
+        assert len(params) == len(model.parameters()) + 14
+        fresh = DeepTrack(cfg, seed=1)
+        fresh.load_state(params, buffers)
+        got = fresh.predict(samples)
+        bound = 16 * np.finfo(dtype).eps * float(np.abs(want).max())
+        assert float(np.abs(got - want).max()) <= bound
+        # a stale bias that fits no unit is an unexpected name, as before
+        params["ego_encoder.block0.conv.b"] = np.zeros(3)
+        with pytest.raises(ConfigurationError, match=r"\['ego_encoder\.block0\.conv\.b'\]"):
+            fresh.load_state(params, buffers)
+
     def test_float32_state_round_trips_bit_for_bit(self, tmp_path):
         cfg = dataclasses.replace(tiny_config(), dtype="float32")
         model = DeepTrack(cfg, seed=4)
@@ -529,12 +555,13 @@ class TestDecoderAgainstCellChain:
 class TestGraphSize:
     def test_default_train_step_node_count(self):
         # each of the 14 encoder units (conv, batch norm and activation) is
-        # one node, the 25-step decoder unroll one node that the head reads
-        # through one reshape, and the loss one node
+        # one node with three leaves and no conv bias, the 25-step decoder
+        # unroll one node that the head reads through one reshape, and the
+        # loss one node
         model = DeepTrack(default_model_config(), seed=0)
         batch = collate(constant_velocity_samples(32, seed=0), model.config)
         loss = mse_loss(model.forward_batch(batch, "train"), batch.future)
-        assert graph_nodes(loss) == 108
+        assert graph_nodes(loss) == 94
 
 
 class TestInvariantsUnderOptimize:
