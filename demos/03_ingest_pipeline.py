@@ -25,15 +25,17 @@ workdir = Path(tempfile.mkdtemp(prefix="ingest_demo_"))
 
 raw = workdir / "tracks.tsv"
 write_tracks_csv(raw, n_vehicles=25, n_frames=150, seed=4)
-points, parse_stats = parse_tracks(str(raw))
-print(f"parsed {len(points)} points from {parse_stats.rows_read} rows "
-      f"({parse_stats.malformed} malformed, {parse_stats.duplicates} duplicates)")
-print("first point:", points[0])
+tracks, parse_stats = parse_tracks(str(raw))  # columns sorted by (vehicle, frame)
+print(f"parsed {len(tracks)} points of {parse_stats.vehicles} vehicles from "
+      f"{parse_stats.rows_read} rows ({parse_stats.malformed} malformed, "
+      f"{parse_stats.duplicates} duplicates)")
+print(f"first point: vehicle {tracks.vehicle_id[0]} at frame {tracks.frame_id[0]} in lane "
+      f"{tracks.lane_id[0]}, at ({tracks.x[0]:.2f}, {tracks.y[0]:.2f}) m")
 
 # -- 2. windowing ------------------------------------------------------------
 
 config = WindowConfig(stride=5)  # keep every 5th eligible anchor per vehicle
-samples, stats = window_samples(points, config, dataset_id="demo")
+samples, stats = window_samples(tracks, config, dataset_id="demo")
 print(f"\n{stats.samples} samples from {stats.vehicles_with_samples} vehicles; "
       f"{stats.neighbors_in_grid} neighbors in grid, "
       f"{stats.neighbors_outside} outside, "

@@ -39,6 +39,7 @@ from .numcore import ConfigurationError, NumericsError, load_weights, save_weigh
 from .trainer import (
     TrainConfig,
     TrainingDiverged,
+    check_xy_output,
     evaluate,
     history_to_text,
     train,
@@ -183,9 +184,9 @@ def cmd_ingest(args) -> int:
     out = _out_dir(args, "ingest", required=True)
     data_path = Path(args.data)
     window = WindowConfig(stride=args.stride)
-    points, parse_stats = parse_tracks(str(data_path))
+    tracks, parse_stats = parse_tracks(str(data_path))
     dataset_id = args.dataset_id or data_path.stem
-    samples, window_stats = window_samples(points, window, dataset_id)
+    samples, window_stats = window_samples(tracks, window, dataset_id)
     parts = split_dataset(samples, seed=args.seed)
 
     counts = {}
@@ -302,6 +303,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     started = _now()
     model, cfg, ckpt_path = _resolve_checkpoint(args)
+    check_xy_output(model)
     _check_grid(Path(args.data), cfg)
     samples, data_path = _load_part(Path(args.data), "test")
     if args.limit is not None and args.limit < 1:

@@ -5,7 +5,7 @@ from .tracks import (
     FRAME_RATE_HZ,
     REQUIRED_COLUMNS,
     ParseStats,
-    TrackPoint,
+    TrackTable,
     parse_tracks,
 )
 from .windows import (
@@ -21,7 +21,7 @@ from .archive import SAMPLE_MAGIC, load_samples, save_samples
 
 __all__ = [
     "FEET_TO_METERS", "FRAME_RATE_HZ", "REQUIRED_COLUMNS",
-    "ParseStats", "TrackPoint", "parse_tracks",
+    "ParseStats", "TrackTable", "parse_tracks",
     "NeighborTrack", "TrajectorySample", "WindowConfig", "WindowStats",
     "grid_assign", "window_samples",
     "PARTITION_NAMES", "split_dataset", "vehicle_partition",

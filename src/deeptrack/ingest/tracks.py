@@ -1,4 +1,4 @@
-"""Raw trajectory table parsing.
+"""Raw trajectory table parsing into a sorted, checked column table.
 
 Input is a delimited text export with a header row carrying at least
 Vehicle_ID, Frame_ID, Local_X, Local_Y and Lane_ID. Positions arrive in
@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, List, Tuple, Union
+from typing import IO, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..numcore import ConfigurationError
 
-__all__ = ["TrackPoint", "ParseStats", "parse_tracks", "FEET_TO_METERS",
+__all__ = ["TrackTable", "ParseStats", "parse_tracks", "FEET_TO_METERS",
            "FRAME_RATE_HZ", "REQUIRED_COLUMNS"]
 
 FEET_TO_METERS = 0.3048
@@ -23,17 +25,43 @@ FRAME_RATE_HZ = 10.0
 REQUIRED_COLUMNS = ("Vehicle_ID", "Frame_ID", "Local_X", "Local_Y", "Lane_ID")
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One vehicle observation: metric position in road coordinates.
-
-    x is lateral (across lanes), y longitudinal (along the road).
+class TrackTable:
+    """Vehicle observations sorted by (vehicle, frame), as five aligned
+    read-only columns: int64 ``vehicle_id``, ``frame_id`` and ``lane_id`` and
+    float64 metric ``x`` (lateral, across lanes) and ``y`` (along the road).
+    Construction sorts once and rejects an id beyond int64, a non-finite
+    position and a repeated (vehicle, frame), so every table is valid.
     """
-    vehicle_id: int
-    frame_id: int
-    x: float
-    y: float
-    lane_id: int
+
+    def __init__(self, vehicle_id: Sequence[int], frame_id: Sequence[int],
+                 x: Sequence[float], y: Sequence[float], lane_id: Sequence[int]):
+        try:
+            vid, frame, lane = (np.array(c, dtype=np.int64)
+                                for c in (vehicle_id, frame_id, lane_id))
+        except OverflowError:
+            raise ConfigurationError(
+                "vehicle, frame and lane ids must fit in 64-bit integers") from None
+        x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+        if vid.ndim != 1 or any(c.shape != vid.shape for c in (frame, lane, x, y)):
+            raise ConfigurationError("track columns must be 1-D and of one length")
+        order = np.lexsort((frame, vid))
+        vid, frame, lane, x, y = (c[order] for c in (vid, frame, lane, x, y))
+        bad = np.flatnonzero(~np.isfinite(x) | ~np.isfinite(y))
+        if bad.size:
+            i = bad[0]
+            raise ConfigurationError(f"vehicle {vid[i]} at frame {frame[i]}: "
+                                     f"non-finite position ({x[i]}, {y[i]})")
+        twice = np.flatnonzero((vid[1:] == vid[:-1]) & (frame[1:] == frame[:-1]))
+        if twice.size:
+            i = twice[0]
+            raise ConfigurationError(f"vehicle {vid[i]} at frame {frame[i]}: "
+                                     "the point is given twice")
+        for c in (vid, frame, lane, x, y):
+            c.flags.writeable = False
+        self.vehicle_id, self.frame_id, self.lane_id, self.x, self.y = vid, frame, lane, x, y
+
+    def __len__(self) -> int:
+        return self.vehicle_id.size
 
 
 @dataclass
@@ -63,13 +91,13 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def parse_tracks(source: Union[str, IO[str]]) -> Tuple[List[TrackPoint], ParseStats]:
-    """Parse one table into points sorted by (vehicle, frame).
+def parse_tracks(source: Union[str, IO[str]]) -> Tuple[TrackTable, ParseStats]:
+    """Parse one table into a :class:`TrackTable`.
 
     Malformed rows, among them any with a non-finite value, are skipped and
     counted; a duplicate (vehicle, frame) keeps the first occurrence in file
-    order. A missing required column or a file that is not UTF-8 text is
-    fatal.
+    order. A missing required column, a file that is not UTF-8 text or an
+    id beyond 64 bits is fatal.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -91,7 +119,7 @@ def parse_tracks(source: Union[str, IO[str]]) -> Tuple[List[TrackPoint], ParseSt
     width = len(header)
 
     stats = ParseStats()
-    points: List[TrackPoint] = []
+    vids, frames, xs, ys, lanes = [], [], [], [], []
     seen: set = set()
     reader = csv.reader(source, delimiter=delimiter)
     for row in reader:
@@ -115,10 +143,12 @@ def parse_tracks(source: Union[str, IO[str]]) -> Tuple[List[TrackPoint], ParseSt
             stats.duplicates += 1
             continue
         seen.add(key)
-        points.append(TrackPoint(vehicle_id=vid, frame_id=frame,
-                                 x=x_ft * FEET_TO_METERS, y=y_ft * FEET_TO_METERS,
-                                 lane_id=lane))
-    stats.rows_kept = len(points)
-    points.sort(key=lambda p: (p.vehicle_id, p.frame_id))
-    stats.vehicles = len({p.vehicle_id for p in points})
-    return points, stats
+        vids.append(vid)
+        frames.append(frame)
+        xs.append(x_ft * FEET_TO_METERS)
+        ys.append(y_ft * FEET_TO_METERS)
+        lanes.append(lane)
+    tracks = TrackTable(vids, frames, xs, ys, lanes)
+    stats.rows_kept = len(tracks)
+    stats.vehicles = int(np.count_nonzero(np.diff(tracks.vehicle_id))) + (len(tracks) > 0)
+    return tracks, stats

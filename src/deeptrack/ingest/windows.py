@@ -12,25 +12,26 @@ vehicles beyond the grid stay in the sample marked outside and are ignored
 by the model. When two vehicles land in one cell the smaller |dy| wins
 (ties: lower vehicle id) and the loser is marked outside.
 
-The points are windowed as columns. Sorted by (vehicle, frame), each
-vehicle's points form one block of slots, one slot per frame from its first
-to its last; a gap longer than the history is cut short, since no lookup
-reaches across it, and an empty slot points at a sentinel row. A neighbor's
-history is then a fixed set of slot offsets from its slot at t0. All
-windows of one ego vehicle are gathered at once, into one array each for
-the ego histories, the futures, the neighbor tracks and their valid masks;
-a sample's arrays are views into these per-ego-vehicle blocks.
+The points come as the columns of a :class:`TrackTable`, which is sorted by
+(vehicle, frame) and checked. Each vehicle's points form one block of
+slots, one slot per frame from its first to its last; a gap longer than the
+history is cut short, since no lookup reaches across it, and an empty slot
+points at a sentinel row. A neighbor's history is then a fixed set of slot
+offsets from its slot at t0. All windows of one ego vehicle are gathered at
+once, into one array each for the ego histories, the futures, the neighbor
+tracks and their valid masks; a sample's arrays are views into these
+per-ego-vehicle blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..numcore import ConfigurationError, check_fields
-from .tracks import TrackPoint
+from .tracks import TrackTable
 
 __all__ = ["WindowConfig", "NeighborTrack", "TrajectorySample", "WindowStats",
            "grid_assign", "window_samples"]
@@ -133,46 +134,14 @@ def grid_assign(dy: np.ndarray, lane_offset: np.ndarray,
     return cells
 
 
-def _sorted_columns(points: Sequence[TrackPoint]):
-    """Vehicle, frame and lane ids and x, y positions sorted by (vehicle,
-    frame); a duplicate (vehicle, frame) or a non-finite position raises
-    ConfigurationError naming the point."""
-    n = len(points)
-    try:
-        ids = np.array([(p.vehicle_id, p.frame_id, p.lane_id) for p in points],
-                       dtype=np.int64).reshape(n, 3)
-    except OverflowError:
-        raise ConfigurationError(
-            "vehicle, frame and lane ids must fit in 64-bit integers") from None
-    xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(n, 2)
-    order = np.lexsort((ids[:, 1], ids[:, 0]))
-    vid, frame, lane = ids[order].T.copy()
-    x, y = xy[order].T.copy()
-    bad = np.flatnonzero(~np.isfinite(x) | ~np.isfinite(y))
-    if bad.size:
-        i = bad[0]
-        raise ConfigurationError(f"vehicle {vid[i]} at frame {frame[i]}: "
-                                 f"non-finite position ({x[i]}, {y[i]})")
-    twice = np.flatnonzero((vid[1:] == vid[:-1]) & (frame[1:] == frame[:-1]))
-    if twice.size:
-        i = twice[0]
-        raise ConfigurationError(f"vehicle {vid[i]} at frame {frame[i]}: "
-                                 "the point is given twice")
-    return vid, frame, lane, x, y
-
-
-def window_samples(points: Sequence[TrackPoint], config: WindowConfig,
+def window_samples(tracks: TrackTable, config: WindowConfig,
                    dataset_id: str = "") -> Tuple[List[TrajectorySample], WindowStats]:
-    """Extract every eligible window, in (vehicle, t0) order.
-
-    A duplicate (vehicle, frame) point or a non-finite position raises
-    ConfigurationError; ``parse_tracks`` output has neither.
-    """
-    columns = _sorted_columns(points)
+    """Extract every eligible window, in (vehicle, t0) order."""
     stats = WindowStats()
-    if len(points) <= config.history_frames + config.future_frames:
+    if len(tracks) <= config.history_frames + config.future_frames:
         return [], stats  # too few points for a single window
-    gather = _Gather(*columns, config)
+    gather = _Gather(tracks.vehicle_id, tracks.frame_id, tracks.lane_id, tracks.x, tracks.y,
+                     config)
     samples: List[TrajectorySample] = []
     for rows in gather.anchors_by_ego():
         samples += gather.windows(rows, dataset_id, stats)

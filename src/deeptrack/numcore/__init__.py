@@ -27,7 +27,6 @@ from .functional import (
     concat,
     stack,
     scatter_grid,
-    same_length_padding,
 )
 from .optim import AdamState, adam_step, global_grad_norm, clip_gradients
 from .checkpoint import CheckpointData, save_weights, load_weights, CHECKPOINT_MAGIC
@@ -37,7 +36,7 @@ __all__ = [
     "Kernel1D", "RunningStats", "LstmWeights",
     "sigmoid", "tanh", "swish", "relu", "dense",
     "dilated_conv1d", "conv2d", "max_pool2d", "batch_norm", "conv_unit", "lstm_cell", "lstm_unroll",
-    "concat", "stack", "scatter_grid", "same_length_padding",
+    "concat", "stack", "scatter_grid",
     "AdamState", "adam_step", "global_grad_norm", "clip_gradients",
     "CheckpointData", "save_weights", "load_weights", "CHECKPOINT_MAGIC",
 ]

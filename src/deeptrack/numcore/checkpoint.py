@@ -45,7 +45,6 @@ class CheckpointData:
     params: Dict[str, np.ndarray]
     buffers: Dict[str, np.ndarray]
     config_hash: str
-    version: int
 
 
 def _write_record(out: list, kind: int, name: str, array: np.ndarray) -> None:
@@ -126,5 +125,4 @@ def load_weights(path) -> CheckpointData:
         raise ConfigurationError(f"{path}: corrupt checkpoint: {err}") from err
     if off != len(blob):
         raise ConfigurationError(f"{path}: trailing bytes after last record")
-    return CheckpointData(params=params, buffers=buffers,
-                          config_hash=config_hash, version=version)
+    return CheckpointData(params=params, buffers=buffers, config_hash=config_hash)

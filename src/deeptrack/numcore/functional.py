@@ -20,7 +20,6 @@ taps to input cells, for it and for max pooling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Tuple
@@ -48,7 +47,6 @@ __all__ = [
     "concat",
     "stack",
     "scatter_grid",
-    "same_length_padding",
 ]
 
 PAD_MODES = ("causal", "symmetric")
@@ -225,29 +223,17 @@ class Kernel1D:
         return self.weights.data.shape[2]
 
 
-def same_length_padding(out_len: int, in_len: int, stride: int, k: int, d: int) -> int:
-    """Zeros per side so a stride-s dilated conv maps in_len -> out_len.
-
-    ceil(((out_len - 1) * stride + (k - 1) * (d - 1) - in_len + k) / 2),
-    clamped at zero. With out_len == in_len and stride 1 the interior is
-    (k - 1) * d, so this is the left padding of a symmetric convolution and
-    the rest of the span goes on the right.
-    """
-    interior = (out_len - 1) * stride + (k - 1) * (d - 1) - in_len + k
-    return max(0, math.ceil(interior / 2))
-
-
 def _sequence_pads(x: Tensor, kern: Kernel1D, pad_mode: str):
     """The ``pads`` of :func:`_conv` that keep a ``[C, T]`` or ``[B, C, T]``
-    sequence's length under ``kern`` in ``pad_mode``."""
+    sequence's length under ``kern`` in ``pad_mode``: the span ``(k-1)*d``
+    all on the left when causal, its larger half on the left when
+    symmetric."""
     if pad_mode not in PAD_MODES:
         raise ConfigurationError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
     if x.data.ndim not in (2, 3):
         raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
-    length = x.data.shape[-1]
-    k, d = kern.k, kern.dilation
-    span = (k - 1) * d
-    left = span if pad_mode == "causal" else same_length_padding(length, length, 1, k, d)
+    span = (kern.k - 1) * kern.dilation
+    left = span if pad_mode == "causal" else (span + 1) // 2
     return ((0, 0), (left, span - left))
 
 

@@ -11,14 +11,16 @@ from .tensor import NumericsError, ConfigurationError, Tensor, check_fields
 
 __all__ = ["AdamState", "adam_step", "global_grad_norm", "clip_gradients"]
 
+# the moment decay rates and the denominator guard of Adam (Kingma & Ba, 2015)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Optimizer hyperparameters plus per-parameter moment estimates."""
+    """Learning rate and clip bound plus per-parameter moment estimates."""
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float = 10.0
     step_count: int = 0
     first_moment: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -71,8 +73,8 @@ def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
     norm = clip_gradients(grads, state)
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, p in params.items():
         g = grads[name].astype(np.float64, copy=False)
         m = state.first_moment.get(name)
@@ -80,10 +82,10 @@ def adam_step(params: Mapping[str, Tensor], grads: Dict[str, np.ndarray],
         if m is None:
             m = np.zeros_like(g)
             v = np.zeros_like(g)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
         state.first_moment[name] = m
         state.second_moment[name] = v
-        update = (state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon))
+        update = (state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPSILON))
         p.data -= update.astype(p.data.dtype, copy=False)
     return norm

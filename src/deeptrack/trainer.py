@@ -29,7 +29,7 @@ from .numcore import (
 __all__ = [
     "TrainConfig", "EpochRecord", "TrainResult", "TrainingDiverged",
     "EvalReport", "loss_fn", "mse_loss", "smooth_l1_loss",
-    "train", "evaluate", "zero_baseline", "history_to_text",
+    "train", "evaluate", "zero_baseline", "history_to_text", "check_xy_output",
 ]
 
 DEFAULT_METRIC_STEPS = (5, 10, 15, 20, 25)
@@ -170,9 +170,10 @@ def history_to_text(history: Sequence[EpochRecord]) -> str:
 # the loop
 # ---------------------------------------------------------------------------
 
-def _check_xy(model: DeepTrack) -> None:
-    """Reject a model whose predictions cannot meet the (x, y) targets; the
-    losses would broadcast one coordinate onto both."""
+def check_xy_output(model: DeepTrack) -> None:
+    """Reject a model whose predictions are not (x, y) offsets like the
+    targets: the losses would broadcast one coordinate onto both, and no
+    prediction would fit an (x, y) row."""
     if model.config.output_dim != 2:
         raise ConfigurationError(
             f"outputDim is {model.config.output_dim}, but the targets are (x, y) offsets")
@@ -199,7 +200,7 @@ def train(model: DeepTrack, train_samples: Sequence[TrajectorySample],
     config = config or TrainConfig()
     if not train_samples or not val_samples:
         raise ConfigurationError("training and validation sets must be non-empty")
-    _check_xy(model)
+    check_xy_output(model)
     loss = loss_fn(config.loss)
     optimizer = config.optimizer()
     rng = np.random.default_rng(config.seed)
@@ -322,7 +323,7 @@ def evaluate(model: DeepTrack, samples: Sequence[TrajectorySample],
     """Eval-mode displacement RMSE of ``model`` at the requested steps."""
     if not samples:
         raise ConfigurationError("cannot evaluate on an empty sample set")
-    _check_xy(model)
+    check_xy_output(model)
     pred = model.predict(samples, batch_size)
     truth = np.stack([s.future for s in samples])
     return _metric_report(pred, truth, steps)

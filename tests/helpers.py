@@ -1,10 +1,10 @@
 """Shared test oracles: naive convolution, pooling and batch-norm loops, an
 encoder run as a chain of conv, batch-norm and activation ops, an LSTM step
-composed from public ops, an unroll chained from LSTM cells,
-per-layer cost formulas, finite-difference
-checks, a graph-node count, a corrupt-file probe, the point-by-point
-windowing loop, a small model configuration reused across suites, and seeded
-random model configurations.
+composed from public ops, an unroll chained from LSTM cells, a symmetric
+padding probe, per-layer cost formulas, finite-difference
+checks, a graph-node count, a corrupt-file probe, a track-table builder,
+the point-by-point windowing loop, a small model configuration reused across
+suites, and seeded random model configurations.
 
 The oracles are written independently of the library internals on purpose;
 they only consume public signatures and raw numpy arrays.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import defaultdict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
 from deeptrack.model import social_geometry
 from deeptrack.ingest import (
-    NeighborTrack, TrackPoint, TrajectorySample, WindowConfig, WindowStats,
+    NeighborTrack, TrackTable, TrajectorySample, WindowConfig, WindowStats,
 )
 from deeptrack.numcore import (
-    ConfigurationError, Tensor, batch_norm, dense, dilated_conv1d, lstm_cell, sigmoid,
-    stack, tanh,
+    ConfigurationError, Kernel1D, Tensor, batch_norm, dense, dilated_conv1d, lstm_cell,
+    sigmoid, stack, tanh,
 )
 from deeptrack.numcore.functional import activation_fn
 
@@ -160,6 +160,17 @@ def naive_symmetric_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     # cropped symmetric output reads the padded window ending at s + span
     span = (k - 1) * dilation
     return shifted[:, span:span + length]
+
+
+def symmetric_left_padding(k: int, d: int) -> int:
+    """Zeros ``dilated_conv1d`` puts left of a sequence in symmetric mode,
+    probed: with all-one taps, an impulse at step 0 reaches no output step
+    beyond the left padding."""
+    x = np.zeros((1, (k - 1) * d + 1))
+    x[0, 0] = 1.0
+    out = dilated_conv1d(Tensor(x), Kernel1D(Tensor(np.ones((1, 1, k))), None, dilation=d),
+                         "symmetric")
+    return int(np.flatnonzero(out.data[0])[-1])
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b, stride, padding) -> np.ndarray:
@@ -433,7 +444,23 @@ def loads_or_rejects(load: Callable, blob: bytes, path) -> bool:
     return True
 
 
-def _scalar_grid_cell(ego: TrackPoint, neighbor: TrackPoint,
+def track_table(rows: Iterable[Tuple[int, int, float, float, int]]) -> TrackTable:
+    """A :class:`TrackTable` of ``(vehicle, frame, x, y, lane)`` rows, x and y
+    in meters, given in any order."""
+    columns = list(zip(*rows))
+    return TrackTable(*(columns or [()] * 5))
+
+
+class _Point(NamedTuple):
+    """One row of a track table, as the windowing oracle walks it."""
+    vehicle_id: int
+    frame_id: int
+    x: float
+    y: float
+    lane_id: int
+
+
+def _scalar_grid_cell(ego: _Point, neighbor: _Point,
                       config: WindowConfig) -> Optional[Tuple[int, int]]:
     """Cell of ``neighbor`` in the ego-centered grid, or None when outside."""
     col = neighbor.lane_id - ego.lane_id + config.grid_cols // 2
@@ -443,7 +470,7 @@ def _scalar_grid_cell(ego: TrackPoint, neighbor: TrackPoint,
     return None
 
 
-def _resolve_occupancy(ego: TrackPoint, neighbors: List[TrackPoint],
+def _resolve_occupancy(ego: _Point, neighbors: List[_Point],
                        config: WindowConfig,
                        stats: WindowStats) -> Dict[int, Optional[Tuple[int, int]]]:
     """Assign cells, demoting all but the closest claimant of each cell."""
@@ -461,15 +488,15 @@ def _resolve_occupancy(ego: TrackPoint, neighbors: List[TrackPoint],
     return cells
 
 
-def reference_window_samples(points: Sequence[TrackPoint], config: WindowConfig,
+def reference_window_samples(tracks: TrackTable, config: WindowConfig,
                              dataset_id: str = "") -> Tuple[List[TrajectorySample],
                                                             WindowStats]:
     """The windowing oracle: ``window_samples`` as a point-by-point walk over
-    per-vehicle and per-frame dicts. Its input must hold no duplicate
-    (vehicle, frame) and no non-finite position."""
-    by_vehicle: Dict[int, Dict[int, TrackPoint]] = defaultdict(dict)
-    at_frame: Dict[int, List[TrackPoint]] = defaultdict(list)
-    for p in points:
+    per-vehicle and per-frame dicts of the table's rows."""
+    by_vehicle: Dict[int, Dict[int, _Point]] = defaultdict(dict)
+    at_frame: Dict[int, List[_Point]] = defaultdict(list)
+    for p in map(_Point, tracks.vehicle_id.tolist(), tracks.frame_id.tolist(),
+                 tracks.x.tolist(), tracks.y.tolist(), tracks.lane_id.tolist()):
         by_vehicle[p.vehicle_id][p.frame_id] = p
         at_frame[p.frame_id].append(p)
 

@@ -20,7 +20,7 @@ from deeptrack.cli import main
 from deeptrack.complexity import REFERENCE_MACS, REFERENCE_PARAMS, complexity_report
 from deeptrack.configio import default_model_config
 from deeptrack.ingest import (
-    TrackPoint,
+    TrackTable,
     WindowConfig,
     grid_assign,
     window_samples,
@@ -38,7 +38,6 @@ from deeptrack.numcore import (
     dilated_conv1d,
     lstm_cell,
     max_pool2d,
-    same_length_padding,
     scatter_grid,
     stack,
     swish,
@@ -50,7 +49,9 @@ from helpers import (
     check_gradients,
     naive_dilated_conv1d,
     random_sample,
+    symmetric_left_padding,
     tiny_model_config,
+    track_table,
 )
 
 FT = 0.3048
@@ -174,9 +175,9 @@ def test_criterion_3_receptive_field_and_padding():
         assert not np.allclose(newest(inside), base)
         assert np.array_equal(newest(outside), base)
 
-    assert same_length_padding(16, 16, 1, 2, 1) == 1
-    assert same_length_padding(16, 16, 1, 1, 3) == 0
-    assert same_length_padding(16, 16, 1, 2, 2) == 1
+    assert symmetric_left_padding(2, 1) == 1
+    assert symmetric_left_padding(1, 3) == 0
+    assert symmetric_left_padding(2, 2) == 1
 
 
 def test_criterion_4_displacement_metric_convention():
@@ -261,22 +262,22 @@ class TestCriterion8PipelineInvariants:
     grid rows bin exactly as documented."""
 
     @staticmethod
-    def _build_points(shift_x=0.0, shift_y=0.0):
-        pts = []
+    def _build_tracks(shift_x=0.0, shift_y=0.0):
+        rows = []
         for vid, lane, y0, speed in ((1, 2, 100.0, 40.0), (2, 2, 160.0, 38.0),
                                      (3, 1, 60.0, 45.0)):
             for frame in range(1, 101):
                 t = (frame - 1) / 10.0
-                pts.append(TrackPoint(vid, frame, (lane * 12.0 + shift_x) * FT,
-                                      (y0 + speed * t + shift_y) * FT, lane))
-        return pts
+                rows.append((vid, frame, (lane * 12.0 + shift_x) * FT,
+                             (y0 + speed * t + shift_y) * FT, lane))
+        return track_table(rows)
 
     @settings(max_examples=25, deadline=None)
     @given(shift_x=st.floats(-5000, 5000), shift_y=st.floats(-5000, 5000))
     def test_translation_invariance(self, shift_x, shift_y):
         cfg = WindowConfig()
-        base, _ = window_samples(self._build_points(), cfg, "d")
-        moved, _ = window_samples(self._build_points(shift_x, shift_y), cfg, "d")
+        base, _ = window_samples(self._build_tracks(), cfg, "d")
+        moved, _ = window_samples(self._build_tracks(shift_x, shift_y), cfg, "d")
         assert len(base) == len(moved) > 0
         for a, b in zip(base, moved):
             assert np.allclose(a.ego_history, b.ego_history, atol=1e-7)
@@ -287,11 +288,12 @@ class TestCriterion8PipelineInvariants:
     @given(offset=st.integers(1, 50), bump=st.floats(1.0, 500.0))
     def test_no_temporal_leakage(self, offset, bump):
         cfg = WindowConfig()
-        points = self._build_points()
-        base, _ = window_samples(points, cfg, "d")
+        tracks = self._build_tracks()
+        base, _ = window_samples(tracks, cfg, "d")
         t0 = base[0].t0_frame
-        poked = [TrackPoint(p.vehicle_id, p.frame_id, p.x, p.y + bump, p.lane_id)
-                 if p.frame_id == t0 + offset else p for p in points]
+        poked = TrackTable(tracks.vehicle_id, tracks.frame_id, tracks.x,
+                           np.where(tracks.frame_id == t0 + offset, tracks.y + bump, tracks.y),
+                           tracks.lane_id)
         after, _ = window_samples(poked, cfg, "d")
         pairs = [(a, b) for a, b in zip(base, after) if a.t0_frame == t0
                  and b.t0_frame == t0]

