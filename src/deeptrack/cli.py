@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import time
@@ -31,12 +30,14 @@ from .configio import (
     load_config_file,
     read_json_object,
     save_config_file,
+    write_json,
 )
 from .ingest import PARTITION_NAMES, WindowConfig, load_samples, parse_tracks, save_samples, \
     split_dataset, window_samples
 from .model import DeepTrack
 from .numcore import ConfigurationError, NumericsError, load_weights, save_weights
 from .trainer import (
+    LOSSES,
     TrainConfig,
     TrainingDiverged,
     check_xy_output,
@@ -99,9 +100,7 @@ def _write_manifest(out: Path, command: str, started: str, *,
     }
     if extra:
         manifest.update(extra)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest, sort_keys=True)
 
 
 def _load_model_config(args) -> tuple:
@@ -111,23 +110,13 @@ def _load_model_config(args) -> tuple:
     return default_model_config(), {}
 
 
-def _archive_path(directory: Path, part: str) -> Path:
-    path = directory / f"{part}_samples.bin"
-    if not path.exists():
-        raise ConfigurationError(f"no {path.name} under {directory}; run ingest first")
-    return path
-
-
 def _check_grid(data: Path, cfg: ModelConfig) -> None:
     """Reject a model whose grid differs from the one ``data`` was windowed on.
 
     An ingest directory records its window settings in stats.json; one
     without that record was windowed with the ``WindowConfig`` defaults, the
-    only geometry earlier versions had. A bare archive records nothing and is
-    not checked.
+    only geometry earlier versions had.
     """
-    if not data.is_dir():
-        return
     stats = data / "stats.json"
     record = read_json_object(stats, "stats").get("window", {}) if stats.exists() else {}
     window = config_from_dict(WindowConfig, record)
@@ -138,9 +127,16 @@ def _check_grid(data: Path, cfg: ModelConfig) -> None:
                 f"{getattr(window, name)} in the windows under {data}")
 
 
-def _load_part(data: Path, part: str) -> tuple:
-    """Load one partition from an archive file or an ingest directory."""
-    path = _archive_path(data, part) if data.is_dir() else data
+def _load_part(data: Path, part: str, cfg: ModelConfig) -> tuple:
+    """Load one partition for a model of config ``cfg``: the ``{part}`` archive
+    of an ingest directory, once its grid passes, or a bare archive, which
+    records no grid."""
+    if not data.is_dir():
+        return load_samples(data), data
+    _check_grid(data, cfg)
+    path = data / f"{part}_samples.bin"
+    if not path.exists():
+        raise ConfigurationError(f"no {path.name} under {data}; run ingest first")
     return load_samples(path), path
 
 
@@ -199,9 +195,7 @@ def cmd_ingest(args) -> int:
         "partitions": counts,
         "window": config_to_dict(window),
     }
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "stats.json", stats, sort_keys=True)
     _write_manifest(out, "ingest", started,
                     fingerprint=_fingerprint([data_path]), seed=args.seed,
                     extra={"datasetId": dataset_id, "samples": len(samples),
@@ -221,12 +215,11 @@ def cmd_train(args) -> int:
                                     **{k: v for k, v in flags.items() if v is not None})
 
     data = Path(args.data)
-    _check_grid(data, cfg)
-    train_set, train_path = _load_part(data, "train")
+    train_set, train_path = _load_part(data, "train", cfg)
     val_set: List = []
     val_path = train_path
     if data.is_dir():
-        val_set, val_path = _load_part(data, "val")
+        val_set, val_path = _load_part(data, "val", cfg)
         if not val_set:
             print("train: validation partition is empty; holding out a tail "
                   "of the training samples instead", file=sys.stderr)
@@ -242,11 +235,9 @@ def cmd_train(args) -> int:
     def _write_outputs(history, params, buffers):
         save_weights(out / "checkpoint.bin", params, buffers, cfg_hash)
         save_config_file(out / "config.json", cfg, config_to_dict(train_cfg))
-        with open(out / "history.json", "w", encoding="utf-8") as fh:
-            json.dump([config_to_dict(r) for r in history], fh, indent=2)
-            fh.write("\n")
-        with open(out / "history.txt", "w", encoding="utf-8") as fh:
-            fh.write(history_to_text(history) if history else "")
+        write_json(out / "history.json", [config_to_dict(r) for r in history])
+        (out / "history.txt").write_text(history_to_text(history) if history else "",
+                                         encoding="utf-8")
 
     fingerprint = _fingerprint({train_path, val_path})
     try:
@@ -276,8 +267,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = _now()
     model, cfg, ckpt_path = _resolve_checkpoint(args)
-    _check_grid(Path(args.data), cfg)
-    samples, data_path = _load_part(Path(args.data), "test")
+    samples, data_path = _load_part(Path(args.data), "test", cfg)
     report = evaluate(model, samples)
     baseline = zero_baseline(samples)
     text = report.to_text()
@@ -288,11 +278,8 @@ def cmd_eval(args) -> int:
     if out:
         payload = {**config_to_dict(report), "baselineAde": baseline.ade}
         # keys stay in horizon order; sorting would shuffle "10" before "5"
-        with open(out / "eval.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        with open(out / "eval.txt", "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(out / "eval.json", payload)
+        (out / "eval.txt").write_text(text, encoding="utf-8")
         _write_manifest(out, "eval", started, cfg_hash=config_hash(cfg),
                         fingerprint=_fingerprint([data_path]),
                         extra={"checkpoint": str(ckpt_path),
@@ -304,8 +291,7 @@ def cmd_predict(args) -> int:
     started = _now()
     model, cfg, ckpt_path = _resolve_checkpoint(args)
     check_xy_output(model)
-    _check_grid(Path(args.data), cfg)
-    samples, data_path = _load_part(Path(args.data), "test")
+    samples, data_path = _load_part(Path(args.data), "test", cfg)
     if args.limit is not None and args.limit < 1:
         raise ConfigurationError(f"--limit must be >= 1, got {args.limit}")
     samples = samples[:args.limit]
@@ -339,17 +325,14 @@ def cmd_complexity(args) -> int:
     print(text, end="")
     out = _out_dir(args, "complexity", required=False)
     if out:
-        with open(out / "complexity.txt", "w", encoding="utf-8") as fh:
-            fh.write(text)
+        (out / "complexity.txt").write_text(text, encoding="utf-8")
         payload = {
             "layers": [dataclasses.asdict(l) for l in report.layers],
             "totalParams": report.total_params,
             "totalMacs": report.total_macs,
             "bnState": report.bn_state,
         }
-        with open(out / "complexity.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(out / "complexity.json", payload)
         _write_manifest(out, "complexity", started, cfg_hash=config_hash(cfg))
     return EXIT_OK
 
@@ -384,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the predictor on ingested samples")
     p.add_argument("--data", required=True,
                    help="ingest output directory, or one sample archive")
-    p.add_argument("--loss", choices=("mse", "smooth-l1"))
+    p.add_argument("--loss", choices=tuple(LOSSES))
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

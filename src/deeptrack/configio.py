@@ -3,7 +3,8 @@
 Config files are JSON. One writer and one reader serve every config
 dataclass, the training and window settings included: a field's key is its
 camelCase name unless the field carries ``json`` metadata. The writer also
-lays out the training history and the eval report. The sha256 of the
+lays out the training history and the eval report, and ``write_json`` lays
+out every JSON file the command line writes. The sha256 of the
 canonical serialization (sorted keys, compact separators) is embedded in
 every checkpoint so weights can refuse to load against a different
 architecture.
@@ -32,6 +33,7 @@ __all__ = [
     "read_json_object",
     "load_config_file",
     "save_config_file",
+    "write_json",
 ]
 
 
@@ -181,6 +183,12 @@ def read_json_object(path, what: str) -> Dict[str, Any]:
     return raw
 
 
+def write_json(path, payload, sort_keys: bool = False) -> None:
+    """Write ``payload`` as JSON indented by two spaces, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
+
+
 def load_config_file(path) -> Tuple[ModelConfig, Dict[str, Any]]:
     """Read a config file; returns (model config, trainer overrides).
 
@@ -199,6 +207,4 @@ def save_config_file(path, cfg: ModelConfig,
     payload = config_to_dict(cfg)
     if train:
         payload["train"] = train
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, sort_keys=True)

@@ -81,9 +81,14 @@ def _finite(text: str) -> float:
 
 
 def _integer(text: str) -> int:
-    value = _finite(text)
-    if value != int(value):
-        raise ValueError(f"expected an integer, got {text!r}")
+    """Integer text exactly; an integral decimal such as ``3.0`` only below
+    2**53 in magnitude, where every integer is a double."""
+    try:
+        return int(text)
+    except ValueError:
+        value = _finite(text)
+    if value != int(value) or abs(value) >= 2.0 ** 53:
+        raise ValueError(f"expected an exact integer, got {text!r}")
     return int(value)
 
 

@@ -12,7 +12,7 @@ Two layers of fidelity:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,18 +21,17 @@ from .ingest.tracks import FRAME_RATE_HZ, REQUIRED_COLUMNS
 
 __all__ = ["constant_velocity_samples", "write_tracks_csv"]
 
+_SPEED_RANGE = (3.0, 9.0)      # m/s along the road
+_LATERAL_RANGE = (-0.4, 0.4)   # m/s across it
+
 
 def constant_velocity_samples(count: int, seed: int = 0,
                               config: Optional[WindowConfig] = None,
-                              speed_range: Tuple[float, float] = (3.0, 9.0),
-                              lateral_range: Tuple[float, float] = (-0.4, 0.4),
-                              max_neighbors: int = 3,
-                              noise: float = 0.0) -> List[TrajectorySample]:
+                              max_neighbors: int = 3) -> List[TrajectorySample]:
     """Samples whose ego and neighbors all move at constant velocity.
 
     Positions follow the sample convention: meters relative to the ego at
-    the anchor frame, history ending at exactly (0, 0). ``noise`` adds
-    isotropic gaussian jitter in meters to every stored point.
+    the anchor frame, history ending at exactly (0, 0).
     """
     config = config or WindowConfig()
     rng = np.random.default_rng(seed)
@@ -43,7 +42,7 @@ def constant_velocity_samples(count: int, seed: int = 0,
 
     samples: List[TrajectorySample] = []
     for i in range(count):
-        v = np.array([rng.uniform(*lateral_range), rng.uniform(*speed_range)])
+        v = np.array([rng.uniform(*_LATERAL_RANGE), rng.uniform(*_SPEED_RANGE)])
         if rng.random() < 0.2:
             v[1] = -v[1]  # some oncoming/reversing traffic
         ego_history = past_t[:, None] * v
@@ -57,17 +56,11 @@ def constant_velocity_samples(count: int, seed: int = 0,
             row, col = cells[j]
             base = np.array([(col - config.grid_cols // 2) * 3.7,
                              (row - config.grid_rows // 2 + 0.5) * config.cell_length])
-            nv = np.array([rng.uniform(*lateral_range), rng.uniform(*speed_range)])
-            track = base + past_t[:, None] * nv
+            nv = np.array([rng.uniform(*_LATERAL_RANGE), rng.uniform(*_SPEED_RANGE)])
             neighbors.append(NeighborTrack(
-                vehicle_id=1000 + j, cell=(row, col),
-                track=track + (rng.normal(0.0, noise, track.shape) if noise else 0.0),
+                vehicle_id=1000 + j, cell=(row, col), track=base + past_t[:, None] * nv,
                 valid=np.ones(h, dtype=bool)))
 
-        if noise:
-            ego_history = ego_history + rng.normal(0.0, noise, ego_history.shape)
-            ego_history[-1] = 0.0  # the anchor point is the origin by definition
-            future = future + rng.normal(0.0, noise, future.shape)
         samples.append(TrajectorySample(
             dataset_id="synthetic", vehicle_id=i + 1, t0_frame=100,
             ego_history=ego_history, future=future, neighbors=neighbors))

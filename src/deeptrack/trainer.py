@@ -28,7 +28,7 @@ from .numcore import (
 
 __all__ = [
     "TrainConfig", "EpochRecord", "TrainResult", "TrainingDiverged",
-    "EvalReport", "loss_fn", "mse_loss", "smooth_l1_loss",
+    "EvalReport", "LOSSES", "loss_fn", "mse_loss", "smooth_l1_loss",
     "train", "evaluate", "zero_baseline", "history_to_text", "check_xy_output",
 ]
 
@@ -62,7 +62,8 @@ def smooth_l1_loss(pred: Tensor, target: np.ndarray, beta: float = 1.0) -> Tenso
         lambda d: np.where(np.abs(d) < beta, d / beta, np.sign(d)))
 
 
-_LOSSES: Dict[str, Callable[[Tensor, np.ndarray], Tensor]] = {
+# by the name a config's ``loss`` or ``train --loss`` gives
+LOSSES: Dict[str, Callable[[Tensor, np.ndarray], Tensor]] = {
     "mse": mse_loss,
     "smooth-l1": smooth_l1_loss,
 }
@@ -70,10 +71,10 @@ _LOSSES: Dict[str, Callable[[Tensor, np.ndarray], Tensor]] = {
 
 def loss_fn(kind: str) -> Callable[[Tensor, np.ndarray], Tensor]:
     try:
-        return _LOSSES[kind]
+        return LOSSES[kind]
     except KeyError:
         raise ConfigurationError(
-            f"unknown loss {kind!r}, expected one of {sorted(_LOSSES)}") from None
+            f"unknown loss {kind!r}, expected one of {sorted(LOSSES)}") from None
 
 
 # ---------------------------------------------------------------------------

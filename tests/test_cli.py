@@ -19,6 +19,7 @@ from deeptrack.ingest import WindowConfig, load_samples, save_samples
 from deeptrack.model import DeepTrack
 from deeptrack.numcore import load_weights, save_weights
 from deeptrack.synthetic import constant_velocity_samples, write_tracks_csv
+from deeptrack.trainer import LOSSES
 
 
 @pytest.fixture()
@@ -187,6 +188,16 @@ class TestTrain:
         with pytest.raises(SystemExit) as info:
             main([command, *args, "--out", str(tmp_path / "o"), "--pad-mode", "symmetric"])
         assert info.value.code == 2
+
+    def test_loss_choices_are_the_trainer_losses(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--help"])
+        assert info.value.code == 0
+        assert "--loss {" + ",".join(LOSSES) + "}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", str(tmp_path), "--loss", "l0"])
+        assert info.value.code == 2
+        assert "invalid choice: 'l0'" in capsys.readouterr().err
 
     def test_negative_seed_is_exit_2(self, tmp_path, ingested, capsys):
         assert main(["train", "--data", str(ingested), "--out", str(tmp_path / "neg"),
@@ -465,6 +476,24 @@ class TestEvalAndPredict:
         assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
                      "--data", str(path), "--out", str(tmp_path / "pred")]) == 2
         assert "not a sample archive" in capsys.readouterr().err
+
+
+class TestArtifactLayout:
+    def test_json_artifacts_are_indented_with_a_final_newline(self, tmp_path, ingested,
+                                                               trained):
+        ev, cx = tmp_path / "ev", tmp_path / "cx"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(ingested), "--out", str(ev)]) == 0
+        assert main(["complexity", "--out", str(cx)]) == 0
+        # records keep their field order; files that hold settings sort theirs
+        sorted_keys = {ingested / "manifest.json": True, ingested / "stats.json": True,
+                       trained / "config.json": True, trained / "history.json": False,
+                       ev / "eval.json": False, cx / "complexity.json": False}
+        sorted_keys.update({out / "manifest.json": True for out in (trained, ev, cx)})
+        for path, sort_keys in sorted_keys.items():
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys) + "\n", \
+                path
 
 
 class TestComplexity:

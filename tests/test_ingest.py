@@ -82,6 +82,23 @@ class TestParsing:
         assert (stats.malformed, stats.rows_kept) == (1, 1)
         assert keys(tracks) == [(1, 1)]
 
+    def test_ids_beyond_double_precision_parse_exactly(self):
+        # 2**53 + 1 rounds to 2**53 as a double
+        tracks, stats = parse_tracks(table([
+            "9007199254740993,1,1.0,10.0,1",
+            "9007199254740992,1,1.0,10.0,1",
+        ]))
+        assert (stats.vehicles, stats.duplicates, stats.rows_kept) == (2, 0, 2)
+        assert tracks.vehicle_id.tolist() == [9007199254740992, 9007199254740993]
+
+    @pytest.mark.parametrize("row", [
+        "9007199254740993.0,1,1.0,10.0,1", "9007199254740992.0,1,1.0,10.0,1",
+        "1,-1e16,1.0,10.0,1", "1,1,1.0,10.0,1.5"])
+    def test_decimal_ids_are_malformed_unless_exact_integers(self, row):
+        tracks, stats = parse_tracks(table(["3.0,2.0,1.0,10.0,1e0", row]))
+        assert (stats.malformed, stats.rows_kept) == (1, 1)
+        assert (tracks.vehicle_id[0], tracks.frame_id[0], tracks.lane_id[0]) == (3, 2, 1)
+
     def test_undecodable_file_is_fatal(self, tmp_path):
         path = tmp_path / "tracks.csv"
         path.write_bytes(HEADER.encode() + b"1,1,1.0,10.0,1\n1,2,1.0,\xff0.0,1\n")

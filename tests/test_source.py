@@ -2,8 +2,9 @@
 never uses, and no module under src/ imports another module's private name,
 relies on an ``assert``, which ``python -O`` strips, defines a public
 function, class, method, property or module constant that only the tests
-use, or gives a parameter a default that no call overrides. Every
-differentiable op has a finite-difference test."""
+use, or gives a parameter a default that no call overrides. Only
+``configio.py`` writes JSON. Every differentiable op has a finite-difference
+test."""
 
 import ast
 import math
@@ -126,6 +127,39 @@ def test_no_asserts_in_src():
              for path in sorted(SRC.rglob("*.py"))
              for line in assert_lines(path.read_text(encoding="utf-8"))]
     assert not found, "assert statements (stripped by python -O):\n" + "\n".join(found)
+
+
+def json_writes(source: str):
+    """Line of every call of ``json.dump`` or ``json.dumps``, however the
+    module imports them."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in ("dump", "dumps")}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules))
+
+
+def test_checker_finds_json_writes():
+    source = ('import json\nimport json as j\nfrom json import dumps as d, loads\n'
+              'x = json.dumps({})\njson.load(f)\nj.dump({}, f)\nd(1)\nloads("1")\n'
+              'pickle.dump(x, f)\n')
+    assert json_writes(source) == [4, 6, 7]
+
+
+def test_only_configio_writes_json():
+    # configio.write_json lays out every JSON artifact the command line writes
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py")) if path.name != "configio.py"
+             for line in json_writes(path.read_text(encoding="utf-8"))]
+    assert not found, "json.dump or json.dumps outside configio.py:\n" + "\n".join(found)
 
 
 def public_names(source: str):
