@@ -1,118 +1,147 @@
-"""The sample archive: a packed binary layout, little-endian throughout.
+"""The sample archive: one array per field, little-endian throughout.
 
-Samples round-trip exactly (float64 bit patterns are stored as they are):
+A 56-byte header, then one section per field, each zero-padded to a
+multiple of 8 bytes. N samples of H history and F future points hold K
+neighbors in all; D dataset ids take S bytes of utf-8:
 
-    magic     8 bytes  b"DTRKSMP\\0"
-    version   u32
-    count     u64
-    sample    dataset_id: u16 length + utf-8
-              vehicle_id u64, t0_frame i64
-              history_points u16, future_points u16, neighbor_count u32
-              ego history  f8 * H * 2
-              future       f8 * F * 2
-              neighbor     vehicle_id u64, row i32, col i32 (-1, -1 = outside)
-                           valid u8 * H, track f8 * H * 2
+    header     magic b"DTRKSMP\\0", u32 version 2, u32 D, u64 N, K, H, F, S
+    datasets   u64 [D] end of each id, u8 [S] the ids, u32 [N] index per sample
+    samples    u64 [N] vehicle_id, i64 [N] t0_frame, u32 [N] neighbor count,
+               f64 [N, H, 2] ego history, f64 [N, F, 2] future
+    neighbors  u64 [K] vehicle_id, i32 [K, 2] cell ((-1, -1) = outside),
+               u8 [K, H] valid (0 or 1), f64 [K, H, 2] track, sample 0's first
+
+Samples round-trip exactly. A loaded sample's arrays are views into one
+buffer that holds the whole file.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
 import struct
 from typing import List, Sequence
 
 import numpy as np
 
 from ..numcore import ConfigurationError
-from .windows import NeighborTrack, TrajectorySample
+from .windows import TrajectorySample, build_samples
 
 __all__ = ["save_samples", "load_samples", "SAMPLE_MAGIC"]
 
 SAMPLE_MAGIC = b"DTRKSMP\x00"
-SAMPLE_VERSION = 1
+SAMPLE_VERSION = 2
+_HEADER = struct.Struct("<8sII5Q")  # magic, version, D, N, K, H, F, S
+
+
+def _layout(d: int, n: int, k: int, h: int, f: int, s: int) -> tuple:
+    """(dtype, shape) of each section, in file order."""
+    return (("<u8", (d,)), ("u1", (s,)), ("<u4", (n,)), ("<u8", (n,)), ("<i8", (n,)),
+            ("<u4", (n,)), ("<f8", (n, h, 2)), ("<f8", (n, f, 2)),
+            ("<u8", (k,)), ("<i4", (k, 2)), ("?", (k, h)), ("<f8", (k, h, 2)))
+
+
+def _column(values: list, dtype: str, shape: tuple) -> np.ndarray:
+    """``values`` as one array of ``dtype`` whose rows have ``shape``; a row
+    of another shape, or an integer the dtype does not hold, raises."""
+    if not len(values):
+        return np.empty((0, *shape), dtype)
+    out = np.array(values, dtype)
+    if out.shape[1:] != shape:
+        raise ValueError(f"rows of shape {out.shape[1:]} where the layout needs {shape}")
+    if out.dtype.kind in "iu" and not np.array_equal(out, values):
+        raise ValueError(f"values that are not {out.dtype.name} integers")
+    return out
+
+
+def _sections(samples: Sequence[TrajectorySample], h: int, f: int) -> tuple:
+    """The header counts of ``samples`` and their section arrays."""
+    ids = list(dict.fromkeys(s.dataset_id for s in samples))
+    index = {name: i for i, name in enumerate(ids)}
+    names = [name.encode("utf-8") for name in ids]
+    nbrs = [n for s in samples for n in s.neighbors]
+    given = _column([n.cell for n in nbrs if n.cell is not None], "<i4", (2,))
+    if (given < 0).any():
+        raise ValueError("a neighbor cell must be None or two non-negative integers")
+    cells = np.full((len(nbrs), 2), -1)
+    cells[[n.cell is not None for n in nbrs]] = given
+    counts = (len(ids), len(samples), len(nbrs), h, f, sum(map(len, names)))
+    values = (list(itertools.accumulate(map(len, names))), list(b"".join(names)),
+              [index[s.dataset_id] for s in samples], [s.vehicle_id for s in samples],
+              [s.t0_frame for s in samples], [len(s.neighbors) for s in samples],
+              [s.ego_history for s in samples], [s.future for s in samples],
+              [n.vehicle_id for n in nbrs], cells, [n.valid for n in nbrs],
+              [n.track for n in nbrs])
+    return counts, [_column(v, dtype, shape[1:])
+                    for v, (dtype, shape) in zip(values, _layout(*counts))]
 
 
 def save_samples(path, samples: Sequence[TrajectorySample]) -> None:
-    """Write ``samples`` to ``path``; a field the layout cannot hold, such as
-    a negative vehicle id or a track whose shape is not the sample's
-    ``(H, 2)``, raises ConfigurationError naming the sample, and no file is
-    written."""
-    chunks: List[bytes] = [SAMPLE_MAGIC, struct.pack("<IQ", SAMPLE_VERSION, len(samples))]
+    """Write ``samples`` to ``path``. A field the layout cannot hold, such as
+    a negative vehicle id, a cell with a negative coordinate or a history
+    length other than the first sample's, raises ConfigurationError naming
+    the sample, and no file is written."""
+    h, f = (len(samples[0].ego_history), len(samples[0].future)) if samples else (0, 0)
     try:
-        for s in samples:
-            ds = s.dataset_id.encode("utf-8")
-            h = s.ego_history.shape[0]
-            f = s.future.shape[0]
-            track, mask = (h, 2), (h,)
-            if s.ego_history.shape != track or s.future.shape != (f, 2):
-                raise ValueError(f"ego history {s.ego_history.shape} and future "
-                                 f"{s.future.shape} must both be [points, 2]")
-            chunks.append(struct.pack("<H", len(ds)))
-            chunks.append(ds)
-            chunks.append(struct.pack("<QqHHI", s.vehicle_id, s.t0_frame, h, f,
-                                      len(s.neighbors)))
-            chunks.append(np.ascontiguousarray(s.ego_history, dtype="<f8").tobytes())
-            chunks.append(np.ascontiguousarray(s.future, dtype="<f8").tobytes())
-            for n in s.neighbors:
-                valid = np.asarray(n.valid, dtype=bool)  # one byte each, 0 or 1
-                points = np.ascontiguousarray(n.track, dtype="<f8")
-                if points.shape != track or valid.shape != mask:
-                    raise ValueError(
-                        f"neighbor {n.vehicle_id} has track {points.shape} and valid mask "
-                        f"{valid.shape}; the ego history needs {track} and {mask}")
-                row, col = n.cell if n.cell is not None else (-1, -1)
-                chunks.append(struct.pack("<Qii", n.vehicle_id, row, col))
-                chunks.append(valid.tobytes())
-                chunks.append(points.tobytes())
-    except (struct.error, ValueError) as err:
-        raise ConfigurationError(
-            f"{path}: cannot archive the sample of vehicle {s.vehicle_id} at frame "
-            f"{s.t0_frame} in {s.dataset_id!r}: {err}") from err
+        counts, arrays = _sections(samples, h, f)
+    except (ValueError, TypeError, OverflowError):
+        for s in samples:  # name the first sample the layout cannot hold
+            try:
+                _sections([s], h, f)
+            except (ValueError, TypeError, OverflowError) as err:
+                raise ConfigurationError(
+                    f"{path}: cannot archive the sample of vehicle {s.vehicle_id} at frame "
+                    f"{s.t0_frame} in {s.dataset_id!r}: {err}") from err
+        raise
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(_HEADER.pack(SAMPLE_MAGIC, SAMPLE_VERSION, *counts))
+        for arr in arrays:
+            fh.write(arr)
+            fh.write(bytes(-arr.nbytes % 8))
 
 
 def load_samples(path) -> List[TrajectorySample]:
-    """Read an archive ``save_samples`` wrote; any other file raises
-    ConfigurationError."""
+    """Read an archive ``save_samples`` wrote; any other file, or an archive
+    of an earlier version, raises ConfigurationError."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(_HEADER.size)
+            if not head.startswith(SAMPLE_MAGIC):
+                raise ConfigurationError(
+                    f"{path}: not a sample archive (no {SAMPLE_MAGIC!r} magic)")
+            version = int.from_bytes(head[8:12], "little")
+            if len(head) >= 12 and version != SAMPLE_VERSION:
+                raise ConfigurationError(
+                    f"{path}: sample archive version {version} is not read by this version; "
+                    "re-run `deeptrack ingest` on the track file to rebuild it")
+            if len(head) < _HEADER.size:
+                raise ConfigurationError(f"{path}: truncated sample archive header")
+            counts = _HEADER.unpack(head)[2:]
+            layout = _layout(*counts)
+            sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+            sizes = [size + -size % 8 for size in sizes]
+            found = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if found != sum(sizes):
+                raise ConfigurationError(f"{path}: corrupt sample archive: {found} bytes after "
+                                         f"the header, which needs {sum(sizes)}")
+            buf = np.empty(found, np.uint8)
+            if fh.readinto(buf) != found:
+                raise ConfigurationError(f"{path}: corrupt sample archive: short read")
     except OSError as err:
         raise ConfigurationError(f"cannot read samples {path}: {err}") from err
-    if not blob.startswith(SAMPLE_MAGIC):
-        raise ConfigurationError(f"{path}: not a sample archive (no {SAMPLE_MAGIC!r} magic)")
-    off = len(SAMPLE_MAGIC) + 12
-    if len(blob) < off:
-        raise ConfigurationError(f"{path}: truncated sample archive header")
-    version, count = struct.unpack_from("<IQ", blob, len(SAMPLE_MAGIC))
-    if version != SAMPLE_VERSION:
-        raise ConfigurationError(
-            f"{path}: sample archive version {version} unsupported (expected {SAMPLE_VERSION})")
-    samples: List[TrajectorySample] = []
-    try:
-        for _ in range(count):
-            (ds_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            dataset_id = blob[off:off + ds_len].decode("utf-8")
-            off += ds_len
-            vid, t0, h, f, n_nbr = struct.unpack_from("<QqHHI", blob, off)
-            off += 24
-            ego = np.frombuffer(blob, "<f8", h * 2, off).reshape(h, 2).copy()
-            off += h * 16
-            fut = np.frombuffer(blob, "<f8", f * 2, off).reshape(f, 2).copy()
-            off += f * 16
-            neighbors: List[NeighborTrack] = []
-            for _ in range(n_nbr):
-                nvid, row, col = struct.unpack_from("<Qii", blob, off)
-                off += 16
-                valid = np.frombuffer(blob, np.uint8, h, off).astype(bool)
-                off += h
-                track = np.frombuffer(blob, "<f8", h * 2, off).reshape(h, 2).copy()
-                off += h * 16
-                cell = (row, col) if row >= 0 else None
-                neighbors.append(NeighborTrack(nvid, cell, track, valid))
-            samples.append(TrajectorySample(dataset_id, vid, t0, ego, fut, neighbors))
-    except (struct.error, ValueError) as err:  # UnicodeDecodeError is a ValueError
+    d, _, k, _, _, s = counts
+    try:  # an empty archive may still claim lengths no array can have
+        ends, names, index, vehicle_id, t0_frame, count, ego, future, nbr_id, cell, valid, \
+            track = (np.ndarray(shape, dtype, buf, off) for (dtype, shape), off
+                     in zip(layout, itertools.accumulate(sizes, initial=0)))
+        bounds = [0, *ends.tolist()]
+        ids = [names[lo:hi].tobytes().decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+        if (bounds != sorted(bounds) or bounds[-1] != s or (index >= d).any()
+                or count.sum() != k or (valid.view("u1") > 1).any()
+                or not ((cell >= 0).all(axis=1) | (cell == -1).all(axis=1)).all()):
+            raise ValueError("a stored count, index, cell or valid flag is out of range")
+    except ValueError as err:  # UnicodeDecodeError is a ValueError
         raise ConfigurationError(f"{path}: corrupt sample archive: {err}") from err
-    if off != len(blob):
-        raise ConfigurationError(f"{path}: trailing bytes after last sample")
-    return samples
+    return build_samples([ids[i] for i in index.tolist()], vehicle_id, t0_frame, ego, future,
+                         count, nbr_id, cell, track, valid)

@@ -221,7 +221,6 @@ class _Gather:
         nbr = self.by_frame[at]
         keep = nbr != a[owner]
         nbr, owner = nbr[keep], owner[keep]
-        bounds = np.r_[0, np.cumsum(count - 1)].tolist()
 
         # the nearest claimant of each cell wins it; the sort is stable and
         # the claims come in vehicle order, so a tie goes to the lower id
@@ -234,6 +233,7 @@ class _Gather:
         wins = np.ones(order.size, dtype=bool)
         wins[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1]) | (who[1:] != who[:-1])
         winners = claims[order[wins]]
+        cells[claims[order[~wins]]] = -1  # the losers stay in the sample, outside
         stats.grid_collisions += claims.size - winners.size
         stats.neighbors_in_grid += winners.size
         stats.neighbors_outside += nbr.size - winners.size
@@ -245,12 +245,24 @@ class _Gather:
         track[..., 1] = y[held] - ey[owner]
         track[~valid] = 0.0
 
-        cell_of: List[Optional[Tuple[int, int]]] = [None] * nbr.size
-        for i, r, c in zip(winners.tolist(), cells[winners, 0].tolist(),
-                           cells[winners, 1].tolist()):
-            cell_of[i] = (r, c)
-        neighbors = list(map(NeighborTrack, vid[nbr].tolist(), cell_of, track, valid))
-        ego_id = int(vid[a[0]])
-        return [TrajectorySample(dataset_id, ego_id, t0, h, f, neighbors[lo:hi])
-                for t0, h, f, lo, hi in zip(self.frame[a].tolist(), ego, future,
-                                            bounds[:-1], bounds[1:])]
+        return build_samples([dataset_id] * a.size, vid[a], self.frame[a], ego, future,
+                             count - 1, vid[nbr], cells, track, valid)
+
+
+def build_samples(dataset_ids: List[str], vehicle_ids: np.ndarray, t0_frames: np.ndarray,
+                  ego: np.ndarray, future: np.ndarray, counts: np.ndarray,
+                  neighbor_ids: np.ndarray, cells: np.ndarray, tracks: np.ndarray,
+                  valid: np.ndarray) -> List[TrajectorySample]:
+    """Samples from per-sample and per-neighbor arrays, the neighbors of
+    sample 0 first; a cell of (-1, -1) is outside the grid. Each sample's and
+    neighbor's arrays are views into the given blocks."""
+    cell_of: List[Optional[Tuple[int, int]]] = [None] * len(cells)
+    inside = np.flatnonzero(cells[:, 0] >= 0)
+    for i, (r, c) in zip(inside.tolist(), cells[inside].tolist()):
+        cell_of[i] = (r, c)
+    neighbors = list(map(NeighborTrack, neighbor_ids.tolist(), cell_of, tracks, valid))
+    bounds = np.r_[0, np.cumsum(counts)].tolist()
+    return [TrajectorySample(d, v, t0, h, f, neighbors[lo:hi])
+            for d, v, t0, h, f, lo, hi in zip(dataset_ids, vehicle_ids.tolist(),
+                                              t0_frames.tolist(), ego, future,
+                                              bounds[:-1], bounds[1:])]

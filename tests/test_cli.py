@@ -15,7 +15,7 @@ from deeptrack.configio import (
     load_config_file,
     save_config_file,
 )
-from deeptrack.ingest import WindowConfig, load_samples, save_samples
+from deeptrack.ingest import SAMPLE_MAGIC, WindowConfig, load_samples, save_samples
 from deeptrack.model import DeepTrack
 from deeptrack.numcore import load_weights, save_weights
 from deeptrack.synthetic import constant_velocity_samples, write_tracks_csv
@@ -71,9 +71,9 @@ class TestIngest:
     def test_output_bytes_are_pinned(self, ingested):
         # windowing, splitting and the archive layout all feed these digests
         digests = {
-            "train_samples.bin": "a8841524f772e7d1652386636503b498dd9187aecac4c46117bd607a50a1fe0a",
-            "val_samples.bin": "2baf491f5e982dd7c111800dc3c57bf477b048018ddba9665c38d63fee6775b7",
-            "test_samples.bin": "df72fa630ea5833ffef6deed63c807e0a76c1c3f60b16ebcfc454ec1e9425e4c",
+            "train_samples.bin": "75ef78e690830d98cbe57355e9ffede4dc2d5ec25778d381640a575b8ab10091",
+            "val_samples.bin": "f195096b75e91d29d9284b1a4f200248773ef5b284c5652536ded9c461c59d05",
+            "test_samples.bin": "3a01c5b85fd081ac35b671dd830071b7012a55baf6f92b4384619d34df6e6bdb",
             "stats.json": "cdb0d36ddf075271c524256952c799b17630d17ee93e10bfef13f939123dbef5",
         }
         for name, digest in digests.items():
@@ -448,8 +448,8 @@ class TestEvalAndPredict:
         short = next(n for s in samples for n in s.neighbors if n.cell is not None)
         # save_samples refuses a short track, so the first two steps are cut
         # from the stored bytes: the layout stores every track at the history
-        # length, so a short one misaligns the archive and is rejected at
-        # load; collate's own check is covered in test_model.py
+        # length, so the cut archive is shorter than its header says and is
+        # rejected at load; collate's own check is covered in test_model.py
         archive = tmp_path / "test_samples.bin"
         save_samples(archive, samples)
         blob = archive.read_bytes()
@@ -459,7 +459,7 @@ class TestEvalAndPredict:
                      "--data", str(archive), "--out", str(tmp_path / "pred")]) == 2
         assert "corrupt sample archive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ["empty", "checkpoint", "json-lines"])
+    @pytest.mark.parametrize("content", ["empty", "checkpoint", "json-lines", "version-1"])
     def test_file_that_is_no_sample_archive_is_exit_2(self, tmp_path, trained, capsys,
                                                       content):
         path = tmp_path / "test_samples.bin"
@@ -467,6 +467,9 @@ class TestEvalAndPredict:
             path = trained / "checkpoint.bin"
         elif content == "empty":
             path.write_bytes(b"")
+        elif content == "version-1":
+            # an empty archive as version 1 wrote it: magic, u32 version, u64 count
+            path.write_bytes(SAMPLE_MAGIC + (1).to_bytes(4, "little") + bytes(8))
         else:  # one record of the JSON-lines format earlier versions wrote
             s = constant_velocity_samples(1, seed=0)[0]
             path.write_text(json.dumps({
@@ -475,7 +478,12 @@ class TestEvalAndPredict:
                 "neighbors": []}) + "\n")
         assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
                      "--data", str(path), "--out", str(tmp_path / "pred")]) == 2
-        assert "not a sample archive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if content == "version-1":
+            assert "version 1" in err and "re-run `deeptrack ingest`" in err
+        else:
+            assert "not a sample archive" in err
+        assert "Traceback" not in err
 
 
 class TestArtifactLayout:

@@ -1,17 +1,20 @@
 """Parsing, windowing, grid geometry, splits, and archives."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deeptrack.ingest import (
     FEET_TO_METERS,
     SAMPLE_MAGIC,
     NeighborTrack,
     TrackTable,
+    TrajectorySample,
     WindowConfig,
     WindowStats,
     grid_assign,
@@ -564,8 +567,9 @@ class TestArchives:
         assert loaded[0].neighbors[-1].cell is None
         assert loaded == samples
 
-    @pytest.mark.parametrize("field", ["vehicle_id", "neighbor_id", "cell", "ego_3_columns",
-                                       "ego_1d", "future_3_columns", "neighbor_track_short",
+    @pytest.mark.parametrize("field", ["vehicle_id", "neighbor_id", "cell", "cell_negative",
+                                       "cell_fraction", "ego_3_columns", "ego_1d",
+                                       "future_3_columns", "neighbor_track_short",
                                        "neighbor_valid_short"])
     def test_field_the_layout_cannot_hold_is_rejected(self, tmp_path, field):
         samples = self.build_samples()
@@ -578,6 +582,10 @@ class TestArchives:
             n.vehicle_id = 2 ** 64
         elif field == "cell":
             n.cell = (2 ** 31, 0)
+        elif field == "cell_negative":
+            n.cell = (-1, 2)  # would load back as outside, (-1, -1)
+        elif field == "cell_fraction":
+            n.cell = (6.5, 1)
         elif field == "ego_3_columns":
             bad.ego_history = np.zeros((h, 3))
         elif field == "ego_1d":
@@ -592,6 +600,64 @@ class TestArchives:
         with pytest.raises(ConfigurationError, match=f"vehicle {bad.vehicle_id} at frame"):
             save_samples(path, samples)
         assert not path.exists()
+
+    def test_loaded_arrays_are_views_of_one_writable_buffer(self, tmp_path):
+        path = tmp_path / "s.bin"
+        save_samples(path, self.build_samples())
+        loaded = load_samples(path)
+        arrays = [a for s in loaded for a in (s.ego_history, s.future)]
+        arrays += [a for s in loaded for n in s.neighbors for a in (n.track, n.valid)]
+        roots = set()
+        for a in arrays:
+            assert a.flags.writeable
+            while a.base is not None:
+                a = a.base
+            roots.add(id(a))
+        assert len(roots) == 1
+
+
+DATASET_IDS = ("", "unit", "Straße", "高速公路", "🚗 lane 2", "naïve")
+
+
+@st.composite
+def sample_lists(draw):
+    """Samples of one history and one future length, with 0 to 3 neighbors
+    each, cells None or in the grid, and dataset ids from a pool of mostly
+    non-ASCII names."""
+    h, f = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    ids = st.integers(0, 2 ** 64 - 1)
+
+    def points(n):
+        return arrays(np.float64, (n, 2), elements=st.floats(allow_nan=False))
+
+    neighbor = st.builds(
+        NeighborTrack, vehicle_id=ids, track=points(h), valid=arrays(bool, (h,)),
+        cell=st.none() | st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 31 - 1)))
+    sample = st.builds(
+        TrajectorySample, dataset_id=st.sampled_from(DATASET_IDS) | st.text(max_size=3),
+        vehicle_id=ids, t0_frame=st.integers(-2 ** 63, 2 ** 63 - 1),
+        ego_history=points(h), future=points(f), neighbors=st.lists(neighbor, max_size=3))
+    return draw(st.lists(sample, max_size=6))
+
+
+def layout_of(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=sample_lists())
+@example(samples=[])
+def test_any_sample_list_round_trips(tmp_path_factory, samples):
+    path = tmp_path_factory.getbasetemp() / "round_trip.bin"
+    save_samples(path, samples)
+    loaded = load_samples(path)
+    assert loaded == samples
+    for s, r in zip(samples, loaded):
+        assert layout_of(s.ego_history) == layout_of(r.ego_history)
+        assert layout_of(s.future) == layout_of(r.future)
+        for n, m in zip(s.neighbors, r.neighbors):
+            assert layout_of(n.track) == layout_of(m.track)
+            assert layout_of(n.valid) == layout_of(m.valid)
 
 
 @pytest.fixture(scope="module")
@@ -622,3 +688,83 @@ class TestCorruptArchives:
         at = data.draw(st.integers(0, len(blob) - 1))
         altered[at] ^= data.draw(st.integers(1, 255))
         loads_or_rejects(load_samples, bytes(altered), path)
+
+
+# the two-sample archive: a 56-byte header (counts at 16: N, 24: K, 32: H,
+# 40: F), then the sections, each padded to 8 bytes: dataset id ends (8) and
+# name "u" (8), dataset index (8 at 72), vehicle ids (16), anchor frames (16),
+# neighbor counts (8), ego (512), future (800), neighbor ids (16), cells (16),
+# valid (32) and neighbor tracks (512)
+ARCHIVE_BYTES = 56 + 8 + 8 + 8 + 16 + 16 + 8 + 512 + 800 + 16 + 16 + 32 + 512
+NAME_AT, INDEX_AT, COUNT_AT = 64, 72, 112
+CELL_AT, VALID_AT = ARCHIVE_BYTES - 512 - 32 - 16, ARCHIVE_BYTES - 512 - 32
+
+
+class TestArchiveFields:
+    """The header is checked against the file size before any array is read,
+    and a stored value out of its range raises ConfigurationError."""
+
+    @pytest.mark.parametrize("field, count", [("N", 2 ** 40), ("N", 3), ("K", 2 ** 40),
+                                              ("K", 3), ("H", 2 ** 40)])
+    def test_count_beyond_the_file_is_rejected_before_any_read(self, binary_archive, field,
+                                                               count):
+        blob, path = binary_archive
+        at = {"N": 16, "K": 24, "H": 32}[field]
+        assert len(blob) == ARCHIVE_BYTES
+        altered = bytearray(blob)
+        altered[at:at + 8] = count.to_bytes(8, "little")
+        path.write_bytes(bytes(altered))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="corrupt sample archive"):
+                load_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16  # the exception's own objects, no buffer
+
+    def test_dataset_id_ends_out_of_order_are_rejected(self, binary_archive):
+        blob, path = binary_archive
+        path.write_bytes(blob)
+        samples = load_samples(path)
+        samples[1].dataset_id = "bc"
+        save_samples(path, samples)  # the ids "u" and "bc" end at bytes 1 and 3
+        altered = bytearray(path.read_bytes())
+        altered[56:64] = (4).to_bytes(8, "little")
+        path.write_bytes(bytes(altered))
+        with pytest.raises(ConfigurationError, match="corrupt sample archive"):
+            load_samples(path)
+
+    def test_trailing_byte_is_rejected(self, binary_archive):
+        blob, path = binary_archive
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ConfigurationError, match="corrupt sample archive"):
+            load_samples(path)
+
+    @pytest.mark.parametrize("h", [2 ** 40, 2 ** 62, 2 ** 64 - 1])
+    def test_empty_archive_claiming_any_history_length_loads_or_is_rejected(self, tmp_path,
+                                                                            h):
+        path = tmp_path / "empty.bin"
+        save_samples(path, [])
+        altered = bytearray(path.read_bytes())
+        altered[32:40] = h.to_bytes(8, "little")
+        loads_or_rejects(load_samples, bytes(altered), path)
+
+    @pytest.mark.parametrize("field", ["dataset_index", "neighbor_count", "dataset_name",
+                                       "cell_row", "cell_column", "valid"])
+    def test_value_out_of_range_is_rejected(self, binary_archive, field):
+        at, value = {
+            "dataset_index": (INDEX_AT, (1).to_bytes(4, "little")),  # one dataset id
+            "neighbor_count": (COUNT_AT, (2).to_bytes(4, "little")),  # 3 where K is 2
+            "dataset_name": (NAME_AT, b"\xff"),  # not utf-8
+            "cell_row": (CELL_AT, (-2).to_bytes(4, "little", signed=True)),
+            "cell_column": (CELL_AT + 4, (-1).to_bytes(4, "little", signed=True)),
+            "valid": (VALID_AT, b"\x02"),
+        }[field]
+        blob, path = binary_archive
+        assert len(blob) == ARCHIVE_BYTES and loads_or_rejects(load_samples, blob, path)
+        altered = bytearray(blob)
+        altered[at:at + len(value)] = value
+        path.write_bytes(bytes(altered))
+        with pytest.raises(ConfigurationError, match="corrupt sample archive"):
+            load_samples(path)

@@ -3,8 +3,9 @@ never uses, and no module under src/ imports another module's private name,
 relies on an ``assert``, which ``python -O`` strips, defines a public
 function, class, method, property or module constant that only the tests
 use, or gives a parameter a default that no call overrides. Only
-``configio.py`` writes JSON. Every differentiable op has a finite-difference
-test."""
+``configio.py`` writes JSON, and only the archive and checkpoint modules
+use ``struct`` or ``np.frombuffer``. Every differentiable op has a
+finite-difference test."""
 
 import ast
 import math
@@ -160,6 +161,44 @@ def test_only_configio_writes_json():
              for path in sorted(SRC.rglob("*.py")) if path.name != "configio.py"
              for line in json_writes(path.read_text(encoding="utf-8"))]
     assert not found, "json.dump or json.dumps outside configio.py:\n" + "\n".join(found)
+
+
+def binary_layout_lines(source: str):
+    """Line of every import of ``struct`` and every call of
+    ``numpy.frombuffer``, however the module imports them."""
+    tree = ast.parse(source)
+    modules, names, lines = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name == "struct"]
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name == "frombuffer"}
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "frombuffer"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules)]
+    return sorted(lines + calls)
+
+
+def test_checker_finds_binary_layouts():
+    source = ('import struct\nimport numpy as np\nfrom numpy import frombuffer as fb, zeros\n'
+              'from struct import pack\nx = np.frombuffer(b"")\nfb(b"")\nzeros(2)\n'
+              'np.fromfile(f)\nother.frombuffer(b"")\n')
+    assert binary_layout_lines(source) == [1, 4, 5, 6]
+
+
+def test_only_the_archive_and_checkpoint_modules_lay_out_bytes():
+    # each binary file format is packed and parsed in one module
+    owners = {Path("deeptrack/ingest/archive.py"), Path("deeptrack/numcore/checkpoint.py")}
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py")) if path.relative_to(SRC) not in owners
+             for line in binary_layout_lines(path.read_text(encoding="utf-8"))]
+    assert not found, "struct or np.frombuffer outside the two file formats:\n" + "\n".join(found)
 
 
 def public_names(source: str):
