@@ -1,9 +1,12 @@
 """Temporal convolutional encoders for trajectory sequences.
 
-An encoder is a stack of length-preserving blocks over ``[C, T]`` sequences.
-The first block is a standard dilated convolution (input channel counts are
-tiny, so factorization buys nothing there); every later block is a
-depthwise-separable bottleneck:
+An encoder is a stack of length-preserving blocks over sequences. Its
+public layout is channels-first, ``[B, C, T]`` or one ``[C, T]``; the units
+run channels-last, ``[B, T, C]``, so ``forward`` swaps the axes once at entry
+and returns a swapped view, and ``summary`` reads the newest row of the
+channels-last output. The first block is a standard dilated convolution
+(input channel counts are tiny, so factorization buys nothing there); every
+later block is a depthwise-separable bottleneck:
 
     pointwise C_in -> B, BN, act
     depthwise k, d over B channels, BN, act
@@ -165,12 +168,19 @@ class AtcnEncoder:
         self.out_channels = c_in
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
-        """Encode sequences; length is preserved through every block."""
-        if x.data.shape[-2] != self.config.input_channels:
+        """Encode ``[B, C_in, T]`` sequences (or one ``[C_in, T]``) into
+        ``[B, C_last, T]``; length is preserved through every block. The
+        units run channels-last, so the result is a view of their output."""
+        return self._forward_last(x, mode).swapaxes(-1, -2)
+
+    def _forward_last(self, x: Tensor, mode: str) -> Tensor:
+        """The units' channels-last output ``[B, T, C_last]``, from ``x``
+        swapped once at entry."""
+        if x.data.ndim not in (2, 3) or x.data.shape[-2] != self.config.input_channels:
             raise ConfigurationError(
                 f"encoder expects {self.config.input_channels} input channels, "
                 f"got shape {x.shape}")
-        out = x
+        out = x.swapaxes(-1, -2)
         for unit in self.units:
             out = unit(out, mode)
         return out
@@ -185,7 +195,7 @@ class AtcnEncoder:
         """
         if mode == "eval" and self.config.pad_mode == "causal":
             x = x[..., -receptive_field(self.config):]
-        last = self.forward(x, mode)[..., -1]
+        last = self._forward_last(x, mode)[..., -1, :]
         last.data = last.data.copy()  # a view would keep every step's output alive
         return last
 

@@ -2,10 +2,11 @@
 
 Forward pass over one batch:
 
-1. A shared temporal encoder summarizes each neighbor history, each of
-   its convolution, batch-norm and activation units one graph node
-   (``conv_unit``); summaries land in an ego-centered occupancy grid
-   ``[B, C, rows, cols]`` (empty cells stay zero).
+1. A shared temporal encoder summarizes each neighbor history
+   (``[K, 2, H]``, swapped once to the channels-last ``[K, H, 2]`` its units
+   run in), each of its convolution, batch-norm and activation units one
+   graph node (``conv_unit``); summaries land in an ego-centered occupancy
+   grid ``[B, C, rows, cols]`` (empty cells stay zero).
 2. Two grid convolutions and a max-pool compress the grid into a flat
    social feature; a second encoder plus a dense remap summarizes the ego
    history to the same width.

@@ -1,21 +1,26 @@
 """Differentiable neural-network operations.
 
-Sequence layout is channels-first: ``[C, T]`` for a single sequence or
-``[B, C, T]`` batched; grids are ``[B, C, H, W]``. Convolution kernels use
-lag-major tap order: tap ``i`` of a 1-d kernel multiplies the input
-``i * dilation`` steps in the past, so tap 0 is the current step. Padding
-is handled inside the conv ops; both modes add the span ``(k-1)*d`` of
-zeros, so they preserve sequence length:
+Temporal units run channels-last: :func:`conv_unit` takes ``[N, T, C]``
+(or one ``[T, C]`` sequence), whose ``N * T`` rows form a contiguous 2-D
+view. :func:`dilated_conv1d` and :func:`batch_norm` keep the channels-first
+``[C, T]`` / ``[B, C, T]`` signatures and swap axes around the same cores;
+grids are ``[B, C, H, W]``. Convolution kernels use lag-major tap order:
+tap ``i`` of a 1-d kernel multiplies the input ``i * dilation`` steps in the
+past, so tap 0 is the current step. Padding is handled inside the conv ops;
+both modes add the span ``(k-1)*d`` of zeros, so they preserve sequence
+length:
 
 * ``"causal"``   — all of it on the left; output at time t never sees
   input later than t.
 * ``"symmetric"`` — ``ceil((k-1)*d / 2)`` zeros on the left, the rest on
   the right.
 
-Every convolution runs through ``_conv_forward``, which returns its own
-backward; ``_conv`` makes it a graph node, and ``conv_unit`` runs it with
-batch norm and an activation as one node. ``_tap_window`` alone maps kernel
-taps to input cells, for it and for max pooling.
+Every temporal convolution runs through ``_tap_shift``, one GEMM per kernel
+tap on the contiguous rows with no padded copy, and returns its own
+backward; ``conv_unit`` runs it with batch norm and an activation as one
+node. The grid convolution runs through ``_conv_forward``, an im2col GEMM;
+``_tap_window`` alone maps grid taps to input cells, for it and for max
+pooling.
 """
 
 from __future__ import annotations
@@ -69,44 +74,44 @@ def _logistic(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 def _sigmoid(v: np.ndarray, inplace: bool):
     """The numpy forward of an activation: ``(out, grad)``, where ``grad`` maps
     the output gradient to that of ``v``. With ``inplace`` the output
-    overwrites ``v`` and ``grad`` is None, since the input it may read is gone.
-    The same holds for :func:`_tanh`, :func:`_swish`, :func:`_relu` and
+    overwrites ``v``; ``grad`` reads only what the forward keeps (the output,
+    and the logistic for swish), never ``v``, so it holds either way. The
+    same holds for :func:`_tanh`, :func:`_swish`, :func:`_relu` and
     :func:`_identity`."""
     with np.errstate(over="ignore"):
         s = _logistic(v, out=v if inplace else None)
-    return s, None if inplace else (lambda g: g * s * (1.0 - s))
+    return s, lambda g: g * s * (1.0 - s)
 
 
 def _tanh(v: np.ndarray, inplace: bool):
     t = np.tanh(v, out=v if inplace else None)
-    return t, None if inplace else (lambda g: g * (1.0 - t * t))
+    return t, lambda g: g * (1.0 - t * t)
 
 
 def _swish(v: np.ndarray, inplace: bool):
     with np.errstate(over="ignore"):
         s = _logistic(v)
     out = np.multiply(v, s, out=v if inplace else None)
-    return out, None if inplace else (lambda g: _swish_grad(g, v, s))
+    return out, lambda g: _swish_grad(g, s, out)
 
 
-def _swish_grad(g: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d/dv v*s(v) = s(v) * (1 + v * (1 - s(v))), times ``g``, in two buffers."""
-    inner = 1.0 - s
-    inner *= v
-    inner += 1.0
-    out = g * s
-    out *= inner
-    return out
+def _swish_grad(g: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d/dv v*s(v) = s + v*s*(1 - s) = s + out*(1 - s), times ``g``, in one buffer."""
+    inner = 1.0 - out
+    inner *= s
+    inner += out
+    inner *= g
+    return inner
 
 
 def _relu(v: np.ndarray, inplace: bool):
     mask = v > 0
     out = np.multiply(v, mask, out=v if inplace else None)
-    return out, None if inplace else (lambda g: g * mask)
+    return out, lambda g: g * mask
 
 
 def _identity(v: np.ndarray, inplace: bool):
-    return v, None if inplace else (lambda g: g)
+    return v, lambda g: g
 
 
 def _activation_node(x: Tensor, forward) -> Tensor:
@@ -218,37 +223,126 @@ class Kernel1D:
     def out_channels(self) -> int:
         return self.weights.data.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.weights.data.shape[2]
 
+def _tap_shift(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], dilation: int,
+               groups: int, pad_mode: str):
+    """The numpy forward of every temporal convolution, channels-last:
+    ``xd`` ``[N, T, C]`` or ``[T, C]`` correlated with ``wd``
+    ``[O, C // groups, k]`` in ``pad_mode`` and shifted by ``bd`` (None for
+    no bias).
 
-def _sequence_pads(x: Tensor, kern: Kernel1D, pad_mode: str):
-    """The ``pads`` of :func:`_conv` that keep a ``[C, T]`` or ``[B, C, T]``
-    sequence's length under ``kern`` in ``pad_mode``: the span ``(k-1)*d``
-    all on the left when causal, its larger half on the left when
-    symmetric."""
+    Returns the output ``[N, T, O]`` (``[T, O]``) and its backward, a function
+    from the output gradient to those of ``xd``, ``wd`` and ``bd``. Tap p
+    reads the input ``lag = p * d - right`` steps back, ``right`` being the
+    padding after the sequence (none when causal). It is one GEMM
+    ``x2 @ W_p.T`` over the ``N * T`` rows of the contiguous 2-D view, added
+    into the output ``lag`` steps later; a tap whose lag reaches past T adds
+    nothing. A grouped kernel enters as its block-diagonal dense ``[O, C]``
+    matrix per tap, so its weight gradient is the diagonal blocks of
+    ``g.T @ x``. The backward runs the same GEMMs on the output gradient,
+    with the rows whose tap partner lies outside their sequence zeroed, so
+    each tap pairs the flat rows ``lag`` apart.
+    """
     if pad_mode not in PAD_MODES:
         raise ConfigurationError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
-    if x.data.ndim not in (2, 3):
-        raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
-    span = (kern.k - 1) * kern.dilation
-    left = span if pad_mode == "causal" else (span + 1) // 2
-    return ((0, 0), (left, span - left))
+    if xd.ndim not in (2, 3):
+        raise ConfigurationError(f"conv input must be [T, C] or [N, T, C], got {xd.shape}")
+    c_out, cg, k = wd.shape
+    c_in = cg * groups
+    if xd.shape[-1] != c_in:
+        raise ConfigurationError(
+            f"input has {xd.shape[-1]} channels but the weight expects {c_in}")
+    steps = xd.shape[-2]
+    x2 = xd.reshape(-1, c_in)
+    rows = x2.shape[0]
+    span = (k - 1) * dilation
+    right = 0 if pad_mode == "causal" else span // 2
+    taps = [(p, p * dilation - right) for p in range(k) if abs(p * dilation - right) < steps]
+    taps.sort(key=lambda tap: tap[1] != 0)  # a lag-0 tap, if any, starts the output
+    if groups == 1:
+        wt, block = np.ascontiguousarray(wd.transpose(2, 0, 1)), None
+    else:  # out channel o reads in channels (o // (O / groups)) * cg + c, c < cg
+        o_idx = np.arange(c_out)[:, None]
+        block = (slice(None), o_idx, o_idx // (c_out // groups) * cg + np.arange(cg))
+        wt = np.zeros((k, c_out, c_in), wd.dtype)
+        wt[block] = wd.transpose(2, 0, 1)
+
+    dtype = np.result_type(xd, wd)
+    first = bool(taps) and taps[0][1] == 0
+    out = x2 @ wt[taps[0][0]].T if first else np.zeros((rows, c_out), dtype)
+    y = np.empty_like(out) if len(taps) > first else None  # one product buffer for every tap
+    for p, lag in taps[first:]:
+        np.matmul(x2, wt[p].T, out=y)
+        later, earlier = _paired_rows(y, steps, lag, False)
+        out[later] += y[earlier]
+    if bd is not None:
+        out += bd
+
+    def backward(g):
+        g2 = np.reshape(g, (rows, c_out))
+        gwt = np.zeros_like(wt)
+        gx = g2 @ wt[taps[0][0]] if first else np.zeros(x2.shape, dtype)
+        for p, lag in taps:
+            gm, later, earlier = g2, slice(None), slice(None)
+            if lag:
+                gm = g2.copy()
+                later, earlier = _paired_rows(gm, steps, lag, True)
+                gx[earlier] += gm[later] @ wt[p]
+            gwt[p] = gm[later].T @ x2[earlier]
+        gw = (gwt if block is None else gwt[block]).transpose(1, 2, 0)
+        return gx.reshape(xd.shape), gw, None if bd is None else np.ones(rows, g2.dtype) @ g2
+
+    return out.reshape(xd.shape[:-1] + (c_out,)), backward
+
+
+def _paired_rows(rows: np.ndarray, steps: int, lag: int, later: bool):
+    """The flat row slices ``(later, earlier)`` that a tap of ``lag`` pairs:
+    row r of a ``[N * T, C]`` view with row ``r - lag``. Some pairs straddle
+    two sequences; first the rows of ``rows`` (the later side when ``later``,
+    else the earlier) whose partner lies outside their own sequence are
+    zeroed, so those pairs add nothing."""
+    by_step = rows.reshape(-1, steps, rows.shape[1])
+    ahead = lag if later else -lag  # how far this side's partner lies back
+    by_step[:, :max(ahead, 0)] = 0.0
+    by_step[:, steps + min(ahead, 0):] = 0.0
+    n = rows.shape[0]
+    return slice(max(lag, 0), n + min(lag, 0)), slice(max(-lag, 0), n - max(lag, 0))
 
 
 def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tensor:
-    """Length-preserving dilated 1-d convolution.
+    """Length-preserving dilated 1-d convolution of a channels-first
+    ``[C, T]`` or ``[B, C, T]`` sequence.
 
     Output step s sums ``w[o, c, i] * x[c, s - i*d]`` over taps i and the
     channels of o's group, treating out-of-range history as zero (causal
-    mode). Symmetric mode centers the same window. Either way the sequence,
-    padded by the span ``(k-1)*d``, runs through :func:`_conv` as a height-1
-    grid with window step ``-d``.
+    mode). Symmetric mode centers the same window. It runs the channels-last
+    :func:`_tap_shift` on the swapped axes.
     """
     x = as_tensor(x)
-    return _conv(x, kern.weights, kern.bias, _sequence_pads(x, kern, pad_mode),
-                 kern.groups, step=(1, -kern.dilation))
+    w, b = kern.weights, kern.bias
+    if x.data.ndim not in (2, 3):
+        raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
+    out, grads = _tap_shift(np.swapaxes(x.data, -1, -2), w.data, None if b is None else b.data,
+                            kern.dilation, kern.groups, pad_mode)
+
+    def swapped(g):
+        gx, gw, gb = grads(np.swapaxes(g, -1, -2))
+        return np.swapaxes(gx, -1, -2), gw, gb
+
+    return _conv_node(x, w, b, np.swapaxes(out, -1, -2), swapped)
+
+
+def _conv_node(x: Tensor, weight: Tensor, bias: Optional[Tensor], out: np.ndarray, grads) -> Tensor:
+    """A convolution's output as one graph node over ``x``, ``weight`` and
+    ``bias`` (None for none); ``grads`` maps the output gradient to theirs."""
+    def backward(g):
+        gx, gw, gb = grads(g)
+        x.accumulate_grad(gx)
+        weight.accumulate_grad(gw)
+        if bias is not None:
+            bias.accumulate_grad(gb)
+
+    return Tensor._node(out, (x, weight) if bias is None else (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +374,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if bias.data.shape != (c_out,):
             raise ConfigurationError(
                 f"conv2d bias shape {bias.data.shape} does not match out channels {c_out}")
-    return _conv(x, weight, bias, ((ph, ph), (pw, pw)), stride=_pair(stride))
+    return _conv_node(x, weight, bias, *_conv_forward(
+        x.data, weight.data, None if bias is None else bias.data, ((ph, ph), (pw, pw)),
+        _pair(stride)))
 
 
 def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
@@ -331,99 +427,62 @@ def _padded(xd: np.ndarray, pads, fill: float = 0.0) -> np.ndarray:
     return xp
 
 
-def _tap_window(xp: np.ndarray, taps, stride, step=(1, 1)) -> np.ndarray:
+def _tap_window(xp: np.ndarray, taps, stride) -> np.ndarray:
     """The view ``win[b, c, i, j, p, q]`` of the C-contiguous ``xp`` cell that
-    tap (p, q) of output (i, j) reads: the one place taps are laid out.
-
-    Along each axis output i starts ``i * stride`` cells in and tap p lies
-    ``p * step`` further; a negative step counts back from the far end of
-    the ``(taps - 1) * |step|`` span. Backward passes add into the same view
-    of the input gradient, one tap at a time (a tap meets a cell once).
+    tap (p, q) of output (i, j) reads: the one place grid taps are laid out.
+    Output (i, j) starts at cell ``(i * sh, j * sw)``. Backward passes add
+    into the same view of the input gradient, one tap at a time (a tap meets
+    a cell once).
     """
     batch, chans, height, width = xp.shape
-    (kh, kw), (sh, sw), (eh, ew) = taps, stride, step
-    span_h, span_w = (kh - 1) * abs(eh), (kw - 1) * abs(ew)
+    (kh, kw), (sh, sw) = taps, stride
     s_b, s_c, s_h, s_w = xp.strides
-    start = (span_h * s_h if eh < 0 else 0) + (span_w * s_w if ew < 0 else 0)
-    shape = (batch, chans, (height - span_h - 1) // sh + 1, (width - span_w - 1) // sw + 1,
-             kh, kw)
-    # an empty buffer takes no offset, and an empty view reads nothing
-    return np.ndarray(shape, xp.dtype, xp, start if xp.size else 0,
-                      (s_b, s_c, sh * s_h, sw * s_w, eh * s_h, ew * s_w))
+    shape = (batch, chans, (height - kh) // sh + 1, (width - kw) // sw + 1, kh, kw)
+    return np.ndarray(shape, xp.dtype, xp, 0, (s_b, s_c, sh * s_h, sw * s_w, s_h, s_w))
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads,
-                  groups: int = 1, stride=(1, 1), step=(1, 1)):
-    """The numpy forward of every convolution: ``xd`` ``[B, C, *S]`` or
-    ``[C, *S]`` zero-padded by ``pads``, correlated with ``wd``
-    ``[O, C // groups, *K]`` and shifted by ``bd`` (None for no bias), S and
-    K both a grid or both a sequence (run as height 1).
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads, stride):
+    """The numpy forward of the grid convolution: ``xd`` ``[B, C, H, W]`` or
+    ``[C, H, W]`` zero-padded by ``pads``, correlated with ``wd``
+    ``[O, C, kh, kw]`` and shifted by ``bd`` (None for no bias).
 
-    Returns the output ``[B, O, *S_out]`` (``[O, *S_out]``) and its backward,
-    a function from the output gradient to those of ``xd``, ``wd`` and ``bd``.
-    Each group's tap window is an im2col matrix, row (b, i, j) in (c, p, q)
-    order like its rows of ``wd.reshape(O, -1)``, and one stacked GEMM over
-    the groups does the rest; an ungrouped kernel is the one-group case.
+    Returns the output ``[B, O, H_out, W_out]`` (``[O, H_out, W_out]``) and
+    its backward, a function from the output gradient to those of ``xd``,
+    ``wd`` and ``bd``. The tap window is an im2col matrix, row (b, i, j) in
+    (c, p, q) order like the rows of ``wd.reshape(O, -1)``, and one GEMM
+    does the rest.
     """
-    n_spatial = wd.ndim - 2
-    c_axis = xd.ndim - n_spatial - 1
-    c_out, cg = wd.shape[:2]
-    c_in = cg * groups
-    if xd.shape[c_axis] != c_in:
+    c_out, c_in, kh, kw = wd.shape
+    if xd.shape[-3] != c_in:
         raise ConfigurationError(
-            f"input has {xd.shape[c_axis]} channels but the weight expects {c_in}")
-    lead, lift = xd.shape[:c_axis], (1,) * (2 - n_spatial)
-    x4 = xd.reshape((lead or (1,)) + (c_in,) + lift + xd.shape[c_axis + 1:])
-    kh, kw = taps = lift + wd.shape[2:]
+            f"input has {xd.shape[-3]} channels but the weight expects {c_in}")
+    x4 = xd.reshape((-1,) + xd.shape[-3:])
     batch = x4.shape[0]
     xp = _padded(x4, pads)
-    win = _tap_window(xp, taps, stride, step)
+    win = _tap_window(xp, (kh, kw), stride)
     h_out, w_out = win.shape[2:4]
-    og, rows = c_out // groups, batch * h_out * w_out
-    cols = win.reshape(batch, groups, cg, h_out, w_out, kh, kw) \
-        .transpose(1, 0, 3, 4, 2, 5, 6).reshape(groups, rows, cg * kh * kw)
-    wg = wd.reshape(groups, og, cg * kh * kw)
-    out = cols @ wg.transpose(0, 2, 1)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
+    w2 = wd.reshape(c_out, c_in * kh * kw)
+    out = cols @ w2.T
     if bd is not None:
-        out += bd.reshape(groups, 1, og)
-    out = out.reshape(groups, batch, h_out, w_out, og).transpose(1, 0, 4, 2, 3) \
-        .reshape(batch, c_out, h_out, w_out)
+        out += bd
+    out = out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
 
     def backward(g):
-        g4 = g.reshape(batch, c_out, h_out, w_out)
-        g2 = g4.reshape(batch, groups, og, h_out, w_out).transpose(1, 0, 3, 4, 2) \
-            .reshape(groups, rows, og)
-        gw = g2.transpose(0, 2, 1) @ cols
+        g4 = np.reshape(g, (batch, c_out, h_out, w_out))
+        g2 = g4.transpose(0, 2, 3, 1).reshape(-1, c_out)
         # col2im: each tap's column block goes back where the tap read it
-        gcols = (g2 @ wg).reshape(groups, batch, h_out, w_out, cg, kh, kw)
+        gcols = (g2 @ w2).reshape(batch, h_out, w_out, c_in, kh, kw)
         gxp = np.zeros_like(xp)
-        gwin = _tap_window(gxp, taps, stride, step)
+        gwin = _tap_window(gxp, (kh, kw), stride)
         for p, q in product(range(kh), range(kw)):
-            gwin[..., p, q] += gcols[..., p, q].transpose(1, 0, 4, 2, 3) \
-                .reshape(batch, c_in, h_out, w_out)
+            gwin[..., p, q] += gcols[..., p, q].transpose(0, 3, 1, 2)
         (top, _), (left, _) = pads
         gx = gxp[:, :, top: top + x4.shape[2], left: left + x4.shape[3]]
-        return gx.reshape(xd.shape), gw.reshape(wd.shape), \
+        return gx.reshape(xd.shape), (g2.T @ cols).reshape(wd.shape), \
             None if bd is None else g4.sum(axis=(0, 2, 3))
 
-    return out.reshape(lead + (c_out,) + (h_out, w_out)[2 - n_spatial:]), backward
-
-
-def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], pads, groups: int = 1,
-          stride=(1, 1), step=(1, 1)) -> Tensor:
-    """Every convolution op as one graph node over :func:`_conv_forward`."""
-    out, grads = _conv_forward(x.data, weight.data, None if bias is None else bias.data,
-                               pads, groups, stride, step)
-
-    def backward(g):
-        gx, gw, gb = grads(g)
-        x.accumulate_grad(gx)
-        weight.accumulate_grad(gw)
-        if bias is not None:
-            bias.accumulate_grad(gb)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._node(out, parents, backward)
+    return out.reshape(xd.shape[:-3] + out.shape[1:]), backward
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +503,16 @@ class RunningStats:
         return RunningStats(self.mean.copy(), self.var.copy())
 
 
-def _batch_statistics(xd: np.ndarray, axes, eps: float):
-    """``(xhat, mean, var, inv_sd)`` of ``xd`` over ``axes``: the normalized
-    input and its statistics, kept as broadcastable dimensions."""
-    mean = xd.mean(axis=axes, keepdims=True)
-    xhat = xd - mean
-    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+def _batch_statistics(x2: np.ndarray, eps: float):
+    """``(xhat, mean, var, inv_sd)`` of the rows of ``x2`` ``[M, C]``: the
+    input normalized in place and its per-channel statistics, each ``[C]``.
+    The sums over rows are one GEMV each, which beats numpy's reduction
+    along a short inner axis."""
+    rows = x2.shape[0]
+    mean = np.ones(rows, x2.dtype) @ x2 / rows
+    xhat = x2
+    xhat -= mean
+    var = np.einsum("ij,ij->j", xhat, xhat) / rows
     inv_sd = 1.0 / np.sqrt(var + eps)
     xhat *= inv_sd
     return xhat, mean, var, inv_sd
@@ -460,27 +523,25 @@ def _track(running: Optional[RunningStats], mean: np.ndarray, var: np.ndarray,
     """``running = (1 - momentum) * running + momentum * batch``, in place."""
     if running is not None:
         m = float(momentum)
-        running.mean[:] = (1.0 - m) * running.mean + m * mean.reshape(-1)
-        running.var[:] = (1.0 - m) * running.var + m * var.reshape(-1)
+        running.mean[:] = (1.0 - m) * running.mean + m * mean
+        running.var[:] = (1.0 - m) * running.var + m * var
 
 
-def _batch_norm_backward(grad: np.ndarray, xhat: np.ndarray, scale: np.ndarray, axes,
-                         train: bool):
+def _batch_norm_backward(grad: np.ndarray, xhat: np.ndarray, scale: np.ndarray, train: bool):
     """Gradients of the input, ``gamma`` and ``beta`` of ``xhat * gamma + beta``
-    from the output gradient; ``scale`` is ``gamma * inv_sd``. In train mode
-    the batch statistics depend on the input too."""
-    gsum = grad.sum(axis=axes, keepdims=True)
-    gx = grad * xhat
-    gdot = gx.sum(axis=axes, keepdims=True)
-    if train:  # grad - (gsum + xhat * gdot) * (1 / N), in one buffer
-        np.multiply(xhat, gdot, out=gx)
+    from the output gradient, all ``[M, C]``; ``scale`` is ``gamma * inv_sd``.
+    In train mode the batch statistics depend on the input too."""
+    gsum = np.ones(grad.shape[0], grad.dtype) @ grad
+    gdot = np.einsum("ij,ij->j", grad, xhat)
+    if train:  # grad - (gsum + xhat * gdot) * (1 / M), in one buffer
+        gx = xhat * gdot
         gx += gsum
-        gx *= gsum.size / xhat.size
+        gx *= 1.0 / xhat.shape[0]
         np.subtract(grad, gx, out=gx)
         gx *= scale
     else:
         gx = grad * scale
-    return gx, gdot.reshape(-1), gsum.reshape(-1)
+    return gx, gdot, gsum
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -492,7 +553,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``running = (1 - momentum) * running + momentum * batch``; eval mode is
     the per-channel affine ``x * a + (beta - mean * a)`` with
     ``a = gamma / sqrt(var + eps)`` from the running statistics. The op is
-    one graph node; eval mode recomputes ``xhat`` in its backward.
+    one graph node over the channels-last rows ``[M, C]`` that
+    :func:`conv_unit` normalizes too; eval mode recomputes ``xhat`` in its
+    backward.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = x.data
@@ -503,54 +566,57 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             f"batch_norm scale/shift must have shape ({channels},), got {gamma.shape}, {beta.shape}")
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    axes = tuple(a for a in range(xd.ndim) if a != c_axis)
-    bshape = tuple(channels if a == c_axis else 1 for a in range(xd.ndim))
-    g, b = gamma.data.reshape(bshape), beta.data.reshape(bshape)
+    last = np.moveaxis(xd, c_axis, -1)
+    x2 = last.reshape(-1, channels)
+    g, b = gamma.data, beta.data
 
     if mode == "train":
-        xhat, mean, var, inv_sd = _batch_statistics(xd, axes, eps)
-        out = xhat * g + b
+        xhat, mean, var, inv_sd = _batch_statistics(x2.copy(), eps)
+        out = xhat * g
+        out += b
         _track(running, mean, var, momentum)
     else:
         if running is None:
             raise ConfigurationError(
                 "batch_norm eval mode needs running statistics; none were recorded")
-        mean = running.mean.reshape(bshape).astype(xd.dtype)
-        inv_sd = 1.0 / np.sqrt(running.var.reshape(bshape).astype(xd.dtype) + eps)
+        mean = running.mean.astype(xd.dtype)
+        inv_sd = 1.0 / np.sqrt(running.var.astype(xd.dtype) + eps)
         xhat = None
-        out = xd * (g * inv_sd)
+        out = x2 * (g * inv_sd)
         out += b - mean * g * inv_sd
 
     def backward(grad):
-        xh = (xd - mean) * inv_sd if xhat is None else xhat
-        gx, ggamma, gbeta = _batch_norm_backward(grad, xh, g * inv_sd, axes, xhat is not None)
+        xh = (x2 - mean) * inv_sd if xhat is None else xhat
+        g2 = np.moveaxis(grad, c_axis, -1).reshape(-1, channels)
+        gx, ggamma, gbeta = _batch_norm_backward(g2, xh, g * inv_sd, xhat is not None)
         gamma.accumulate_grad(ggamma)
         beta.accumulate_grad(gbeta)
-        x.accumulate_grad(gx)
+        x.accumulate_grad(np.moveaxis(gx.reshape(last.shape), -1, c_axis))
 
-    return Tensor._node(out, (x, gamma, beta), backward)
+    return Tensor._node(np.moveaxis(out.reshape(last.shape), -1, c_axis), (x, gamma, beta),
+                        backward)
 
 
 def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional[Tensor],
               stats: Optional[RunningStats], mode: str, activation: str = "identity",
               pad_mode: str = "causal", momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """``activation(batch_norm(dilated_conv1d(x, kern, pad_mode), gamma, beta,
-    stats, mode, momentum, eps))`` as one graph node; without batch norm when
-    ``gamma`` is None. The kernel has a bias just when batch norm, whose
-    centering would cancel it, is off.
+    stats, mode, momentum, eps))`` as one graph node on a channels-last
+    ``[N, T, C]`` or ``[T, C]`` sequence; without batch norm when ``gamma`` is
+    None. The kernel has a bias just when batch norm, whose centering would
+    cancel it, is off.
 
     Eval mode folds the running statistics, ``gamma`` and ``beta`` into the
     convolution on every call, ``w * a`` and ``beta - mean * a`` with
     ``a = gamma / sqrt(var + eps)``; nothing is cached, so a later change to
     any of them shows in the next call. Its output matches the chain of
     three ops to rounding, and its backward carries the gradient back
-    through the fold. Train mode normalizes with the statistics over every
-    batch and time position and moves ``stats`` as :func:`batch_norm` does;
-    output and statistics equal the chain's bit for bit. When no graph
-    records, the activation runs in place.
+    through the fold. Train mode normalizes with the statistics over the
+    ``N * T`` rows of the output and moves ``stats`` as :func:`batch_norm`
+    does; output and statistics equal the chain's bit for bit. The
+    activation runs in place on the unit's own buffer.
     """
     x = as_tensor(x)
-    pads = _sequence_pads(x, kern, pad_mode)
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"conv_unit mode must be 'train' or 'eval', got {mode!r}")
     act = _activation(activation)[1]
@@ -570,7 +636,6 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
         parents = (x, w, gamma, beta)
     else:
         parents = (x, w, b)
-    records = Tensor._records(parents)
     fold = norm and mode == "eval"
     train_norm = norm and mode == "train"
 
@@ -580,26 +645,19 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
         scale = gamma.data / sd
         wd = wd * scale[:, None, None]
         bd = beta.data - mean * scale
-    z, conv_grads = _conv_forward(x.data, wd, bd, pads, kern.groups, step=(1, -kern.dilation))
+    z, conv_grads = _tap_shift(x.data, wd, bd, kern.dilation, kern.groups, pad_mode)
+    z2 = z.reshape(-1, z.shape[-1])
     if train_norm:
-        axes = (1,) if z.ndim == 2 else (0, 2)
-        g = gamma.data.reshape(-1, 1)
-        xhat, mean, var, inv_sd = _batch_statistics(z, axes, eps)
-        z = xhat * g
-        z += beta.data.reshape(-1, 1)
+        xhat, mean, var, inv_sd = _batch_statistics(z2, eps)
+        z2 = xhat * gamma.data
+        z2 += beta.data
         _track(stats, mean, var, momentum)
-    if records:
-        out, act_grad = act(z, False)
-    else:
-        # z is fresh and dense in some axis order; its flat view keeps the
-        # small in-place ufuncs off strided loops
-        act(z.ravel("K"), True)
-        out = z
+    out, act_grad = act(z2, True)  # z2 is this call's own buffer
 
     def backward(grad):
-        gz = act_grad(grad)
+        gz = act_grad(np.reshape(grad, z2.shape))
         if train_norm:
-            gz, ggamma, gbeta = _batch_norm_backward(gz, xhat, g * inv_sd, axes, True)
+            gz, ggamma, gbeta = _batch_norm_backward(gz, xhat, gamma.data * inv_sd, True)
         gx, gw, gb = conv_grads(gz)
         if fold:
             # back through w * a and beta - mean * a, a = gamma / sd
@@ -614,7 +672,7 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
         else:
             b.accumulate_grad(gb)
 
-    return Tensor._node(out, parents, backward)
+    return Tensor._node(out.reshape(z.shape), parents, backward)
 
 
 # ---------------------------------------------------------------------------

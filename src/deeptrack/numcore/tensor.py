@@ -280,13 +280,13 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         if axis is None:
             count = self.data.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -297,6 +297,13 @@ class Tensor:
             self.accumulate_grad(g.reshape(self.data.shape))
 
         return Tensor._node(out_data, (self,), backward)
+
+    def swapaxes(self, a: int, b: int) -> "Tensor":
+        """The view with axes ``a`` and ``b`` exchanged; no data moves."""
+        def backward(g):
+            self.accumulate_grad(np.swapaxes(g, a, b))
+
+        return Tensor._node(np.swapaxes(self.data, a, b), (self,), backward)
 
     def __getitem__(self, key) -> "Tensor":
         """Basic indexing only (ints, slices, ``Ellipsis``, ``None``): it names

@@ -1,7 +1,7 @@
-"""Shared test oracles: naive convolution, pooling and batch-norm loops, an
-encoder run as a chain of conv, batch-norm and activation ops, an LSTM step
-composed from public ops, an unroll chained from LSTM cells, a symmetric
-padding probe, per-layer cost formulas, finite-difference
+"""Shared test oracles: naive convolution, pooling and batch-norm loops, a
+unit and an encoder run as a chain of conv, batch-norm and activation ops,
+an LSTM step composed from public ops, an unroll chained from LSTM cells, a
+symmetric padding probe, per-layer cost formulas, finite-difference
 checks, a graph-node count, a corrupt-file probe, a track-table builder,
 the point-by-point windowing loop, a small model configuration reused across
 suites, and seeded random model configurations.
@@ -247,19 +247,24 @@ def naive_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return np.moveaxis(out, 0, axis), new_mean, new_var
 
 
+def chained_unit(x: Tensor, kern: Kernel1D, gamma, beta, stats, mode: str, activation: str,
+                 pad_mode: str, momentum: float, eps: float) -> Tensor:
+    """``conv_unit`` on the channels-first ``x`` as three graph nodes:
+    ``dilated_conv1d``, ``batch_norm`` (when ``gamma`` is given) and the
+    activation op. Train mode moves ``stats`` as the unit does."""
+    out = dilated_conv1d(x, kern, pad_mode)
+    if gamma is not None:
+        out = batch_norm(out, gamma, beta, stats, mode, momentum=momentum, eps=eps)
+    return activation_fn(activation)(out)
+
+
 def chained_encoder_forward(encoder, x: Tensor, mode: str) -> Tensor:
-    """``encoder.forward`` with every unit run as three graph nodes:
-    ``dilated_conv1d``, ``batch_norm`` (when the unit has one) and the
-    activation op. Train mode moves the running statistics as the encoder
-    does."""
+    """``encoder.forward`` with every unit run as :func:`chained_unit`."""
     cfg = encoder.config
     out = x
     for unit in encoder.units:
-        out = dilated_conv1d(out, unit.kern, cfg.pad_mode)
-        if unit.gamma is not None:
-            out = batch_norm(out, unit.gamma, unit.beta, unit.stats, mode,
-                             momentum=cfg.bn_momentum, eps=cfg.bn_epsilon)
-        out = activation_fn(cfg.activation)(out)
+        out = chained_unit(out, unit.kern, unit.gamma, unit.beta, unit.stats, mode,
+                           cfg.activation, cfg.pad_mode, cfg.bn_momentum, cfg.bn_epsilon)
     return out
 
 

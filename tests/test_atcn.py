@@ -322,8 +322,8 @@ class TestReceptiveFieldSummary:
         import deeptrack.atcn as atcn
         seen = []
 
-        def spy(x, *args):
-            seen.append(x.data.shape[-1])
+        def spy(x, *args):  # the units run channels-last, [B, T, C]
+            seen.append(x.data.shape[-2])
             return conv_unit(x, *args)
 
         monkeypatch.setattr(atcn, "conv_unit", spy)
@@ -460,5 +460,6 @@ class TestFusedUnits:
         enc = AtcnEncoder(NBR_CONFIG, np.random.default_rng(11))
         x = Tensor(np.ones((2, 2, 5)), requires_grad=True)
         leaves = 1 + len(enc.parameters())
-        assert graph_nodes(enc.forward(x, mode)) == len(enc.units) + leaves
+        # plus the two layout swaps at the encoder's [B, C, T] boundary
+        assert graph_nodes(enc.forward(x, mode)) == len(enc.units) + 2 + leaves
         assert graph_nodes(chained_encoder_forward(enc, x, mode)) == 3 * len(enc.units) + leaves

@@ -8,13 +8,16 @@ import pytest
 from deeptrack.numcore import (
     ConfigurationError,
     Kernel1D,
+    RunningStats,
     Tensor,
     conv2d,
+    conv_unit,
     dilated_conv1d,
 )
 
 from helpers import (
-    check_gradients, naive_conv2d, naive_dilated_conv1d, naive_symmetric_conv1d,
+    chained_unit, check_gradients, naive_batch_norm, naive_conv2d, naive_dilated_conv1d,
+    naive_symmetric_conv1d,
 )
 
 PAD_MODES = ("causal", "symmetric")
@@ -192,6 +195,156 @@ class TestCausalOracle:
             want = (out.reshape(-1, c, t) + b[:, None]).reshape(x.shape)
             bound = 16 * np.finfo(np.float64).eps * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= bound, trial
+
+
+NAIVE_ACTIVATIONS = {
+    "swish": lambda v: v / (1.0 + np.exp(-v)),
+    "relu": lambda v: np.maximum(v, 0.0),
+    "tanh": np.tanh,
+    "sigmoid": lambda v: 1.0 / (1.0 + np.exp(-v)),
+    "identity": lambda v: v,
+}
+
+
+def naive_unit(x, w, b, d, groups, pad_mode, gamma, beta, stats, mode, activation,
+               momentum, eps):
+    """A channels-first ``[B, C, T]`` unit from the loop oracles, in float64:
+    ``(out, new_mean, new_var)``, the statistics None without batch norm."""
+    conv = {"causal": naive_dilated_conv1d, "symmetric": naive_symmetric_conv1d}[pad_mode]
+    z = np.zeros((x.shape[0], w.shape[0], x.shape[2]))
+    for i, seq in enumerate(x):
+        z[i] = conv(seq, w, np.zeros(w.shape[0]) if b is None else b, d, groups)
+    mean = var = None
+    if gamma is not None:
+        z, mean, var = naive_batch_norm(z, gamma, beta, stats.mean, stats.var, mode,
+                                        momentum, eps)
+    return NAIVE_ACTIVATIONS[activation](z), mean, var
+
+
+def random_unit_case(rng, trial):
+    """A seeded conv_unit case: ungrouped, depthwise (channel multiplier 1 or
+    2) or general grouped by turns; k from 1 to 4, d from 1 to 3, either pad
+    mode; sometimes fewer steps than the span, zero rows or one unbatched
+    sequence; a quarter float32; batch norm (then no bias) on two in three,
+    but never in train mode on zero rows, which have no statistics."""
+    kind = ("ungrouped", "depthwise", "grouped")[trial % 3]
+    if kind == "ungrouped":
+        groups, cg, og = 1, int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    elif kind == "depthwise":
+        groups, cg, og = int(rng.integers(1, 9)), 1, int(rng.integers(1, 3))
+    else:
+        groups, cg, og = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    k, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    span = (k - 1) * d
+    steps = int(rng.integers(1, span)) if rng.random() < 0.2 and span > 1 else \
+        int(rng.integers(1, 13))
+    batch = (0, None, 1, int(rng.integers(2, 6)))[int(rng.integers(0, 4))]
+    dtype = np.float32 if rng.random() < 0.25 else np.float64
+    mode = str(rng.choice(["train", "eval"]))
+    norm = rng.random() < 2 / 3 and not (batch == 0 and mode == "train")
+    arrays = dict(
+        x=rng.normal(size=(batch or 1, cg * groups, steps)),
+        w=rng.normal(size=(og * groups, cg, k)),
+        b=None if norm else rng.normal(size=og * groups),
+        gamma=rng.uniform(-2.0, 2.0, size=og * groups) if norm else None,
+        beta=rng.normal(size=og * groups) if norm else None)
+    if batch == 0:
+        arrays["x"] = arrays["x"][:0]
+    arrays = {key: None if v is None else v.astype(dtype) for key, v in arrays.items()}
+    stats = RunningStats(rng.normal(size=og * groups).astype(dtype),
+                         rng.uniform(0.2, 3.0, size=og * groups).astype(dtype)) if norm else None
+    return dict(arrays, stats=stats, d=d, groups=groups, mode=mode,
+                pad_mode=str(rng.choice(PAD_MODES)),
+                activation=str(rng.choice(sorted(NAIVE_ACTIVATIONS))),
+                unbatched=batch is None, momentum=float(rng.uniform(0.0, 1.0)), eps=1e-3,
+                span=span, kind=kind)
+
+
+class TestConvUnitOracle:
+    """The channels-last conv_unit against the channels-first chain of
+    dilated_conv1d, batch_norm and the activation, and against the loop
+    oracles."""
+
+    def test_sweep_matches_the_chain_and_the_loops(self):
+        rng = np.random.default_rng(2525)
+        seen = set()
+        for trial in range(240):
+            case = random_unit_case(rng, trial)
+            x, w, b = case["x"], case["w"], case["b"]
+            gamma, beta, stats = case["gamma"], case["beta"], case["stats"]
+            norm = gamma is not None
+            tensors = {key: None if case[key] is None else Tensor(case[key])
+                       for key in ("w", "b", "gamma", "beta")}
+            kern = Kernel1D(tensors["w"], tensors["b"], dilation=case["d"],
+                            groups=case["groups"])
+            xc = x[0] if case["unbatched"] else x
+            args = (case["mode"], case["activation"], case["pad_mode"], case["momentum"],
+                    case["eps"])
+            fused_stats, chain_stats = (stats.copy(), stats.copy()) if norm else (None, None)
+            got = conv_unit(Tensor(np.swapaxes(xc, -1, -2)), kern, tensors["gamma"],
+                            tensors["beta"], fused_stats, *args).data
+            chain = chained_unit(Tensor(xc), kern, tensors["gamma"], tensors["beta"],
+                                 chain_stats, *args).data
+            chain = np.swapaxes(chain, -1, -2)
+            assert got.shape == chain.shape and got.dtype == chain.dtype == x.dtype, trial
+            if case["mode"] == "train":
+                assert got.tobytes() == chain.tobytes(), (trial, case["kind"])
+                if norm:
+                    assert fused_stats.mean.tobytes() == chain_stats.mean.tobytes(), trial
+                    assert fused_stats.var.tobytes() == chain_stats.var.tobytes(), trial
+            else:
+                scale = max(float(np.abs(chain).max(initial=0.0)), 1e-30)
+                bound = 16 * np.finfo(x.dtype).eps * scale
+                assert float(np.abs(got - chain).max(initial=0.0)) <= bound, (trial, case["kind"])
+
+            as64 = [None if v is None else v.astype(np.float64) for v in (x, w, b, gamma, beta)]
+            want, want_mean, want_var = naive_unit(
+                *as64[:3], case["d"], case["groups"], case["pad_mode"], *as64[3:],
+                None if stats is None else RunningStats(stats.mean.astype(np.float64),
+                                                        stats.var.astype(np.float64)),
+                case["mode"], case["activation"], case["momentum"], case["eps"])
+            want = np.swapaxes(want[0] if case["unbatched"] else want, -1, -2)
+            bound = 1e-9 if x.dtype == np.float64 else \
+                64 * np.finfo(np.float32).eps * max(1.0, float(np.abs(want).max(initial=0.0)))
+            assert float(np.abs(got - want).max(initial=0.0)) <= bound, (trial, case["kind"])
+            if norm and case["mode"] == "train":
+                for have, need in ((fused_stats.mean, want_mean), (fused_stats.var, want_var)):
+                    assert float(np.abs(have - need).max()) <= bound, trial
+            seen.add((case["kind"], case["pad_mode"], case["mode"], norm))
+            seen.update({x.dtype.name, "short" if x.shape[2] <= case["span"] else "long",
+                         "empty" if x.shape[0] == 0 else "rows",
+                         "unbatched" if case["unbatched"] else "batched"})
+        # every kind in both pad modes and both modes, with and without batch
+        # norm; fewer steps than the span, zero rows, one unbatched sequence
+        # and float32 all occur
+        assert {(k, p, m, n) for k in ("ungrouped", "depthwise", "grouped")
+                for p in PAD_MODES for m in ("train", "eval") for n in (True, False)} <= seen
+        assert {"short", "empty", "unbatched", "float32"} <= seen
+
+    def test_graph_free_units_allocate_no_im2col_or_layout_copies(self):
+        # the output, one tap-product buffer and the activation's temporary,
+        # never two of the last at once: 2.0 times the output's bytes for the
+        # pointwise unit and 2.12 for two to four taps, measured at this
+        # shape. An im2col matrix or a transposed copy of the input (as wide
+        # as the output here) would add at least one more output's worth
+        import tracemalloc
+        rng = np.random.default_rng(5)
+        n, t, c = 326, 16, 16
+        x = Tensor(rng.normal(size=(n, t, c)))
+        stats = RunningStats(rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+        gamma, beta = Tensor(rng.uniform(0.5, 2.0, size=c)), Tensor(rng.normal(size=c))
+        for groups, k in ((1, 1), (c, 2), (c, 4)):  # pointwise, depthwise
+            kern = Kernel1D(Tensor(rng.normal(size=(c, c // groups, k))), None, dilation=2,
+                            groups=groups)
+            conv_unit(x, kern, gamma, beta, stats, "eval", "swish")  # warm caches
+            tracemalloc.start()
+            try:
+                out = conv_unit(x, kern, gamma, beta, stats, "eval", "swish")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (n, t, c)
+            assert peak <= 2.5 * out.data.nbytes, (groups, k, peak / out.data.nbytes)
 
 
 class TestWorkedValues:

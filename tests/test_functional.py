@@ -151,6 +151,9 @@ class TestBatchNorm:
 
 
 class TestConvUnit:
+    """conv_unit takes channels-last ``[N, T, C]`` sequences; the chain of
+    channels-first ops it replaces reads them swapped."""
+
     @staticmethod
     def unit(rng):
         """A batch-normed unit, whose kernel has no bias."""
@@ -161,7 +164,7 @@ class TestConvUnit:
 
     def test_one_node_over_its_parents(self):
         kern, gamma, beta, stats = self.unit(np.random.default_rng(0))
-        x = Tensor(np.ones((4, 2, 5)), requires_grad=True)
+        x = Tensor(np.ones((4, 5, 2)), requires_grad=True)
         biased = Kernel1D(kern.weights, Tensor(np.ones(3), requires_grad=True))
         for mode in ("train", "eval"):
             out = conv_unit(x, kern, gamma, beta, stats, mode, "swish")
@@ -174,10 +177,11 @@ class TestConvUnit:
         kern, gamma, beta, stats = self.unit(rng)
         x = Tensor(rng.normal(size=(4, 2, 7)))
         chain_stats = stats.copy()
-        out = conv_unit(x, kern, gamma, beta, stats, "train", "tanh", momentum=0.3, eps=1e-3)
+        out = conv_unit(x.swapaxes(1, 2), kern, gamma, beta, stats, "train", "tanh",
+                        momentum=0.3, eps=1e-3)
         want = tanh(batch_norm(dilated_conv1d(x, kern), gamma, beta, chain_stats, "train",
                                momentum=0.3, eps=1e-3))
-        assert out.data.tobytes() == want.data.tobytes()
+        assert out.data.tobytes() == want.data.swapaxes(1, 2).tobytes()
         assert stats.mean.tobytes() == chain_stats.mean.tobytes()
         assert stats.var.tobytes() == chain_stats.var.tobytes()
 
@@ -185,7 +189,7 @@ class TestConvUnit:
         rng = np.random.default_rng(2)
         kern, gamma, beta, stats = self.unit(rng)
         before = stats.copy()
-        conv_unit(Tensor(rng.normal(size=(4, 2, 7))), kern, gamma, beta, stats, "eval")
+        conv_unit(Tensor(rng.normal(size=(4, 7, 2))), kern, gamma, beta, stats, "eval")
         assert np.array_equal(stats.mean, before.mean) and np.array_equal(stats.var, before.var)
 
     @pytest.mark.parametrize("call", [
@@ -199,7 +203,7 @@ class TestConvUnit:
                                                       "gelu"),
         lambda x, kern, gamma, beta, stats: conv_unit(x, kern, gamma, beta, stats, "eval",
                                                       pad_mode="wrap"),
-        lambda x, kern, gamma, beta, stats: conv_unit(Tensor(np.ones((2, 3, 5))), kern,
+        lambda x, kern, gamma, beta, stats: conv_unit(Tensor(np.ones((2, 5, 3))), kern,
                                                       gamma, beta, stats, "eval"),
         lambda x, kern, gamma, beta, stats: conv_unit(Tensor(np.ones(5)), kern,
                                                       gamma, beta, stats, "eval"),
@@ -211,7 +215,7 @@ class TestConvUnit:
     def test_rejects_bad_arguments(self, call):
         kern, gamma, beta, stats = self.unit(np.random.default_rng(3))
         with pytest.raises(ConfigurationError):
-            call(Tensor(np.ones((2, 2, 5))), kern, gamma, beta, stats)
+            call(Tensor(np.ones((2, 5, 2))), kern, gamma, beta, stats)
 
 
 class TestLstmCell:

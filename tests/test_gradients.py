@@ -99,11 +99,12 @@ class TestConvGradients:
 class TestConvUnitGradients:
     """conv_unit in both modes, both pad modes, with batch norm (and no
     conv bias) and without (and a bias), from random running statistics;
-    eval mode goes back through the fold."""
+    eval mode goes back through the fold. The unit takes channels-last
+    ``[N, T, C]`` sequences."""
 
     @staticmethod
     def check(mode, pad_mode, norm, groups, c_in, c_out, k, d, lead, activation="swish"):
-        x = t(lead + (c_in, 7))
+        x = t(lead + (7, c_in))
         w = t((c_out, c_in // groups, k))
         tensors = {"x": x, "w": w}
         gamma = beta = stats = b = None
@@ -115,7 +116,7 @@ class TestConvUnitGradients:
             b = tensors["b"] = t((c_out,))
         kern = Kernel1D(w, b, dilation=d, groups=groups)
         start = stats.copy() if norm else None
-        upstream = Tensor(RNG.normal(size=lead + (c_out, 7)))
+        upstream = Tensor(RNG.normal(size=lead + (7, c_out)))
 
         def loss():
             if norm:  # train mode moves the statistics every call
@@ -132,8 +133,9 @@ class TestConvUnitGradients:
         (1, 2, 3, 3, 2, (2,)),  # standard
         (1, 3, 2, 1, 1, (3,)),  # pointwise
         (3, 3, 3, 2, 2, (2,)),  # depthwise
-        (1, 2, 3, 2, 1, ()),    # one [C, T] sequence
-    ], ids=["standard", "pointwise", "depthwise", "sequence"])
+        (1, 2, 3, 2, 1, ()),    # one [T, C] sequence
+        (2, 4, 6, 3, 2, (2,)),  # grouped, two in and three out channels a group
+    ], ids=["standard", "pointwise", "depthwise", "sequence", "grouped"])
     def test_all_inputs(self, mode, pad_mode, norm, groups, c_in, c_out, k, d, lead):
         self.check(mode, pad_mode, norm, groups, c_in, c_out, k, d, lead)
 

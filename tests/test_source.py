@@ -5,7 +5,8 @@ function, class, method, property or module constant that only the tests
 use, or gives a parameter a default that no call overrides. Only
 ``configio.py`` writes JSON, and only the archive and checkpoint modules
 use ``struct`` or ``np.frombuffer``. Every differentiable op has a
-finite-difference test."""
+finite-difference test, and the temporal and grid convolutions each reach
+one core of their own."""
 
 import ast
 import math
@@ -391,9 +392,9 @@ def test_every_default_in_src_is_passed_somewhere():
     assert not found, "defaulted parameters no call passes:\n" + "\n".join(found)
 
 
-def node_builders(source: str):
-    """Names in the module's ``__all__`` whose function builds a graph node:
-    it calls ``Tensor._node`` itself or through the module's own functions."""
+def call_graph(source: str):
+    """``(exported, calls)``: the names in the module's ``__all__`` and, per
+    top-level function, the names it calls, bare or as an attribute."""
     tree = ast.parse(source)
     exported = []
     calls = {}
@@ -407,12 +408,26 @@ def node_builders(source: str):
                 call.func.id if isinstance(call.func, ast.Name) else call.func.attr
                 for call in ast.walk(node) if isinstance(call, ast.Call)
                 and isinstance(call.func, (ast.Name, ast.Attribute))}
-    builders = {"_node"}
+    return exported, calls
+
+
+def reaches(calls, targets):
+    """Every function that calls one of ``targets`` itself or through the
+    module's own functions, ``targets`` included."""
+    found = set(targets)
     grown = True
     while grown:
-        found = {name for name, called in calls.items() if called & builders}
-        grown = not found <= builders
-        builders |= found
+        more = {name for name, called in calls.items() if called & found}
+        grown = not more <= found
+        found |= more
+    return found
+
+
+def node_builders(source: str):
+    """Names in the module's ``__all__`` whose function builds a graph node:
+    it calls ``Tensor._node`` itself or through the module's own functions."""
+    exported, calls = call_graph(source)
+    builders = reaches(calls, {"_node"})
     return [name for name in exported if name in builders]
 
 
@@ -433,3 +448,25 @@ def test_every_differentiable_op_has_a_finite_difference_test():
     tested = referenced_names((ROOT / "tests" / "test_gradients.py").read_text(encoding="utf-8"))
     missing = [name for name in ops if name not in tested]
     assert not missing, "ops without a finite-difference test: " + ", ".join(missing)
+
+
+def test_checker_finds_which_functions_reach_a_core():
+    lib = ('def _core(x):\n    return x\n'
+           'def _other(x):\n    return x\n'
+           'def _helper(x):\n    return _core(x)\n'
+           'def op(x):\n    return _helper(x)\n'
+           'def plain(x):\n    return _other(np.abs(x))\n')
+    _, calls = call_graph(lib)
+    assert reaches(calls, {"_core"}) == {"_core", "_helper", "op"}
+    assert reaches(calls, {"_other"}) == {"_other", "plain"}
+
+
+def test_one_convolution_core_per_layout():
+    # the temporal ops run the channels-last tap-shift core and never the
+    # grid's im2col core, which only the grid convolution reaches
+    _, calls = call_graph((SRC / "deeptrack" / "numcore" / "functional.py")
+                          .read_text(encoding="utf-8"))
+    tap_shift, im2col = reaches(calls, {"_tap_shift"}), reaches(calls, {"_conv_forward"})
+    assert {"conv_unit", "dilated_conv1d"} <= tap_shift
+    assert not {"conv_unit", "dilated_conv1d"} & im2col
+    assert im2col == {"_conv_forward", "conv2d"}
