@@ -9,6 +9,7 @@ from .tracks import (
     parse_tracks,
 )
 from .windows import (
+    NeighborTable,
     NeighborTrack,
     TrajectorySample,
     WindowConfig,
@@ -22,7 +23,7 @@ from .archive import SAMPLE_MAGIC, load_samples, save_samples
 __all__ = [
     "FEET_TO_METERS", "FRAME_RATE_HZ", "REQUIRED_COLUMNS",
     "ParseStats", "TrackTable", "parse_tracks",
-    "NeighborTrack", "TrajectorySample", "WindowConfig", "WindowStats",
+    "NeighborTable", "NeighborTrack", "TrajectorySample", "WindowConfig", "WindowStats",
     "grid_assign", "window_samples",
     "PARTITION_NAMES", "split_dataset", "vehicle_partition",
     "SAMPLE_MAGIC", "load_samples", "save_samples",

@@ -11,8 +11,11 @@ neighbors in all; D dataset ids take S bytes of utf-8:
     neighbors  u64 [K] vehicle_id, i32 [K, 2] cell ((-1, -1) = outside),
                u8 [K, H] valid (0 or 1), f64 [K, H, 2] track, sample 0's first
 
-Samples round-trip exactly. A loaded sample's arrays are views into one
-buffer that holds the whole file.
+The neighbor sections are the four columns of the samples' neighbor tables
+(:class:`NeighborTable`), concatenated on save and sliced per sample on
+load, so neither builds an object per neighbor. Samples round-trip
+exactly. A loaded sample's arrays and columns are views into one buffer
+that holds the whole file.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..numcore import ConfigurationError
-from .windows import TrajectorySample, build_samples
+from .windows import TrajectorySample, as_column, build_samples
 
 __all__ = ["save_samples", "load_samples", "SAMPLE_MAGIC"]
 
@@ -42,46 +45,33 @@ def _layout(d: int, n: int, k: int, h: int, f: int, s: int) -> tuple:
             ("<u8", (k,)), ("<i4", (k, 2)), ("?", (k, h)), ("<f8", (k, h, 2)))
 
 
-def _column(values: list, dtype: str, shape: tuple) -> np.ndarray:
-    """``values`` as one array of ``dtype`` whose rows have ``shape``; a row
-    of another shape, or an integer the dtype does not hold, raises."""
-    if not len(values):
-        return np.empty((0, *shape), dtype)
-    out = np.array(values, dtype)
-    if out.shape[1:] != shape:
-        raise ValueError(f"rows of shape {out.shape[1:]} where the layout needs {shape}")
-    if out.dtype.kind in "iu" and not np.array_equal(out, values):
-        raise ValueError(f"values that are not {out.dtype.name} integers")
-    return out
-
-
 def _sections(samples: Sequence[TrajectorySample], h: int, f: int) -> tuple:
-    """The header counts of ``samples`` and their section arrays."""
+    """The header counts of ``samples`` and their section arrays; the
+    neighbor sections are the samples' table columns, concatenated."""
     ids = list(dict.fromkeys(s.dataset_id for s in samples))
     index = {name: i for i, name in enumerate(ids)}
     names = [name.encode("utf-8") for name in ids]
-    nbrs = [n for s in samples for n in s.neighbors]
-    given = _column([n.cell for n in nbrs if n.cell is not None], "<i4", (2,))
-    if (given < 0).any():
-        raise ValueError("a neighbor cell must be None or two non-negative integers")
-    cells = np.full((len(nbrs), 2), -1)
-    cells[[n.cell is not None for n in nbrs]] = given
-    counts = (len(ids), len(samples), len(nbrs), h, f, sum(map(len, names)))
+    tables = [s.neighbors for s in samples]
+    columns = [np.concatenate([getattr(t, name) for t in tables]) if tables else []
+               for name in ("vehicle_id", "cell", "valid", "track")]
+    counts = (len(ids), len(samples), len(columns[0]), h, f, sum(map(len, names)))
     values = (list(itertools.accumulate(map(len, names))), list(b"".join(names)),
               [index[s.dataset_id] for s in samples], [s.vehicle_id for s in samples],
-              [s.t0_frame for s in samples], [len(s.neighbors) for s in samples],
-              [s.ego_history for s in samples], [s.future for s in samples],
-              [n.vehicle_id for n in nbrs], cells, [n.valid for n in nbrs],
-              [n.track for n in nbrs])
-    return counts, [_column(v, dtype, shape[1:])
-                    for v, (dtype, shape) in zip(values, _layout(*counts))]
+              [s.t0_frame for s in samples], list(map(len, tables)),
+              [s.ego_history for s in samples], [s.future for s in samples], *columns)
+    arrays = [as_column(v, dtype, shape[1:])
+              for v, (dtype, shape) in zip(values, _layout(*counts))]
+    cell = arrays[9]
+    if not ((cell >= 0).all(axis=1) | (cell == -1).all(axis=1)).all():
+        raise ValueError("a neighbor cell must be (-1, -1) or two non-negative integers")
+    return counts, arrays
 
 
 def save_samples(path, samples: Sequence[TrajectorySample]) -> None:
     """Write ``samples`` to ``path``. A field the layout cannot hold, such as
-    a negative vehicle id, a cell with a negative coordinate or a history
-    length other than the first sample's, raises ConfigurationError naming
-    the sample, and no file is written."""
+    a negative vehicle id, a cell beyond int32 or a history length other
+    than the first sample's, raises ConfigurationError naming the sample,
+    and no file is written."""
     h, f = (len(samples[0].ego_history), len(samples[0].future)) if samples else (0, 0)
     try:
         counts, arrays = _sections(samples, h, f)

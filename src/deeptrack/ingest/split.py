@@ -39,10 +39,13 @@ def split_dataset(samples: Sequence[TrajectorySample],
                   ratios: Tuple[float, float, float] = (0.7, 0.1, 0.2),
                   seed: int = 0,
                   ) -> Tuple[List[TrajectorySample], List[TrajectorySample], List[TrajectorySample]]:
-    """Split samples by hashed ego vehicle id; order within splits is kept."""
+    """Split samples by hashed ego vehicle id, each vehicle hashed once;
+    order within splits is kept."""
     if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigurationError(f"ratios must be three non-negatives summing to 1, got {ratios}")
+    part_of = {vid: vehicle_partition(vid, seed, ratios)
+               for vid in dict.fromkeys(s.vehicle_id for s in samples)}
     parts: Tuple[List[TrajectorySample], ...] = ([], [], [])
     for sample in samples:
-        parts[vehicle_partition(sample.vehicle_id, seed, ratios)].append(sample)
+        parts[part_of[sample.vehicle_id]].append(sample)
     return parts

@@ -18,23 +18,28 @@ slots, one slot per frame from its first to its last; a gap longer than the
 history is cut short, since no lookup reaches across it, and an empty slot
 points at a sentinel row. A neighbor's history is then a fixed set of slot
 offsets from its slot at t0. All windows of one ego vehicle are gathered at
-once, into one array each for the ego histories, the futures, the neighbor
-tracks and their valid masks; a sample's arrays are views into these
-per-ego-vehicle blocks.
+once, into one array each for the ego histories, the futures and the
+neighbor ids, cells, tracks and valid masks; a sample's arrays are views
+into these per-ego-vehicle blocks.
+
+A sample holds its neighbors as a :class:`NeighborTable`, four aligned
+columns that are slices of those blocks, so no object is built per
+neighbor. A :class:`NeighborTrack` is one row of a table, built only when a
+caller indexes or iterates it, or given in a list to build a table from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..numcore import ConfigurationError, check_fields
 from .tracks import TrackTable
 
-__all__ = ["WindowConfig", "NeighborTrack", "TrajectorySample", "WindowStats",
-           "grid_assign", "window_samples"]
+__all__ = ["WindowConfig", "NeighborTrack", "NeighborTable", "TrajectorySample",
+           "WindowStats", "grid_assign", "window_samples"]
 
 
 @dataclass
@@ -69,8 +74,24 @@ class WindowConfig:
         return self.future_frames // self.sample_every
 
 
-@dataclass
+def as_column(values, dtype, shape: tuple) -> np.ndarray:
+    """``values`` as one array of ``dtype`` whose rows have ``shape``, a copy
+    only when the dtype differs; a row of another shape, or an integer the
+    dtype does not hold, raises ValueError."""
+    if not len(values):
+        return np.empty((0, *shape), dtype)
+    out = np.asarray(values, dtype)
+    if out.shape[1:] != shape:
+        raise ValueError(f"rows of shape {out.shape[1:]} where the layout needs {shape}")
+    if out.dtype.kind in "iu" and not np.array_equal(out, values):
+        raise ValueError(f"values that are not {out.dtype.name} integers")
+    return out
+
+
+@dataclass(frozen=True)
 class NeighborTrack:
+    """One neighbor of a sample: a row of its :class:`NeighborTable`, or a
+    row to build one from."""
     vehicle_id: int
     cell: Optional[Tuple[int, int]]  # None = outside the grid
     track: np.ndarray  # [history_points, 2] relative meters, zero where invalid
@@ -84,14 +105,82 @@ class NeighborTrack:
                 and np.array_equal(self.valid, other.valid))
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
+class NeighborTable:
+    """The neighbors of one sample as four aligned columns, one row per
+    neighbor in vehicle-id order: ``vehicle_id`` [n], ``cell`` [n, 2] as
+    (row, col), (-1, -1) outside the grid, ``track`` [n, H, 2] relative
+    meters, zero where invalid, and ``valid`` [n, H] bool. Indexing with an
+    integer and iterating give :class:`NeighborTrack` rows whose arrays are
+    views of the columns; a slice gives a table."""
+    vehicle_id: np.ndarray
+    cell: np.ndarray
+    track: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[NeighborTrack], points: int) -> "NeighborTable":
+        """The table of ``rows``. An id that is not an integer in [0, 2**64),
+        a cell that is not None or two non-negative integers, or a track or
+        valid mask of other than ``points`` steps raises ValueError."""
+        rows = list(rows)
+        cells = [n.cell for n in rows]
+        given = as_column([c for c in cells if c is not None], np.int64, (2,))
+        if (given < 0).any():
+            raise ValueError("a neighbor cell must be None or two non-negative integers")
+        cell = np.full((len(rows), 2), -1, np.int64)
+        cell[[c is not None for c in cells]] = given
+        return cls(as_column([n.vehicle_id for n in rows], np.uint64, ()), cell,
+                   as_column([n.track for n in rows], np.float64, (points, 2)),
+                   as_column([n.valid for n in rows], np.bool_, (points,)))
+
+    def __len__(self) -> int:
+        return len(self.vehicle_id)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return NeighborTable(self.vehicle_id[j], self.cell[j], self.track[j], self.valid[j])
+        row, col = self.cell[j].tolist()
+        return NeighborTrack(self.vehicle_id[j].item(), None if row < 0 else (row, col),
+                             self.track[j], self.valid[j])
+
+    def __iter__(self) -> Iterator[NeighborTrack]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        return isinstance(other, NeighborTable) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("vehicle_id", "cell", "track", "valid"))
+
+
+@dataclass(slots=True)
 class TrajectorySample:
+    """One window. ``neighbors`` may be given as a list of
+    :class:`NeighborTrack` rows, which construction turns into a table; a
+    neighbor the table cannot hold, or a neighbor track or valid mask whose
+    length is not the ego history's, raises ConfigurationError naming the
+    sample."""
     dataset_id: str
     vehicle_id: int
     t0_frame: int
     ego_history: np.ndarray  # [history_points, 2]
     future: np.ndarray       # [future_points, 2]
-    neighbors: List[NeighborTrack] = field(default_factory=list)
+    neighbors: NeighborTable = field(default_factory=list)
+
+    def __post_init__(self):
+        try:
+            points = len(self.ego_history)
+            if not isinstance(self.neighbors, NeighborTable):
+                self.neighbors = NeighborTable.from_rows(self.neighbors, points)
+            elif (self.neighbors.track.shape[1:] != (points, 2)
+                  or self.neighbors.valid.shape[1:] != (points,)):
+                raise ValueError(f"neighbor tracks of shape {self.neighbors.track.shape[1:]} "
+                                 f"and masks of {self.neighbors.valid.shape[1:]} where the "
+                                 f"ego history has {points} points")
+        except (ValueError, TypeError, OverflowError) as err:
+            raise ConfigurationError(
+                f"the sample of vehicle {self.vehicle_id} at frame {self.t0_frame} in "
+                f"{self.dataset_id!r}: {err}") from err
 
     def __eq__(self, other):
         return (isinstance(other, TrajectorySample)
@@ -254,15 +343,11 @@ def build_samples(dataset_ids: List[str], vehicle_ids: np.ndarray, t0_frames: np
                   neighbor_ids: np.ndarray, cells: np.ndarray, tracks: np.ndarray,
                   valid: np.ndarray) -> List[TrajectorySample]:
     """Samples from per-sample and per-neighbor arrays, the neighbors of
-    sample 0 first; a cell of (-1, -1) is outside the grid. Each sample's and
-    neighbor's arrays are views into the given blocks."""
-    cell_of: List[Optional[Tuple[int, int]]] = [None] * len(cells)
-    inside = np.flatnonzero(cells[:, 0] >= 0)
-    for i, (r, c) in zip(inside.tolist(), cells[inside].tolist()):
-        cell_of[i] = (r, c)
-    neighbors = list(map(NeighborTrack, neighbor_ids.tolist(), cell_of, tracks, valid))
+    sample 0 first; a cell of (-1, -1) is outside the grid. Each sample's
+    arrays and neighbor columns are views into the given blocks."""
     bounds = np.r_[0, np.cumsum(counts)].tolist()
-    return [TrajectorySample(d, v, t0, h, f, neighbors[lo:hi])
+    return [TrajectorySample(d, v, t0, h, f, NeighborTable(neighbor_ids[lo:hi], cells[lo:hi],
+                                                            tracks[lo:hi], valid[lo:hi]))
             for d, v, t0, h, f, lo, hi in zip(dataset_ids, vehicle_ids.tolist(),
                                               t0_frames.tolist(), ego, future,
                                               bounds[:-1], bounds[1:])]

@@ -68,43 +68,46 @@ class Batch:
 
 
 def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
-    """Stack samples into batch arrays, dropping out-of-grid neighbors."""
+    """Stack samples into batch arrays, dropping out-of-grid neighbors.
+
+    The samples' neighbor columns are concatenated in sample order, and one
+    boolean mask over their cells keeps the in-grid rows; no neighbor row
+    object is built. A sample whose ego, future or neighbor tracks are not
+    the configured lengths, or that holds a cell beyond the configured
+    grid, raises ConfigurationError naming it.
+    """
     if not samples:
         raise ConfigurationError("cannot collate an empty batch")
     dtype = np.float64 if config.dtype == "float64" else np.float32
     h, f = config.history_steps, config.horizon_steps
     ego = np.zeros((len(samples), 2, h), dtype=dtype)
     future = np.zeros((len(samples), f, 2), dtype=dtype)
-    tracks: List[np.ndarray] = []
-    owners: List[int] = []
-    cells: List[Tuple[int, int]] = []
     for i, s in enumerate(samples):
         if s.ego_history.shape != (h, 2) or s.future.shape != (f, 2):
             raise ConfigurationError(
                 f"sample {s.sample_id} has shapes {s.ego_history.shape}/{s.future.shape}, "
                 f"expected ({h}, 2)/({f}, 2)")
+        if s.neighbors.track.shape[1:] != (h, 2):
+            raise ConfigurationError(
+                f"sample {s.sample_id}: neighbor track has shape "
+                f"{s.neighbors.track.shape[1:]}, expected ({h}, 2)")
         ego[i] = s.ego_history.T
         future[i] = s.future
-        for n in s.neighbors:
-            if n.cell is None:
-                continue
-            if not (0 <= n.cell[0] < config.grid_rows
-                    and 0 <= n.cell[1] < config.grid_cols):
-                raise ConfigurationError(
-                    f"sample {s.sample_id}: neighbor cell {n.cell} outside the grid")
-            if n.track.shape != (h, 2):
-                raise ConfigurationError(
-                    f"sample {s.sample_id}: neighbor {n.vehicle_id} track has shape "
-                    f"{n.track.shape}, expected ({h}, 2)")
-            tracks.append(n.track)
-            owners.append(i)
-            cells.append(n.cell)
-    nbr_tracks = (np.stack(tracks).transpose(0, 2, 1).astype(dtype) if tracks
-                  else np.zeros((0, 2, h), dtype=dtype))
-    return Batch(ego=ego, future=future, nbr_tracks=nbr_tracks,
-                 nbr_batch=np.asarray(owners, dtype=np.int64),
-                 nbr_cells=(np.asarray(cells, dtype=np.int64)
-                            if cells else np.zeros((0, 2), dtype=np.int64)))
+    tables = [s.neighbors for s in samples]
+    cells = np.concatenate([t.cell for t in tables])
+    inside = cells[:, 0] >= 0
+    owners = np.repeat(np.arange(len(samples)), [len(t) for t in tables])[inside]
+    cells = cells[inside].astype(np.int64)
+    beyond = np.flatnonzero(((cells < 0) | (cells >= (config.grid_rows, config.grid_cols)))
+                            .any(axis=1))
+    if beyond.size:
+        j = beyond[0]
+        raise ConfigurationError(f"sample {samples[owners[j]].sample_id}: neighbor cell "
+                                 f"{tuple(cells[j].tolist())} outside the grid")
+    tracks = np.concatenate([t.track for t in tables])[inside]
+    return Batch(ego=ego, future=future,
+                 nbr_tracks=tracks.transpose(0, 2, 1).astype(dtype, copy=False),
+                 nbr_batch=owners, nbr_cells=cells)
 
 
 # ---------------------------------------------------------------------------

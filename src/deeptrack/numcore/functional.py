@@ -260,12 +260,11 @@ def _tap_shift(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], dilatio
     taps = [(p, p * dilation - right) for p in range(k) if abs(p * dilation - right) < steps]
     taps.sort(key=lambda tap: tap[1] != 0)  # a lag-0 tap, if any, starts the output
     if groups == 1:
-        wt, block = np.ascontiguousarray(wd.transpose(2, 0, 1)), None
-    else:  # out channel o reads in channels (o // (O / groups)) * cg + c, c < cg
-        o_idx = np.arange(c_out)[:, None]
-        block = (slice(None), o_idx, o_idx // (c_out // groups) * cg + np.arange(cg))
+        wt = np.ascontiguousarray(wd.transpose(2, 0, 1))
+    else:
         wt = np.zeros((k, c_out, c_in), wd.dtype)
-        wt[block] = wd.transpose(2, 0, 1)
+        _diagonal_blocks(wt, groups)[...] = wd.transpose(2, 0, 1).reshape(
+            k, groups, c_out // groups, cg)
 
     dtype = np.result_type(xd, wd)
     first = bool(taps) and taps[0][1] == 0
@@ -289,10 +288,23 @@ def _tap_shift(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], dilatio
                 later, earlier = _paired_rows(gm, steps, lag, True)
                 gx[earlier] += gm[later] @ wt[p]
             gwt[p] = gm[later].T @ x2[earlier]
-        gw = (gwt if block is None else gwt[block]).transpose(1, 2, 0)
+        if groups > 1:
+            gwt = _diagonal_blocks(gwt, groups).reshape(k, c_out, cg)
+        gw = gwt.transpose(1, 2, 0)
         return gx.reshape(xd.shape), gw, None if bd is None else np.ones(rows, g2.dtype) @ g2
 
     return out.reshape(xd.shape[:-1] + (c_out,)), backward
+
+
+def _diagonal_blocks(wt: np.ndarray, groups: int) -> np.ndarray:
+    """The diagonal blocks of a C-ordered ``wt`` ``[k, O, C]`` as a writable
+    strided view ``[k, groups, O / groups, C / groups]``: out channel
+    ``g * (O / groups) + i`` reads in channel ``g * (C / groups) + c``, and
+    block g starts one block down and one block right of block g - 1."""
+    k, c_out, c_in = wt.shape
+    og, cg = c_out // groups, c_in // groups
+    sk, so, sc = wt.strides
+    return np.ndarray((k, groups, og, cg), wt.dtype, wt, 0, (sk, og * so + cg * sc, so, sc))
 
 
 def _paired_rows(rows: np.ndarray, steps: int, lag: int, later: bool):
@@ -507,8 +519,12 @@ def _batch_statistics(x2: np.ndarray, eps: float):
     """``(xhat, mean, var, inv_sd)`` of the rows of ``x2`` ``[M, C]``: the
     input normalized in place and its per-channel statistics, each ``[C]``.
     The sums over rows are one GEMV each, which beats numpy's reduction
-    along a short inner axis."""
+    along a short inner axis. Zero rows have no statistics and raise
+    ConfigurationError."""
     rows = x2.shape[0]
+    if not rows:
+        raise ConfigurationError("train-mode batch norm needs at least one row; "
+                                 "zero rows have no statistics")
     mean = np.ones(rows, x2.dtype) @ x2 / rows
     xhat = x2
     xhat -= mean
@@ -552,7 +568,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     Train mode uses batch statistics and folds them into ``running`` with
     ``running = (1 - momentum) * running + momentum * batch``; eval mode is
     the per-channel affine ``x * a + (beta - mean * a)`` with
-    ``a = gamma / sqrt(var + eps)`` from the running statistics. The op is
+    ``a = gamma / sqrt(var + eps)`` from the running statistics. Train mode
+    on an input with no rows raises ConfigurationError and leaves
+    ``running`` as it was. The op is
     one graph node over the channels-last rows ``[M, C]`` that
     :func:`conv_unit` normalizes too; eval mode recomputes ``xhat`` in its
     backward.
@@ -613,7 +631,9 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
     three ops to rounding, and its backward carries the gradient back
     through the fold. Train mode normalizes with the statistics over the
     ``N * T`` rows of the output and moves ``stats`` as :func:`batch_norm`
-    does; output and statistics equal the chain's bit for bit. The
+    does; output and statistics equal the chain's bit for bit. Like
+    :func:`batch_norm`, train mode with batch norm on an input with no rows
+    raises ConfigurationError and leaves ``stats`` as they were. The
     activation runs in place on the unit's own buffer.
     """
     x = as_tensor(x)

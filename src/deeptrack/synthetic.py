@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ingest import NeighborTrack, TrajectorySample, WindowConfig
+from .ingest import NeighborTable, TrajectorySample, WindowConfig
 from .ingest.tracks import FRAME_RATE_HZ, REQUIRED_COLUMNS
 
 __all__ = ["constant_velocity_samples", "write_tracks_csv"]
@@ -48,18 +48,19 @@ def constant_velocity_samples(count: int, seed: int = 0,
         ego_history = past_t[:, None] * v
         future = future_t[:, None] * v
 
-        neighbors: List[NeighborTrack] = []
         cells = [(r, c) for r in range(config.grid_rows)
                  for c in range(config.grid_cols)]
         rng.shuffle(cells)
-        for j in range(rng.integers(0, max_neighbors + 1)):
-            row, col = cells[j]
+        n = int(rng.integers(0, max_neighbors + 1))
+        tracks = []
+        for row, col in cells[:n]:
             base = np.array([(col - config.grid_cols // 2) * 3.7,
                              (row - config.grid_rows // 2 + 0.5) * config.cell_length])
             nv = np.array([rng.uniform(*_LATERAL_RANGE), rng.uniform(*_SPEED_RANGE)])
-            neighbors.append(NeighborTrack(
-                vehicle_id=1000 + j, cell=(row, col), track=base + past_t[:, None] * nv,
-                valid=np.ones(h, dtype=bool)))
+            tracks.append(base + past_t[:, None] * nv)
+        neighbors = NeighborTable(
+            np.arange(1000, 1000 + n, dtype=np.uint64), np.array(cells[:n], np.int64).reshape(n, 2),
+            np.array(tracks).reshape(n, h, 2), np.ones((n, h), dtype=bool))
 
         samples.append(TrajectorySample(
             dataset_id="synthetic", vehicle_id=i + 1, t0_frame=100,

@@ -3,7 +3,8 @@ unit and an encoder run as a chain of conv, batch-norm and activation ops,
 an LSTM step composed from public ops, an unroll chained from LSTM cells, a
 symmetric padding probe, per-layer cost formulas, finite-difference
 checks, a graph-node count, a corrupt-file probe, a track-table builder,
-the point-by-point windowing loop, a small model configuration reused across
+the point-by-point windowing loop, the per-neighbor collate loop, a sample
+with one neighbor row changed, a small model configuration reused across
 suites, and seeded random model configurations.
 
 The oracles are written independently of the library internals on purpose;
@@ -21,7 +22,7 @@ import numpy as np
 
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
-from deeptrack.model import social_geometry
+from deeptrack.model import Batch, social_geometry
 from deeptrack.ingest import (
     NeighborTrack, TrackTable, TrajectorySample, WindowConfig, WindowStats,
 )
@@ -122,6 +123,55 @@ def random_sample(cfg: ModelConfig, rng, vid=1, n_in_grid=2, n_outside=0,
                                        np.ones(h, dtype=bool)))
     return TrajectorySample("t", vid, t0_frame, hist, rng.normal(size=(f, 2)),
                             neighbors)
+
+
+def replace_neighbor(sample: TrajectorySample, j: int, **changes) -> TrajectorySample:
+    """``sample`` with the fields ``changes`` of its neighbor row ``j``
+    replaced, built anew from its rows as a caller would."""
+    rows = list(sample.neighbors)
+    rows[j] = dataclasses.replace(rows[j], **changes)
+    return dataclasses.replace(sample, neighbors=rows)
+
+
+def reference_collate(samples, config: ModelConfig) -> Batch:
+    """The collate oracle: batch arrays stacked neighbor by neighbor, out-of-
+    grid rows skipped, as ``collate`` did before it read table columns."""
+    if not samples:
+        raise ConfigurationError("cannot collate an empty batch")
+    dtype = np.float64 if config.dtype == "float64" else np.float32
+    h, f = config.history_steps, config.horizon_steps
+    ego = np.zeros((len(samples), 2, h), dtype=dtype)
+    future = np.zeros((len(samples), f, 2), dtype=dtype)
+    tracks: List[np.ndarray] = []
+    owners: List[int] = []
+    cells: List[Tuple[int, int]] = []
+    for i, s in enumerate(samples):
+        if s.ego_history.shape != (h, 2) or s.future.shape != (f, 2):
+            raise ConfigurationError(
+                f"sample {s.sample_id} has shapes {s.ego_history.shape}/{s.future.shape}, "
+                f"expected ({h}, 2)/({f}, 2)")
+        ego[i] = s.ego_history.T
+        future[i] = s.future
+        for n in s.neighbors:
+            if n.cell is None:
+                continue
+            if not (0 <= n.cell[0] < config.grid_rows
+                    and 0 <= n.cell[1] < config.grid_cols):
+                raise ConfigurationError(
+                    f"sample {s.sample_id}: neighbor cell {n.cell} outside the grid")
+            if n.track.shape != (h, 2):
+                raise ConfigurationError(
+                    f"sample {s.sample_id}: neighbor {n.vehicle_id} track has shape "
+                    f"{n.track.shape}, expected ({h}, 2)")
+            tracks.append(n.track)
+            owners.append(i)
+            cells.append(n.cell)
+    nbr_tracks = (np.stack(tracks).transpose(0, 2, 1).astype(dtype) if tracks
+                  else np.zeros((0, 2, h), dtype=dtype))
+    return Batch(ego=ego, future=future, nbr_tracks=nbr_tracks,
+                 nbr_batch=np.asarray(owners, dtype=np.int64),
+                 nbr_cells=(np.asarray(cells, dtype=np.int64)
+                            if cells else np.zeros((0, 2), dtype=np.int64)))
 
 
 def naive_dilated_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,

@@ -226,7 +226,7 @@ def random_unit_case(rng, trial):
     2) or general grouped by turns; k from 1 to 4, d from 1 to 3, either pad
     mode; sometimes fewer steps than the span, zero rows or one unbatched
     sequence; a quarter float32; batch norm (then no bias) on two in three,
-    but never in train mode on zero rows, which have no statistics."""
+    which in train mode on zero rows, with no statistics, must raise."""
     kind = ("ungrouped", "depthwise", "grouped")[trial % 3]
     if kind == "ungrouped":
         groups, cg, og = 1, int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -241,7 +241,7 @@ def random_unit_case(rng, trial):
     batch = (0, None, 1, int(rng.integers(2, 6)))[int(rng.integers(0, 4))]
     dtype = np.float32 if rng.random() < 0.25 else np.float64
     mode = str(rng.choice(["train", "eval"]))
-    norm = rng.random() < 2 / 3 and not (batch == 0 and mode == "train")
+    norm = rng.random() < 2 / 3
     arrays = dict(
         x=rng.normal(size=(batch or 1, cg * groups, steps)),
         w=rng.normal(size=(og * groups, cg, k)),
@@ -281,6 +281,15 @@ class TestConvUnitOracle:
             args = (case["mode"], case["activation"], case["pad_mode"], case["momentum"],
                     case["eps"])
             fused_stats, chain_stats = (stats.copy(), stats.copy()) if norm else (None, None)
+            if norm and case["mode"] == "train" and x.shape[0] == 0:
+                for unit in (conv_unit, chained_unit):
+                    with pytest.raises(ConfigurationError, match="zero rows"):
+                        unit(Tensor(np.swapaxes(xc, -1, -2) if unit is conv_unit else xc),
+                             kern, tensors["gamma"], tensors["beta"], fused_stats, *args)
+                assert fused_stats.mean.tobytes() == stats.mean.tobytes()
+                assert fused_stats.var.tobytes() == stats.var.tobytes()
+                seen.add("empty-train-norm")
+                continue
             got = conv_unit(Tensor(np.swapaxes(xc, -1, -2)), kern, tensors["gamma"],
                             tensors["beta"], fused_stats, *args).data
             chain = chained_unit(Tensor(xc), kern, tensors["gamma"], tensors["beta"],
@@ -315,11 +324,11 @@ class TestConvUnitOracle:
                          "empty" if x.shape[0] == 0 else "rows",
                          "unbatched" if case["unbatched"] else "batched"})
         # every kind in both pad modes and both modes, with and without batch
-        # norm; fewer steps than the span, zero rows, one unbatched sequence
-        # and float32 all occur
+        # norm; fewer steps than the span, zero rows (in train mode with batch
+        # norm too), one unbatched sequence and float32 all occur
         assert {(k, p, m, n) for k in ("ungrouped", "depthwise", "grouped")
                 for p in PAD_MODES for m in ("train", "eval") for n in (True, False)} <= seen
-        assert {"short", "empty", "unbatched", "float32"} <= seen
+        assert {"short", "empty", "empty-train-norm", "unbatched", "float32"} <= seen
 
     def test_graph_free_units_allocate_no_im2col_or_layout_copies(self):
         # the output, one tap-product buffer and the activation's temporary,

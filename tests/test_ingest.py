@@ -1,5 +1,6 @@
 """Parsing, windowing, grid geometry, splits, and archives."""
 
+import dataclasses
 import io
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from deeptrack.ingest import (
     FEET_TO_METERS,
     SAMPLE_MAGIC,
+    NeighborTable,
     NeighborTrack,
     TrackTable,
     TrajectorySample,
@@ -27,7 +29,11 @@ from deeptrack.ingest import (
 )
 from deeptrack.numcore import ConfigurationError
 
-from helpers import loads_or_rejects, reference_window_samples, track_table
+from deeptrack.model import collate
+from deeptrack.configio import ModelConfig
+from helpers import (
+    loads_or_rejects, reference_window_samples, replace_neighbor, track_table,
+)
 
 HEADER = "Vehicle_ID,Frame_ID,Local_X,Local_Y,Lane_ID\n"
 
@@ -247,7 +253,7 @@ class TestWindowing:
         rows += straight_track(2, range(0, 30), y0_ft=110.0, lane=3)  # gone by t0
         tracks, _ = parse_tracks(table(rows))
         samples, _ = window_samples(tracks, WindowConfig())
-        assert samples[0].neighbors == []
+        assert len(samples[0].neighbors) == 0
 
     def test_collision_nearest_wins_tie_on_lower_id(self):
         rows = straight_track(1, range(81), lane=2)
@@ -525,6 +531,106 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             split_dataset([], ratios=(0.5, 0.2, 0.2))
 
+    def test_partitions_equal_hashing_every_sample(self):
+        # each vehicle is hashed once per call; the partitions are those of
+        # hashing every sample's vehicle on its own
+        rng = np.random.default_rng(26)
+        for seed, ratios in enumerate([(0.7, 0.1, 0.2), (0.2, 0.5, 0.3), (0.25, 0.25, 0.5)]):
+            vids = rng.integers(0, 2 ** 63, size=40).tolist() * 3 + list(range(60))
+            samples = [TrajectorySample("s", int(v), i, np.zeros((1, 2)), np.zeros((1, 2)))
+                       for i, v in enumerate(rng.permutation(np.array(vids, dtype=object)))]
+            want = ([], [], [])
+            for sample in samples:
+                want[vehicle_partition(sample.vehicle_id, seed, ratios)].append(sample)
+            got = split_dataset(samples, ratios, seed)
+            assert [[id(s) for s in part] for part in got] == \
+                [[id(s) for s in part] for part in want]
+            assert all(len(part) for part in got)
+
+
+class TestNeighborTable:
+    """A sample's neighbors as four columns, read row by row through frozen
+    NeighborTrack views."""
+
+    def scene(self):
+        rows = straight_track(1, range(81), lane=2)
+        rows += straight_track(2, range(81), y0_ft=110.0, lane=3)
+        rows += straight_track(3, range(81), y0_ft=900.0, lane=3)  # beyond the grid
+        samples, _ = window_samples(parse_tracks(table(rows))[0], WindowConfig(), "u")
+        return samples
+
+    def test_rows_read_as_the_columns(self):
+        t = self.scene()[0].neighbors
+        assert isinstance(t, NeighborTable) and len(t) == 2
+        assert t.cell.tolist() == [[6, 2], [-1, -1]]
+        first, second = t
+        assert (first.vehicle_id, first.cell) == (2, (6, 2))
+        assert (second.vehicle_id, second.cell) == (3, None)
+        assert type(first.vehicle_id) is int and [type(c) for c in first.cell] == [int, int]
+        assert np.shares_memory(first.track, t.track) and np.shares_memory(second.valid, t.valid)
+        assert t[-1] == second and list(t[1:]) == [second]
+        assert isinstance(t[:1], NeighborTable) and t[:1] == NeighborTable.from_rows([first], 16)
+
+    def test_rows_are_frozen(self):
+        n = self.scene()[0].neighbors[0]
+        for field, value in (("cell", (0, 0)), ("track", n.track[:3]), ("vehicle_id", 9)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(n, field, value)
+
+    def test_a_list_of_rows_becomes_a_table(self):
+        s = self.scene()[0]
+        rebuilt = TrajectorySample(s.dataset_id, s.vehicle_id, s.t0_frame, s.ego_history,
+                                   s.future, list(s.neighbors))
+        assert isinstance(rebuilt.neighbors, NeighborTable) and rebuilt == s
+        assert rebuilt.neighbors.vehicle_id.dtype == np.uint64
+        assert not np.shares_memory(rebuilt.neighbors.track, s.neighbors.track)
+        bare = TrajectorySample("u", 1, 0, np.zeros((4, 2)), np.zeros((2, 2)))
+        assert bare.neighbors.track.shape == (0, 4, 2) and bare.neighbors.valid.shape == (0, 4)
+
+    @pytest.mark.parametrize("changes", [
+        dict(vehicle_id=-1), dict(vehicle_id=2 ** 64), dict(vehicle_id=1.5),
+        dict(cell=(-1, 2)), dict(cell=(1, 2, 3)), dict(cell=(6.5, 1)),
+        dict(track=np.zeros((15, 2))), dict(track=np.zeros((16, 3))),
+        dict(valid=np.ones(17, bool))],
+        ids=["negative-id", "id-2**64", "fractional-id", "negative-cell", "three-cell",
+             "fractional-cell", "short-track", "wide-track", "long-valid"])
+    def test_a_row_the_table_cannot_hold_is_rejected_at_construction(self, changes):
+        s = self.scene()[0]
+        with pytest.raises(ConfigurationError, match="vehicle 1 at frame 30 in 'u'"):
+            replace_neighbor(s, 1, **changes)
+
+    def test_a_table_of_another_history_length_is_rejected(self):
+        s = self.scene()[0]
+        with pytest.raises(ConfigurationError, match="ego history has 15 points"):
+            dataclasses.replace(s, ego_history=s.ego_history[1:])
+
+
+def test_the_data_path_builds_no_neighbor_rows(tmp_path, monkeypatch):
+    # windowing, saving, loading, splitting and collating read and write
+    # the table columns only; a spy on the row class counts every row built
+    built = []
+    init = NeighborTrack.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborTrack, "__init__", spy)
+    rows = []
+    for vid in range(1, 13):
+        rows += straight_track(vid, range(100), y0_ft=40.0 * vid, lane=1 + vid % 3)
+    samples, stats = window_samples(parse_tracks(table(rows))[0], WindowConfig(stride=3))
+    assert stats.neighbors_in_grid and stats.neighbors_outside
+    save_samples(tmp_path / "s.bin", samples)
+    loaded = load_samples(tmp_path / "s.bin")
+    assert loaded == samples
+    parts = split_dataset(loaded, seed=1)
+    batches = [collate(part, ModelConfig()) for part in parts if part]
+    assert sum(b.nbr_tracks.shape[0] for b in batches) == stats.neighbors_in_grid
+    assert built == []
+    loaded[0].neighbors[0]  # the spy sees a row when one is read
+    assert len(built) == 1
+
 
 class TestArchives:
     def build_samples(self):
@@ -558,9 +664,10 @@ class TestArchives:
 
     def test_outside_cell_survives_round_trip(self, tmp_path):
         samples = self.build_samples()
-        samples[0].neighbors.append(NeighborTrack(
-            vehicle_id=99, cell=None,
-            track=np.zeros((16, 2)), valid=np.zeros(16, dtype=bool)))
+        samples[0] = dataclasses.replace(samples[0], neighbors=[
+            *samples[0].neighbors,
+            NeighborTrack(vehicle_id=99, cell=None,
+                          track=np.zeros((16, 2)), valid=np.zeros(16, dtype=bool))])
         path = tmp_path / "o.bin"
         save_samples(path, samples)
         loaded = load_samples(path)
@@ -572,32 +679,31 @@ class TestArchives:
                                        "future_3_columns", "neighbor_track_short",
                                        "neighbor_valid_short"])
     def test_field_the_layout_cannot_hold_is_rejected(self, tmp_path, field):
+        # a neighbor field is rejected as the sample is built, a sample field
+        # as it is saved; either way the sample is named and no file written
         samples = self.build_samples()
         bad = samples[-1]
         h, f = bad.ego_history.shape[0], bad.future.shape[0]
         n = bad.neighbors[0]
-        if field == "vehicle_id":
-            bad.vehicle_id = -bad.vehicle_id
-        elif field == "neighbor_id":
-            n.vehicle_id = 2 ** 64
-        elif field == "cell":
-            n.cell = (2 ** 31, 0)
-        elif field == "cell_negative":
-            n.cell = (-1, 2)  # would load back as outside, (-1, -1)
-        elif field == "cell_fraction":
-            n.cell = (6.5, 1)
-        elif field == "ego_3_columns":
-            bad.ego_history = np.zeros((h, 3))
-        elif field == "ego_1d":
-            bad.ego_history = np.zeros(h)
-        elif field == "future_3_columns":
-            bad.future = np.zeros((f, 3))
-        elif field == "neighbor_track_short":
-            n.track = n.track[:-1]
-        else:
-            n.valid = n.valid[:-1]
+        sample_changes = {
+            "vehicle_id": dict(vehicle_id=-bad.vehicle_id),
+            "ego_3_columns": dict(ego_history=np.zeros((h, 3))),
+            "ego_1d": dict(ego_history=np.zeros(h)),
+            "future_3_columns": dict(future=np.zeros((f, 3)))}
+        neighbor_changes = {
+            "neighbor_id": dict(vehicle_id=2 ** 64),
+            "cell": dict(cell=(2 ** 31, 0)),
+            "cell_negative": dict(cell=(-1, 2)),  # would load back as outside, (-1, -1)
+            "cell_fraction": dict(cell=(6.5, 1)),
+            "neighbor_track_short": dict(track=n.track[:-1]),
+            "neighbor_valid_short": dict(valid=n.valid[:-1])}
+        vid = -bad.vehicle_id if field == "vehicle_id" else bad.vehicle_id
         path = tmp_path / "s.bin"
-        with pytest.raises(ConfigurationError, match=f"vehicle {bad.vehicle_id} at frame"):
+        with pytest.raises(ConfigurationError, match=f"vehicle {vid} at frame"):
+            if field in sample_changes:
+                samples[-1] = dataclasses.replace(bad, **sample_changes[field])
+            else:
+                samples[-1] = replace_neighbor(bad, 0, **neighbor_changes[field])
             save_samples(path, samples)
         assert not path.exists()
 

@@ -21,7 +21,9 @@ from deeptrack.configio import (
     default_model_config,
     save_config_file,
 )
-from deeptrack.ingest import NeighborTrack, TrajectorySample, WindowConfig
+from deeptrack.ingest import (
+    NeighborTrack, TrajectorySample, WindowConfig, load_samples, save_samples,
+)
 from deeptrack.model import DeepTrack, collate, social_geometry
 from deeptrack.numcore import ConfigurationError, save_weights, load_weights
 from deeptrack.synthetic import constant_velocity_samples
@@ -37,6 +39,7 @@ from helpers import (
     symmetric_model_config,
 )
 from helpers import random_sample as make_sample
+from helpers import reference_collate, replace_neighbor
 from helpers import tiny_model_config as tiny_config
 
 
@@ -80,8 +83,7 @@ class TestShapes:
     def test_invalid_cell_asserts(self):
         cfg = default_model_config()
         rng = np.random.default_rng(0)
-        s = make_sample(cfg, rng, n_in_grid=1)
-        s.neighbors[0].cell = (99, 0)
+        s = replace_neighbor(make_sample(cfg, rng, n_in_grid=1), 0, cell=(99, 0))
         with pytest.raises(ConfigurationError, match="outside the grid"):
             collate([s], cfg)
 
@@ -103,20 +105,69 @@ class TestCollate:
         assert batch.ego.tobytes() == np.stack(
             [s.ego_history.T for s in samples]).astype(np.dtype(dtype)).tobytes()
 
+    def test_seeded_sweep_equals_the_per_neighbor_loop(self, tmp_path):
+        # bit for bit, layout included: float64 and float32, samples with no
+        # neighbors or only out-of-grid ones, single samples, and samples
+        # loaded from an archive (int32 cells) mixed with built ones
+        rng = np.random.default_rng(26)
+        seen = set()
+        for trial in range(120):
+            cfg = tiny_config(dtype=("float64", "float32")[trial % 2])
+            count = 1 if trial % 5 == 0 else int(rng.integers(2, 9))
+            mix = [(0, 0), (0, int(rng.integers(1, 4)))] + [
+                (int(rng.integers(0, 6)), int(rng.integers(0, 4))) for _ in range(4)]
+            samples = [make_sample(cfg, rng, vid=i, **dict(zip(
+                ("n_in_grid", "n_outside"), mix[int(rng.integers(0, len(mix)))])))
+                for i in range(count)]
+            if trial % 3 == 0:
+                save_samples(tmp_path / "s.bin", samples)
+                loaded = load_samples(tmp_path / "s.bin")
+                samples = [a if rng.random() < 0.5 else b for a, b in zip(samples, loaded)]
+            got, want = collate(samples, cfg), reference_collate(samples, cfg)
+            for name in ("ego", "future", "nbr_tracks", "nbr_batch", "nbr_cells"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                    (trial, name)
+                assert a.size == 0 or [st for st, n in zip(a.strides, a.shape) if n > 1] \
+                    == [st for st, n in zip(b.strides, b.shape) if n > 1], (trial, name)
+            in_grid = [len(s.neighbors) and int((s.neighbors.cell[:, 0] >= 0).sum())
+                       for s in samples]
+            seen.add(cfg.dtype)
+            seen.update({"single" if count == 1 else "batch",
+                         "none" if 0 in map(len, (s.neighbors for s in samples)) else "",
+                         "all-outside" if any(len(s.neighbors) and not k
+                                              for s, k in zip(samples, in_grid)) else "",
+                         "empty-batch" if not sum(in_grid) else "",
+                         "loaded" if trial % 3 == 0 else ""})
+        assert {"float64", "float32", "single", "batch", "none", "all-outside",
+                "empty-batch", "loaded"} <= seen
+
     @pytest.mark.parametrize("cut", [(0, 1), (1, 1)], ids=["all-short", "mixed"])
     def test_short_neighbor_track_rejected(self, cut):
+        # a sample cannot be built with neighbor tracks shorter than its history
         cfg = default_model_config()
         s = make_sample(cfg, np.random.default_rng(0), n_in_grid=2)
-        for n, drop in zip(s.neighbors, cut):
-            n.track = n.track[drop * 3:]
+        rows = [dataclasses.replace(n, track=n.track[drop * 3:])
+                for n, drop in zip(s.neighbors, cut)]
+        with pytest.raises(ConfigurationError, match="vehicle 1 at frame 30"):
+            dataclasses.replace(s, neighbors=rows)
+
+    def test_table_of_another_history_length_rejected(self):
+        # a table swapped in after construction is checked when collated
+        cfg = default_model_config()
+        rng = np.random.default_rng(0)
+        s = make_sample(cfg, rng, n_in_grid=2)
+        s.neighbors = make_sample(dataclasses.replace(cfg, history_steps=5), rng).neighbors
         with pytest.raises(ConfigurationError, match="track has shape"):
             collate([s], cfg)
 
-    def test_out_of_grid_track_is_not_checked(self):
+    @pytest.mark.parametrize("field", ["track", "valid"])
+    def test_out_of_grid_short_track_is_rejected(self, field):
+        # the length check holds for a neighbor outside the grid too
         cfg = default_model_config()
         s = make_sample(cfg, np.random.default_rng(0), n_in_grid=1, n_outside=1)
-        s.neighbors[1].track = s.neighbors[1].track[:3]
-        assert collate([s], cfg).nbr_tracks.shape == (1, 2, cfg.history_steps)
+        with pytest.raises(ConfigurationError, match="vehicle 1 at frame 30"):
+            replace_neighbor(s, 1, **{field: getattr(s.neighbors[1], field)[:3]})
 
 
 class TestZeroWeights:
@@ -151,8 +202,8 @@ class TestNeighborHandling:
         rng = np.random.default_rng(4)
         s = make_sample(cfg, rng, n_in_grid=2, n_outside=1)
         base = model.forward(s, "eval").data
-        s.neighbors[-1].track = s.neighbors[-1].track + 500.0
-        assert np.array_equal(model.forward(s, "eval").data, base)
+        moved = replace_neighbor(s, -1, track=s.neighbors[-1].track + 500.0)
+        assert np.array_equal(model.forward(moved, "eval").data, base)
 
     def test_in_grid_neighbor_matters(self):
         cfg = tiny_config()
@@ -160,8 +211,8 @@ class TestNeighborHandling:
         rng = np.random.default_rng(5)
         s = make_sample(cfg, rng, n_in_grid=1)
         base = model.forward(s, "eval").data
-        s.neighbors[0].track = s.neighbors[0].track + 1.0
-        assert not np.array_equal(model.forward(s, "eval").data, base)
+        moved = replace_neighbor(s, 0, track=s.neighbors[0].track + 1.0)
+        assert not np.array_equal(model.forward(moved, "eval").data, base)
 
     def test_neighbor_permutation_invariance_eval(self):
         cfg = tiny_config()
@@ -169,8 +220,11 @@ class TestNeighborHandling:
         rng = np.random.default_rng(6)
         s = make_sample(cfg, rng, n_in_grid=4, n_outside=1)
         base = model.forward(s, "eval").data
-        rng.shuffle(s.neighbors)
-        assert np.array_equal(model.forward(s, "eval").data, base)
+        rows = list(s.neighbors)
+        rng.shuffle(rows)
+        shuffled = dataclasses.replace(s, neighbors=rows)
+        assert [n.vehicle_id for n in shuffled.neighbors] != [n.vehicle_id for n in s.neighbors]
+        assert np.array_equal(model.forward(shuffled, "eval").data, base)
 
 
 class TestDeterminismAndState:
@@ -575,6 +629,7 @@ class TestInvariantsUnderOptimize:
     ], ids=["grid-out-of-range", "grid-duplicate", "collate-out-of-grid"])
     def test_rejected_with_asserts_stripped(self, call):
         script = "\n".join([
+            "import dataclasses",
             "import numpy as np",
             "from deeptrack.configio import default_model_config",
             "from deeptrack.model import collate",
@@ -582,7 +637,8 @@ class TestInvariantsUnderOptimize:
             "from helpers import random_sample",
             "cfg = default_model_config()",
             "bad = random_sample(cfg, np.random.default_rng(0), n_in_grid=1)",
-            "bad.neighbors[0].cell = (99, 0)",
+            "bad = dataclasses.replace(bad, neighbors=[",
+            "    dataclasses.replace(bad.neighbors[0], cell=(99, 0))])",
             "try:",
             f"    {call}",
             "except ConfigurationError:",

@@ -3,8 +3,9 @@ never uses, and no module under src/ imports another module's private name,
 relies on an ``assert``, which ``python -O`` strips, defines a public
 function, class, method, property or module constant that only the tests
 use, or gives a parameter a default that no call overrides. Only
-``configio.py`` writes JSON, and only the archive and checkpoint modules
-use ``struct`` or ``np.frombuffer``. Every differentiable op has a
+``configio.py`` writes JSON, only the archive and checkpoint modules
+use ``struct`` or ``np.frombuffer``, and only the windowing module builds
+``NeighborTrack`` rows. Every differentiable op has a
 finite-difference test, and the temporal and grid convolutions each reach
 one core of their own."""
 
@@ -200,6 +201,31 @@ def test_only_the_archive_and_checkpoint_modules_lay_out_bytes():
              for path in sorted(SRC.rglob("*.py")) if path.relative_to(SRC) not in owners
              for line in binary_layout_lines(path.read_text(encoding="utf-8"))]
     assert not found, "struct or np.frombuffer outside the two file formats:\n" + "\n".join(found)
+
+
+def calls_of(source: str, name: str):
+    """Line of every call of ``name``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and (
+                      isinstance(node.func, ast.Name) and node.func.id == name
+                      or isinstance(node.func, ast.Attribute) and node.func.attr == name))
+
+
+def test_checker_finds_calls():
+    source = ('class NeighborTrack:\n    pass\nx = NeighborTrack(1)\n'
+              'y = ingest.NeighborTrack(2)\nz = [NeighborTrack]\nNeighborTrackX(3)\n')
+    assert calls_of(source, "NeighborTrack") == [3, 4]
+
+
+def test_only_the_neighbor_table_builds_neighbor_rows():
+    # samples hold their neighbors as columns; a row object is built only
+    # when a table is indexed, so no other module builds rows to fill one
+    owner = Path("deeptrack/ingest/windows.py")
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py")) if path.relative_to(SRC) != owner
+             for line in calls_of(path.read_text(encoding="utf-8"), "NeighborTrack")]
+    assert not found, "NeighborTrack built outside ingest/windows.py:\n" + "\n".join(found)
+    assert calls_of((SRC / owner).read_text(encoding="utf-8"), "NeighborTrack")
 
 
 def public_names(source: str):
