@@ -26,14 +26,15 @@ rf = receptive_field(config)
 print("configured receptive field:", rf)
 
 # -- probe it ----------------------------------------------------------------
-# eval mode freezes batch-norm, so the encoder is a pure function of x
+# eval mode freezes batch-norm, so the encoder is a pure function of x, one
+# channels-last [T, C] sequence of (x, y) positions
 
 t = 16
-x = np.random.default_rng(1).normal(size=(2, t))
+x = np.random.default_rng(1).normal(size=(t, 2))
 
 
 def newest(v):
-    return encoder.forward(Tensor(v), "eval").data[:, -1]
+    return encoder.forward(Tensor(v), "eval").data[-1]
 
 
 base = newest(x)
@@ -41,7 +42,7 @@ assert np.allclose(encoder.summary(Tensor(x), "eval").data, base, rtol=0, atol=1
 
 for offset in range(1, 7):
     poked = x.copy()
-    poked[:, t - offset] += 1.0
+    poked[t - offset] += 1.0
     moved = not np.allclose(newest(poked), base)
     marker = "inside " if offset <= rf else "outside"
     print(f"  wiggle t-{offset}: newest step moved = {moved}   ({marker} the window)")
@@ -53,10 +54,10 @@ for offset in range(1, 7):
 full = encoder.forward(Tensor(x), "eval").data
 cut = 9
 tail = x.copy()
-tail[:, cut:] = 0.0
+tail[cut:] = 0.0
 prefix = encoder.forward(Tensor(tail), "eval").data
 print("\nfirst", cut, "encoded steps bit-identical after tail edit:",
-      np.array_equal(full[..., :cut], prefix[..., :cut]))
+      np.array_equal(full[:cut], prefix[:cut]))
 
 # -- the bottleneck trick ----------------------------------------------------
 # hidden blocks factor a standard conv into pointwise -> depthwise -> pointwise;

@@ -1,10 +1,9 @@
 """Temporal convolutional encoders for trajectory sequences.
 
-An encoder is a stack of length-preserving blocks over sequences. Its
-public layout is channels-first, ``[B, C, T]`` or one ``[C, T]``; the units
-run channels-last, ``[B, T, C]``, so ``forward`` swaps the axes once at entry
-and returns a swapped view, and ``summary`` reads the newest row of the
-channels-last output. The first block is a standard dilated convolution
+An encoder is a stack of length-preserving blocks over channels-last
+sequences, ``[B, T, C]`` or one ``[T, C]``, the layout its units run in, so
+no axis is swapped anywhere; ``summary`` reads the newest row of the output.
+The first block is a standard dilated convolution
 (input channel counts are tiny, so factorization buys nothing there); every
 later block is a depthwise-separable bottleneck:
 
@@ -38,7 +37,7 @@ from .numcore import (
     check_fields,
     conv_unit,
 )
-from .numcore.functional import PAD_MODES, activation_fn
+from .numcore.functional import PAD_MODES, activation_fn, pad_sides
 
 __all__ = ["AtcnConfig", "AtcnEncoder", "receptive_field"]
 
@@ -143,7 +142,7 @@ class _ConvUnit:
 
 
 class AtcnEncoder:
-    """Stack of temporal blocks mapping ``[B, C_in, T]`` to ``[B, C_last, T]``."""
+    """Stack of temporal blocks mapping ``[B, T, C_in]`` to ``[B, T, C_last]``."""
 
     def __init__(self, config: AtcnConfig, rng: np.random.Generator,
                  dtype=np.float64):
@@ -168,34 +167,32 @@ class AtcnEncoder:
         self.out_channels = c_in
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
-        """Encode ``[B, C_in, T]`` sequences (or one ``[C_in, T]``) into
-        ``[B, C_last, T]``; length is preserved through every block. The
-        units run channels-last, so the result is a view of their output."""
-        return self._forward_last(x, mode).swapaxes(-1, -2)
-
-    def _forward_last(self, x: Tensor, mode: str) -> Tensor:
-        """The units' channels-last output ``[B, T, C_last]``, from ``x``
-        swapped once at entry."""
-        if x.data.ndim not in (2, 3) or x.data.shape[-2] != self.config.input_channels:
+        """Encode ``[B, T, C_in]`` sequences (or one ``[T, C_in]``) into
+        ``[B, T, C_last]``; length is preserved through every block."""
+        if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.input_channels:
             raise ConfigurationError(
                 f"encoder expects {self.config.input_channels} input channels, "
                 f"got shape {x.shape}")
-        out = x.swapaxes(-1, -2)
         for unit in self.units:
-            out = unit(out, mode)
-        return out
+            x = unit(x, mode)
+        return x
 
     def summary(self, x: Tensor, mode: str = "eval") -> Tensor:
-        """Encode and keep the newest step: ``[B, C, T] -> [B, C]``.
+        """Encode and keep the newest step: ``[B, T, C] -> [B, C_last]``.
 
-        A causal eval-mode summary reads only the last
-        ``receptive_field(config)`` steps, the only ones the newest output
-        depends on. Train mode, whose batch statistics span all T steps, and
-        symmetric mode run every step. The summary owns its memory.
+        An eval-mode summary reads only the last ``1 + sum(left padding)``
+        steps, the only ones the newest output depends on, since the right
+        padding lies past the newest step: ``receptive_field(config)`` steps
+        in causal mode, fewer in symmetric mode. Train mode, whose batch
+        statistics span all T steps, runs every step. The summary owns its
+        memory.
         """
-        if mode == "eval" and self.config.pad_mode == "causal":
-            x = x[..., -receptive_field(self.config):]
-        last = self._forward_last(x, mode)[..., -1, :]
+        if mode == "eval" and x.data.ndim > 1:  # forward rejects other shapes
+            cfg = self.config
+            window = 1 + sum(pad_sides((k - 1) * d, cfg.pad_mode)[0]
+                             for k, d in zip(cfg.kernel_sizes, cfg.dilations))
+            x = x[..., -window:, :]
+        last = self.forward(x, mode)[..., -1, :]
         last.data = last.data.copy()  # a view would keep every step's output alive
         return last
 

@@ -2,11 +2,11 @@
 
 Forward pass over one batch:
 
-1. A shared temporal encoder summarizes each neighbor history
-   (``[K, 2, H]``, swapped once to the channels-last ``[K, H, 2]`` its units
-   run in), each of its convolution, batch-norm and activation units one
-   graph node (``conv_unit``); summaries land in an ego-centered occupancy
-   grid ``[B, C, rows, cols]`` (empty cells stay zero).
+1. A shared temporal encoder summarizes each neighbor history, read in the
+   channels-last ``[K, H, 2]`` layout the samples store and its units run
+   in, each of its convolution, batch-norm and activation units one graph
+   node (``conv_unit``); summaries land in an ego-centered occupancy grid
+   ``[B, C, rows, cols]`` (empty cells stay zero).
 2. Two grid convolutions and a max-pool compress the grid into a flat
    social feature; a second encoder plus a dense remap summarizes the ego
    history to the same width.
@@ -55,16 +55,30 @@ __all__ = ["Batch", "collate", "DeepTrack", "SocialGeometry", "social_geometry"]
 @dataclass
 class Batch:
     """Collated arrays for one forward pass; neighbor rows are flattened
-    across the batch and indexed back by ``nbr_batch``."""
-    ego: np.ndarray        # [B, 2, H]
-    future: np.ndarray     # [B, F, 2]
-    nbr_tracks: np.ndarray  # [K, 2, H] in-grid neighbors only
-    nbr_batch: np.ndarray  # [K] owning sample index
-    nbr_cells: np.ndarray  # [K, 2] grid (row, col)
+    across the batch and indexed back by ``nbr_batch``. Histories are
+    C-contiguous and channels-last, the layout the encoders take."""
+    ego_history: np.ndarray  # [B, H, 2]
+    future: np.ndarray       # [B, F, 2]
+    nbr_history: np.ndarray  # [K, H, 2] in-grid neighbors only
+    nbr_batch: np.ndarray    # [K] owning sample index
+    nbr_cells: np.ndarray    # [K, 2] grid (row, col)
 
     @property
     def size(self) -> int:
-        return self.ego.shape[0]
+        return self.ego_history.shape[0]
+
+    @property
+    def ego(self) -> np.ndarray:
+        """``ego_history`` as a channels-first view, ``[B, 2, H]``. Kept only
+        while perfbench's layer table, which feeds the channels-first layer
+        ops, reads it; nothing in the package does."""
+        return self.ego_history.transpose(0, 2, 1)
+
+    @property
+    def nbr_tracks(self) -> np.ndarray:
+        """``nbr_history`` as a channels-first view, ``[K, 2, H]``; kept, like
+        :attr:`ego`, only for perfbench's layer table."""
+        return self.nbr_history.transpose(0, 2, 1)
 
 
 def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
@@ -80,7 +94,7 @@ def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
         raise ConfigurationError("cannot collate an empty batch")
     dtype = np.float64 if config.dtype == "float64" else np.float32
     h, f = config.history_steps, config.horizon_steps
-    ego = np.zeros((len(samples), 2, h), dtype=dtype)
+    ego = np.zeros((len(samples), h, 2), dtype=dtype)
     future = np.zeros((len(samples), f, 2), dtype=dtype)
     for i, s in enumerate(samples):
         if s.ego_history.shape != (h, 2) or s.future.shape != (f, 2):
@@ -91,7 +105,7 @@ def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
             raise ConfigurationError(
                 f"sample {s.sample_id}: neighbor track has shape "
                 f"{s.neighbors.track.shape[1:]}, expected ({h}, 2)")
-        ego[i] = s.ego_history.T
+        ego[i] = s.ego_history
         future[i] = s.future
     tables = [s.neighbors for s in samples]
     cells = np.concatenate([t.cell for t in tables])
@@ -105,8 +119,7 @@ def collate(samples: Sequence[TrajectorySample], config: ModelConfig) -> Batch:
         raise ConfigurationError(f"sample {samples[owners[j]].sample_id}: neighbor cell "
                                  f"{tuple(cells[j].tolist())} outside the grid")
     tracks = np.concatenate([t.track for t in tables])[inside]
-    return Batch(ego=ego, future=future,
-                 nbr_tracks=tracks.transpose(0, 2, 1).astype(dtype, copy=False),
+    return Batch(ego_history=ego, future=future, nbr_history=tracks.astype(dtype, copy=False),
                  nbr_batch=owners, nbr_cells=cells)
 
 
@@ -297,8 +310,8 @@ class DeepTrack:
         # one name down the grid chain: without a graph, the neighbor
         # summaries and each grid are freed as soon as the next layer has
         # read them, so a large frame's temporaries stay few
-        if batch.nbr_tracks.shape[0]:
-            v = scatter_grid(self.neighbor_encoder.summary(Tensor(batch.nbr_tracks), mode),
+        if batch.nbr_history.shape[0]:
+            v = scatter_grid(self.neighbor_encoder.summary(Tensor(batch.nbr_history), mode),
                              batch.nbr_batch, batch.nbr_cells,
                              (b, nbr_c, cfg.grid_rows, cfg.grid_cols))
         else:
@@ -312,7 +325,7 @@ class DeepTrack:
         v = max_pool2d(v, pool.window, stride=pool.stride, padding=pool.padding)
         social = v.reshape(b, self.geometry.flat)
 
-        ego_feat = self.ego_encoder.summary(Tensor(batch.ego), mode)
+        ego_feat = self.ego_encoder.summary(Tensor(batch.ego_history), mode)
         ego_mapped = act(dense(ego_feat, self.ego_remap_w, self.ego_remap_b))
 
         context = concat([social, ego_mapped], axis=1)

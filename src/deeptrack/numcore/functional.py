@@ -8,7 +8,7 @@ grids are ``[B, C, H, W]``. Convolution kernels use lag-major tap order:
 tap ``i`` of a 1-d kernel multiplies the input ``i * dilation`` steps in the
 past, so tap 0 is the current step. Padding is handled inside the conv ops;
 both modes add the span ``(k-1)*d`` of zeros, so they preserve sequence
-length:
+length, and :func:`pad_sides` alone splits it:
 
 * ``"causal"``   — all of it on the left; output at time t never sees
   input later than t.
@@ -157,32 +157,26 @@ def activation_fn(name: str):
 # dense
 # ---------------------------------------------------------------------------
 
-def dense(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ weight.T + bias`` with x ``[B, in]``, weight ``[out, in]``."""
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ConfigurationError(
             f"dense expects x [B, in] and weight [out, in], got {x.shape} and {weight.shape}")
     if x.data.shape[1] != weight.data.shape[1]:
         raise ConfigurationError(
             f"dense input width {x.data.shape[1]} does not match weight fan-in {weight.data.shape[1]}")
-    out_data = x.data @ weight.data.T
-    parents = [x, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (weight.data.shape[0],):
-            raise ConfigurationError(
-                f"dense bias shape {bias.data.shape} does not match out width {weight.data.shape[0]}")
-        out_data = out_data + bias.data
-        parents.append(bias)
+    if bias.data.shape != (weight.data.shape[0],):
+        raise ConfigurationError(
+            f"dense bias shape {bias.data.shape} does not match out width {weight.data.shape[0]}")
+    out_data = x.data @ weight.data.T + bias.data
 
     def backward(g):
         x.accumulate_grad(g @ weight.data)
         weight.accumulate_grad(g.T @ x.data)
-        if bias is not None:
-            bias.accumulate_grad(g.sum(axis=0))
+        bias.accumulate_grad(g.sum(axis=0))
 
-    return Tensor._node(out_data, parents, backward)
+    return Tensor._node(out_data, (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,7 @@ def _tap_shift(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], dilatio
     x2 = xd.reshape(-1, c_in)
     rows = x2.shape[0]
     span = (k - 1) * dilation
-    right = 0 if pad_mode == "causal" else span // 2
+    right = pad_sides(span, pad_mode)[1]
     taps = [(p, p * dilation - right) for p in range(k) if abs(p * dilation - right) < steps]
     taps.sort(key=lambda tap: tap[1] != 0)  # a lag-0 tap, if any, starts the output
     if groups == 1:
@@ -294,6 +288,14 @@ def _tap_shift(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], dilatio
         return gx.reshape(xd.shape), gw, None if bd is None else np.ones(rows, g2.dtype) @ g2
 
     return out.reshape(xd.shape[:-1] + (c_out,)), backward
+
+
+def pad_sides(span: int, pad_mode: str) -> Tuple[int, int]:
+    """The zeros ``(left, right)`` that ``pad_mode`` puts around a sequence
+    for a kernel spanning ``span`` steps: all of them on the left when
+    causal; ``span // 2`` of them on the right when symmetric."""
+    right = 0 if pad_mode == "causal" else span // 2
+    return span - right, right
 
 
 def _diagonal_blocks(wt: np.ndarray, groups: int) -> np.ndarray:
@@ -361,46 +363,36 @@ def _conv_node(x: Tensor, weight: Tensor, bias: Optional[Tensor], out: np.ndarra
 # 2-d convolution and pooling
 # ---------------------------------------------------------------------------
 
-def _pair(v) -> Tuple[int, int]:
-    if isinstance(v, int):
-        return (v, v)
-    a, b = v
-    return (int(a), int(b))
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """Cross-correlating 2-d convolution over ``[B, C, H, W]`` (zero padding)."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    if x.data.ndim not in (3, 4) or weight.data.ndim != 4:
+    """Cross-correlating 2-d convolution over ``[B, C, H, W]`` (zero padding);
+    ``stride`` and ``padding`` are ``(rows, cols)`` pairs."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ConfigurationError(
             f"conv2d expects x [B, C, H, W] and weight [O, C, kh, kw], got {x.shape}, {weight.shape}")
-    ph, pw = _pair(padding)
+    ph, pw = padding
     height, width = x.data.shape[-2:]
     c_out, _, kh, kw = weight.data.shape
     if height + 2 * ph < kh or width + 2 * pw < kw:
         raise ConfigurationError(
             f"conv2d window {(kh, kw)} larger than padded input {(height + 2 * ph, width + 2 * pw)}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (c_out,):
-            raise ConfigurationError(
-                f"conv2d bias shape {bias.data.shape} does not match out channels {c_out}")
+    if bias.data.shape != (c_out,):
+        raise ConfigurationError(
+            f"conv2d bias shape {bias.data.shape} does not match out channels {c_out}")
     return _conv_node(x, weight, bias, *_conv_forward(
-        x.data, weight.data, None if bias is None else bias.data, ((ph, ph), (pw, pw)),
-        _pair(stride)))
+        x.data, weight.data, bias.data, ((ph, ph), (pw, pw)), stride))
 
 
-def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
-    """Max pooling over ``[B, C, H, W]``; padded cells are -inf, never selected
-    unless a window contains only padding (rejected as a configuration error).
-    Each window's gradient goes to its first maximum."""
+def max_pool2d(x: Tensor, window, stride, padding=(0, 0)) -> Tensor:
+    """Max pooling over ``[B, C, H, W]`` with ``(rows, cols)`` pairs for
+    ``window``, ``stride`` and ``padding``; padded cells are -inf, never
+    selected unless a window contains only padding (rejected as a
+    configuration error). Each window's gradient goes to its first maximum."""
     x = as_tensor(x)
-    if x.data.ndim not in (3, 4):
+    if x.data.ndim != 4:
         raise ConfigurationError(f"max_pool2d expects [B, C, H, W], got {x.shape}")
-    wh, ww = _pair(window)
-    sh, sw = _pair(stride if stride is not None else window)
-    ph, pw = _pair(padding)
+    (wh, ww), (sh, sw), (ph, pw) = window, stride, padding
     if ph >= wh or pw >= ww:
         raise ConfigurationError("pool padding must be smaller than the window")
     height, width = x.data.shape[-2:]
@@ -408,8 +400,7 @@ def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
         raise ConfigurationError(
             f"pool window {(wh, ww)} does not fit input {(height, width)} padded by {(ph, pw)}")
 
-    xd = x.data if x.data.ndim == 4 else x.data[None]
-    xp = _padded(xd, ((ph, ph), (pw, pw)), -np.inf)
+    xp = _padded(x.data, ((ph, ph), (pw, pw)), -np.inf)
     win = _tap_window(xp, (wh, ww), (sh, sw))
     flat = win.reshape(win.shape[:4] + (wh * ww,))
     idx = flat.argmax(axis=-1)
@@ -419,10 +410,10 @@ def max_pool2d(x: Tensor, window, stride=None, padding=(0, 0)) -> Tensor:
         gxp = np.zeros_like(xp)
         gwin = _tap_window(gxp, (wh, ww), (sh, sw))
         for tap, (p, q) in enumerate(product(range(wh), range(ww))):
-            gwin[..., p, q] += np.where(idx == tap, g.reshape(idx.shape), 0.0)
-        x.accumulate_grad(gxp[:, :, ph: ph + height, pw: pw + width].reshape(x.data.shape))
+            gwin[..., p, q] += np.where(idx == tap, g, 0.0)
+        x.accumulate_grad(gxp[:, :, ph: ph + height, pw: pw + width])
 
-    return Tensor._node(out.reshape(x.data.shape[:-2] + out.shape[2:]), (x,), backward)
+    return Tensor._node(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -453,31 +444,28 @@ def _tap_window(xp: np.ndarray, taps, stride) -> np.ndarray:
     return np.ndarray(shape, xp.dtype, xp, 0, (s_b, s_c, sh * s_h, sw * s_w, s_h, s_w))
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads, stride):
-    """The numpy forward of the grid convolution: ``xd`` ``[B, C, H, W]`` or
-    ``[C, H, W]`` zero-padded by ``pads``, correlated with ``wd``
-    ``[O, C, kh, kw]`` and shifted by ``bd`` (None for no bias).
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray, pads, stride):
+    """The numpy forward of the grid convolution: ``xd`` ``[B, C, H, W]``
+    zero-padded by ``pads``, correlated with ``wd`` ``[O, C, kh, kw]`` and
+    shifted by ``bd``.
 
-    Returns the output ``[B, O, H_out, W_out]`` (``[O, H_out, W_out]``) and
-    its backward, a function from the output gradient to those of ``xd``,
-    ``wd`` and ``bd``. The tap window is an im2col matrix, row (b, i, j) in
-    (c, p, q) order like the rows of ``wd.reshape(O, -1)``, and one GEMM
-    does the rest.
+    Returns the output ``[B, O, H_out, W_out]`` and its backward, a function
+    from the output gradient to those of ``xd``, ``wd`` and ``bd``. The tap
+    window is an im2col matrix, row (b, i, j) in (c, p, q) order like the
+    rows of ``wd.reshape(O, -1)``, and one GEMM does the rest.
     """
     c_out, c_in, kh, kw = wd.shape
-    if xd.shape[-3] != c_in:
+    if xd.shape[1] != c_in:
         raise ConfigurationError(
-            f"input has {xd.shape[-3]} channels but the weight expects {c_in}")
-    x4 = xd.reshape((-1,) + xd.shape[-3:])
-    batch = x4.shape[0]
-    xp = _padded(x4, pads)
+            f"input has {xd.shape[1]} channels but the weight expects {c_in}")
+    batch = xd.shape[0]
+    xp = _padded(xd, pads)
     win = _tap_window(xp, (kh, kw), stride)
     h_out, w_out = win.shape[2:4]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, c_in * kh * kw)
     w2 = wd.reshape(c_out, c_in * kh * kw)
     out = cols @ w2.T
-    if bd is not None:
-        out += bd
+    out += bd
     out = out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -490,11 +478,10 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], pads
         for p, q in product(range(kh), range(kw)):
             gwin[..., p, q] += gcols[..., p, q].transpose(0, 3, 1, 2)
         (top, _), (left, _) = pads
-        gx = gxp[:, :, top: top + x4.shape[2], left: left + x4.shape[3]]
-        return gx.reshape(xd.shape), (g2.T @ cols).reshape(wd.shape), \
-            None if bd is None else g4.sum(axis=(0, 2, 3))
+        gx = gxp[:, :, top: top + xd.shape[2], left: left + xd.shape[3]]
+        return gx, (g2.T @ cols).reshape(wd.shape), g4.sum(axis=(0, 2, 3))
 
-    return out.reshape(xd.shape[:-3] + out.shape[1:]), backward
+    return out, backward
 
 
 # ---------------------------------------------------------------------------

@@ -298,13 +298,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        """The view with axes ``a`` and ``b`` exchanged; no data moves."""
-        def backward(g):
-            self.accumulate_grad(np.swapaxes(g, a, b))
-
-        return Tensor._node(np.swapaxes(self.data, a, b), (self,), backward)
-
     def __getitem__(self, key) -> "Tensor":
         """Basic indexing only (ints, slices, ``Ellipsis``, ``None``): it names
         each element at most once, so the gradient is one slice assignment."""

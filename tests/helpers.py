@@ -22,7 +22,7 @@ import numpy as np
 
 from deeptrack.atcn import AtcnConfig
 from deeptrack.configio import Conv2dSpec, ModelConfig, PoolSpec
-from deeptrack.model import Batch, social_geometry
+from deeptrack.model import social_geometry
 from deeptrack.ingest import (
     NeighborTrack, TrackTable, TrajectorySample, WindowConfig, WindowStats,
 )
@@ -133,9 +133,21 @@ def replace_neighbor(sample: TrajectorySample, j: int, **changes) -> TrajectoryS
     return dataclasses.replace(sample, neighbors=rows)
 
 
-def reference_collate(samples, config: ModelConfig) -> Batch:
+class ChannelsFirstBatch(NamedTuple):
+    """Batch arrays in the layout ``collate`` once returned: histories
+    channels-first, ``ego`` C-contiguous and ``nbr_tracks`` a transposed
+    view of stacked ``[K, H, 2]`` rows."""
+    ego: np.ndarray         # [B, 2, H]
+    future: np.ndarray      # [B, F, 2]
+    nbr_tracks: np.ndarray  # [K, 2, H]
+    nbr_batch: np.ndarray   # [K]
+    nbr_cells: np.ndarray   # [K, 2]
+
+
+def reference_collate(samples, config: ModelConfig) -> ChannelsFirstBatch:
     """The collate oracle: batch arrays stacked neighbor by neighbor, out-of-
-    grid rows skipped, as ``collate`` did before it read table columns."""
+    grid rows skipped, as ``collate`` did before it read table columns, in
+    the channels-first layout it then returned."""
     if not samples:
         raise ConfigurationError("cannot collate an empty batch")
     dtype = np.float64 if config.dtype == "float64" else np.float32
@@ -168,10 +180,10 @@ def reference_collate(samples, config: ModelConfig) -> Batch:
             cells.append(n.cell)
     nbr_tracks = (np.stack(tracks).transpose(0, 2, 1).astype(dtype) if tracks
                   else np.zeros((0, 2, h), dtype=dtype))
-    return Batch(ego=ego, future=future, nbr_tracks=nbr_tracks,
-                 nbr_batch=np.asarray(owners, dtype=np.int64),
-                 nbr_cells=(np.asarray(cells, dtype=np.int64)
-                            if cells else np.zeros((0, 2), dtype=np.int64)))
+    return ChannelsFirstBatch(ego=ego, future=future, nbr_tracks=nbr_tracks,
+                              nbr_batch=np.asarray(owners, dtype=np.int64),
+                              nbr_cells=(np.asarray(cells, dtype=np.int64)
+                                         if cells else np.zeros((0, 2), dtype=np.int64)))
 
 
 def naive_dilated_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -240,7 +252,7 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b, stride, padding) -> np.ndarray
             for i in range(h_out):
                 for j in range(w_out):
                     patch = xp[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw]
-                    out[n, o, i, j] = np.sum(patch * w[o]) + (0.0 if b is None else b[o])
+                    out[n, o, i, j] = np.sum(patch * w[o]) + b[o]
     return out
 
 
@@ -309,7 +321,8 @@ def chained_unit(x: Tensor, kern: Kernel1D, gamma, beta, stats, mode: str, activ
 
 
 def chained_encoder_forward(encoder, x: Tensor, mode: str) -> Tensor:
-    """``encoder.forward`` with every unit run as :func:`chained_unit`."""
+    """``encoder.forward`` with every unit run as :func:`chained_unit`, on
+    the channels-first layout of those ops: ``[B, C, T]`` in and out."""
     cfg = encoder.config
     out = x
     for unit in encoder.units:
@@ -322,7 +335,8 @@ def composed_lstm_cell(x_t, h_prev, c_prev, weights):
     """One LSTM step built from public ops, gate order (input, forget, cell,
     output): a graph of about fourteen nodes."""
     h = weights.hidden
-    gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh)
+    zero = Tensor(np.zeros(4 * h, dtype=weights.bias.data.dtype))
+    gates = dense(x_t, weights.w_ih, weights.bias) + dense(h_prev, weights.w_hh, zero)
     i = sigmoid(gates[:, 0 * h:1 * h])
     f = sigmoid(gates[:, 1 * h:2 * h])
     g = tanh(gates[:, 2 * h:3 * h])

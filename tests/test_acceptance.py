@@ -164,13 +164,13 @@ def test_criterion_3_receptive_field_and_padding():
     # last rf steps, so the same probe also runs on the full-length forward.
     encoder = AtcnEncoder(config, np.random.default_rng(0))
     t = 16
-    x = np.random.default_rng(1).normal(size=(2, t))
+    x = np.random.default_rng(1).normal(size=(2, t)).T  # one [T, C] sequence
     inside = x.copy()
-    inside[:, t - rf] += 1.0
+    inside[t - rf] += 1.0
     outside = x.copy()
-    outside[:, t - rf - 1] += 1.0
+    outside[t - rf - 1] += 1.0
     for newest in (lambda v: encoder.summary(Tensor(v), "eval").data,
-                   lambda v: encoder.forward(Tensor(v), "eval").data[:, -1]):
+                   lambda v: encoder.forward(Tensor(v), "eval").data[-1]):
         base = newest(x)
         assert not np.allclose(newest(inside), base)
         assert np.array_equal(newest(outside), base)

@@ -58,17 +58,17 @@ class TestReceptiveField:
         rng = np.random.default_rng(42)
         enc = AtcnEncoder(NBR_CONFIG, rng)
         rf = receptive_field(NBR_CONFIG)
-        x = rng.normal(size=(2, 16))
-        base = enc.forward(Tensor(x), "eval").data[:, -1]
+        x = rng.normal(size=(2, 16)).T
+        base = enc.forward(Tensor(x), "eval").data[-1]
 
         inside = x.copy()
-        inside[:, 16 - rf] += 1.0
-        out_inside = enc.forward(Tensor(inside), "eval").data[:, -1]
+        inside[16 - rf] += 1.0
+        out_inside = enc.forward(Tensor(inside), "eval").data[-1]
         assert not np.allclose(out_inside, base)
 
         outside = x.copy()
-        outside[:, 16 - rf - 1] += 1.0
-        out_outside = enc.forward(Tensor(outside), "eval").data[:, -1]
+        outside[16 - rf - 1] += 1.0
+        out_outside = enc.forward(Tensor(outside), "eval").data[-1]
         assert np.array_equal(out_outside, base)
 
 
@@ -76,25 +76,25 @@ class TestEncoderShapes:
     def test_table_shapes_single_and_batched(self):
         rng = np.random.default_rng(0)
         enc = AtcnEncoder(NBR_CONFIG, rng)
-        out = enc.forward(Tensor(rng.normal(size=(2, 16))))
-        assert out.shape == (64, 16)
-        out_b = enc.forward(Tensor(rng.normal(size=(5, 2, 16))))
-        assert out_b.shape == (5, 64, 16)
-        assert enc.summary(Tensor(rng.normal(size=(5, 2, 16)))).shape == (5, 64)
+        out = enc.forward(Tensor(rng.normal(size=(16, 2))))
+        assert out.shape == (16, 64)
+        out_b = enc.forward(Tensor(rng.normal(size=(5, 16, 2))))
+        assert out_b.shape == (5, 16, 64)
+        assert enc.summary(Tensor(rng.normal(size=(5, 16, 2)))).shape == (5, 64)
 
     def test_summary_is_last_step(self):
         rng = np.random.default_rng(1)
         enc = AtcnEncoder(EGO_CONFIG, rng)
-        x = Tensor(rng.normal(size=(3, 2, 16)))
+        x = Tensor(rng.normal(size=(3, 2, 16)).transpose(0, 2, 1))
         full = enc.forward(x, "eval").data
         summ = enc.summary(x, "eval").data
-        assert np.array_equal(summ, full[:, :, -1])
+        assert np.array_equal(summ, full[:, -1, :])
 
     def test_summary_owns_its_memory(self):
-        # a view of the last step would keep the whole [B, C, T] output alive
+        # a view of the last step would keep the whole [B, T, C] output alive
         rng = np.random.default_rng(12)
         enc = AtcnEncoder(NBR_CONFIG, rng)
-        x = Tensor(rng.normal(size=(29, 2, 16)))
+        x = Tensor(rng.normal(size=(29, 16, 2)))
         with no_grad():
             for mode in ("eval", "train"):
                 summ = enc.summary(x, mode)
@@ -103,7 +103,7 @@ class TestEncoderShapes:
     def test_batched_matches_per_sample_eval(self):
         rng = np.random.default_rng(2)
         enc = AtcnEncoder(EGO_CONFIG, rng)
-        x = rng.normal(size=(4, 2, 16))
+        x = rng.normal(size=(4, 16, 2))
         batched = enc.forward(Tensor(x), "eval").data
         for i in range(4):
             single = enc.forward(Tensor(x[i]), "eval").data
@@ -133,7 +133,7 @@ class TestEncoderShapes:
     def test_wrong_channels_rejected(self):
         enc = AtcnEncoder(NBR_CONFIG, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            enc.forward(Tensor(np.ones((3, 16))))
+            enc.forward(Tensor(np.ones((16, 3))))
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -152,25 +152,25 @@ class TestCausality:
     def test_future_perturbation_invisible_causal(self):
         rng = np.random.default_rng(4)
         enc = AtcnEncoder(NBR_CONFIG, rng)
-        x = rng.normal(size=(2, 16))
+        x = rng.normal(size=(2, 16)).T
         base = enc.forward(Tensor(x), "eval").data
         t = 9
         bumped = x.copy()
-        bumped[:, t + 1:] += rng.normal(size=(2, 16 - t - 1))
+        bumped[t + 1:] += rng.normal(size=(2, 16 - t - 1)).T
         after = enc.forward(Tensor(bumped), "eval").data
-        assert np.array_equal(base[:, :t + 1], after[:, :t + 1])
+        assert np.array_equal(base[:t + 1], after[:t + 1])
 
     def test_symmetric_mode_sees_the_future(self):
         # even kernels crop back to causal alignment; k=3 straddles the step
         cfg = AtcnConfig(2, (4, 4, 4), (3, 3, 3), (1, 1, 1), pad_mode="symmetric")
         rng = np.random.default_rng(5)
         enc = AtcnEncoder(cfg, rng)
-        x = rng.normal(size=(2, 16))
+        x = rng.normal(size=(2, 16)).T
         base = enc.forward(Tensor(x), "eval").data
         bumped = x.copy()
-        bumped[:, 10] += 1.0
+        bumped[10] += 1.0
         after = enc.forward(Tensor(bumped), "eval").data
-        assert not np.array_equal(base[:, :10], after[:, :10])
+        assert not np.array_equal(base[:10], after[:10])
 
 
 class TestIdentityConstruction:
@@ -191,12 +191,12 @@ class TestIdentityConstruction:
 
     def test_standard_block_identity(self):
         enc = self._identity_encoder(1)
-        x = np.random.default_rng(1).normal(size=(2, 12))
+        x = np.random.default_rng(1).normal(size=(12, 2))
         assert np.allclose(enc.forward(Tensor(x), "eval").data, x, atol=1e-12)
 
     def test_separable_block_identity(self):
         enc = self._identity_encoder(3)
-        x = np.random.default_rng(2).normal(size=(2, 12))
+        x = np.random.default_rng(2).normal(size=(12, 2))
         assert np.allclose(enc.forward(Tensor(x), "eval").data, x, atol=1e-12)
 
 
@@ -225,7 +225,7 @@ class TestModesAndGradients:
     def test_eval_forward_is_pure(self):
         rng = np.random.default_rng(7)
         enc = AtcnEncoder(EGO_CONFIG, rng)
-        x = Tensor(rng.normal(size=(3, 2, 16)))
+        x = Tensor(rng.normal(size=(3, 16, 2)))
         stats_before = {k: v.copy() for k, v in enc.buffers().items()}
         a = enc.forward(x, "eval").data
         b = enc.forward(x, "eval").data
@@ -237,7 +237,7 @@ class TestModesAndGradients:
         rng = np.random.default_rng(8)
         enc = AtcnEncoder(EGO_CONFIG, rng)
         before = {k: v.copy() for k, v in enc.buffers().items()}
-        enc.forward(Tensor(rng.normal(size=(4, 2, 16))), "train")
+        enc.forward(Tensor(rng.normal(size=(4, 16, 2))), "train")
         changed = [k for k, v in enc.buffers().items()
                    if not np.array_equal(v, before[k])]
         assert changed
@@ -247,7 +247,7 @@ class TestModesAndGradients:
         cfg = AtcnConfig(2, (3, 4), (2, 2), (1, 1))
         rng = np.random.default_rng(9)
         enc = AtcnEncoder(cfg, rng)
-        x = Tensor(rng.normal(size=(2, 2, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 6, 2)), requires_grad=True)
         params = dict(enc.parameters(), x=x)
         stats = {k: v.copy() for k, v in enc.buffers().items()}
 
@@ -292,8 +292,9 @@ class TestReceptiveFieldSummary:
             t = int(rng.integers(1, rf)) if trial % 3 == 0 and rf > 1 \
                 else rf + int(rng.integers(0, 12))
             lead = shapes[trial % len(shapes)]
-            x = Tensor(rng.normal(size=lead + (enc.config.input_channels, t)).astype(dtype))
-            full = enc.forward(x, "eval").data[..., -1]
+            x = Tensor(np.swapaxes(rng.normal(size=lead + (enc.config.input_channels, t)),
+                                   -1, -2).astype(dtype))
+            full = enc.forward(x, "eval").data[..., -1, :]
             summ = enc.summary(x, "eval").data
             assert summ.shape == full.shape and summ.dtype == full.dtype
             bound = 16 * np.finfo(dtype).eps * max(float(np.abs(full).max()), 1e-30)
@@ -308,17 +309,18 @@ class TestReceptiveFieldSummary:
             enc = _random_causal_encoder(rng, np.float64)
             enc.config.pad_mode = pad_mode
             stats = {k: v.copy() for k, v in enc.buffers().items()}
-            x = Tensor(rng.normal(size=(5, enc.config.input_channels, 16)))
-            full = enc.forward(x, mode).data[..., -1]
+            x = Tensor(rng.normal(size=(5, enc.config.input_channels, 16)).transpose(0, 2, 1))
+            full = enc.forward(x, mode).data[..., -1, :]
             for k, v in enc.buffers().items():
                 v[...] = stats[k]
             assert enc.summary(x, mode).data.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("t", [2, 3, 16])
-    @pytest.mark.parametrize("pad_mode,mode", [("causal", "eval"), ("causal", "train"),
-                                               ("symmetric", "eval")])
+    @pytest.mark.parametrize("pad_mode,mode,k", [("causal", "eval", 2), ("causal", "train", 2),
+                                                 ("symmetric", "eval", 2),
+                                                 ("symmetric", "eval", 3)])
     def test_every_convolution_sees_the_expected_steps(self, monkeypatch, pad_mode,
-                                                       mode, t):
+                                                       mode, k, t):
         import deeptrack.atcn as atcn
         seen = []
 
@@ -327,21 +329,47 @@ class TestReceptiveFieldSummary:
             return conv_unit(x, *args)
 
         monkeypatch.setattr(atcn, "conv_unit", spy)
-        cfg = AtcnConfig(2, (16, 32, 64), (2, 2, 2), (1, 1, 1), pad_mode=pad_mode)
+        cfg = AtcnConfig(2, (16, 32, 64), (k, k, k), (1, 1, 1), pad_mode=pad_mode)
         enc = AtcnEncoder(cfg, np.random.default_rng(0))
-        enc.summary(Tensor(np.ones((3, 2, t))), mode)
-        sliced = (pad_mode, mode) == ("causal", "eval")
-        want = min(t, receptive_field(cfg)) if sliced else t
+        enc.summary(Tensor(np.ones((3, t, 2))), mode)
+        # eval mode reads the newest output's window: the receptive field
+        # when causal, 1 + the left padding when symmetric (4 of k = 3's 7)
+        window = receptive_field(cfg) if pad_mode == "causal" \
+            else 1 + 3 * symmetric_left_padding(k, 1)
+        want = min(t, window) if mode == "eval" else t
         assert seen == [want] * len(enc.units)
+
+    def test_eval_summary_equals_the_newest_step_in_both_pad_modes(self):
+        # a seeded sweep over pad modes, kernel sizes 1-4 and dilations 1-3,
+        # with T both shorter and longer than the newest step's window
+        rng = np.random.default_rng(2707)
+        seen = set()
+        for trial in range(160):
+            enc = _random_encoder(rng, np.float64)
+            cfg = enc.config
+            window = 1 + sum(symmetric_left_padding(k, d) if cfg.pad_mode == "symmetric"
+                             else (k - 1) * d for k, d in zip(cfg.kernel_sizes, cfg.dilations))
+            t = int(rng.integers(1, window)) if trial % 3 == 0 and window > 1 \
+                else window + int(rng.integers(0, 12))
+            lead = ((), (1,), (4,))[trial % 3]
+            x = Tensor(rng.normal(size=lead + (t, cfg.input_channels)))
+            full = enc.forward(x, "eval").data[..., -1, :]
+            summ = enc.summary(x, "eval").data
+            assert summ.shape == full.shape, (trial, cfg, t)
+            bound = 1e-12 * max(float(np.abs(full).max()), 1.0)
+            assert float(np.abs(summ - full).max()) <= bound, (trial, cfg, t, lead)
+            seen.add((cfg.pad_mode, t < window, window < receptive_field(cfg)))
+        assert {("causal", True, False), ("causal", False, False),
+                ("symmetric", True, True), ("symmetric", False, True)} <= seen
 
     def test_gradients_through_sliced_summary(self):
         cfg = AtcnConfig(2, (3, 4), (2, 2), (1, 1))
         rng = np.random.default_rng(10)
         enc = AtcnEncoder(cfg, rng)
-        x = Tensor(rng.normal(size=(2, 2, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 6, 2)), requires_grad=True)
         check_gradients(lambda: (enc.summary(x, "eval") ** 2.0).mean(),
                         dict(enc.parameters(), x=x))
-        assert not x.grad[..., :6 - receptive_field(cfg)].any()
+        assert not x.grad[:, :6 - receptive_field(cfg)].any()
 
 
 ACTIVATIONS = ("swish", "relu", "tanh", "sigmoid", "identity")
@@ -386,10 +414,11 @@ class TestFusedUnits:
             cfg = enc.config
             lead = leads[trial % len(leads)]
             t = int(rng.integers(1, 20))
-            x = Tensor(rng.normal(size=lead + (cfg.input_channels, t)).astype(dtype))
+            xd = rng.normal(size=lead + (cfg.input_channels, t)).astype(dtype)
             with no_grad():
-                got = enc.forward(x, "eval").data
-                want = chained_encoder_forward(enc, x, "eval").data
+                got = np.swapaxes(enc.forward(Tensor(np.swapaxes(xd, -1, -2)), "eval").data,
+                                  -1, -2)
+                want = chained_encoder_forward(enc, Tensor(xd), "eval").data
             assert got.shape == want.shape and got.dtype == want.dtype
             bound = 16 * np.finfo(dtype).eps * max(float(np.abs(want).max()), 1e-30)
             assert float(np.abs(got - want).max()) <= bound, (trial, cfg, lead, t)
@@ -404,19 +433,23 @@ class TestFusedUnits:
             xd = rng.normal(size=lead + (enc.config.input_channels, int(rng.integers(2, 12))))
             stats = {k: v.copy() for k, v in enc.buffers().items()}
             upstream, runs = None, []
-            for forward in (enc.forward, lambda x, mode: chained_encoder_forward(enc, x, mode)):
+            # the encoder runs channels-last, the chain channels-first; both
+            # are compared channels-first
+            for forward, layout in (
+                    (enc.forward, lambda a: np.swapaxes(a, -1, -2)),
+                    (lambda x, mode: chained_encoder_forward(enc, x, mode), lambda a: a)):
                 for k, v in enc.buffers().items():
                     v[...] = stats[k]
                 params = enc.parameters()
                 for p in params.values():
                     p.zero_grad()
-                x = Tensor(xd, requires_grad=True)
+                x = Tensor(layout(xd), requires_grad=True)
                 out = forward(x, "train")
                 if upstream is None:
-                    upstream = Tensor(rng.normal(size=out.shape))
-                (out * upstream).sum().backward()
-                runs.append((out.data, {k: v.copy() for k, v in enc.buffers().items()},
-                             dict({k: p.grad for k, p in params.items()}, x=x.grad)))
+                    upstream = rng.normal(size=layout(out.data).shape)
+                (out * Tensor(layout(upstream))).sum().backward()
+                runs.append((layout(out.data), {k: v.copy() for k, v in enc.buffers().items()},
+                             dict({k: p.grad for k, p in params.items()}, x=layout(x.grad))))
             (out_f, buf_f, grad_f), (out_c, buf_c, grad_c) = runs
             assert out_f.tobytes() == out_c.tobytes(), (trial, enc.config)
             for k in buf_c:
@@ -431,7 +464,8 @@ class TestFusedUnits:
         for trial in range(30):
             dtype = (np.float64, np.float32)[trial % 2]
             enc = _random_encoder(rng, dtype)
-            x = Tensor(rng.normal(size=(4, enc.config.input_channels, 9)).astype(dtype))
+            x = Tensor(rng.normal(size=(4, enc.config.input_channels, 9)).astype(dtype)
+                       .transpose(0, 2, 1))
             recorded = enc.forward(x, "eval")
             assert recorded.requires_grad
             with no_grad():
@@ -442,16 +476,17 @@ class TestFusedUnits:
         # nothing is kept between calls: a change made in place shows at once
         rng = np.random.default_rng(1720)
         enc = AtcnEncoder(EGO_CONFIG, rng)
-        x = Tensor(rng.normal(size=(3, 2, 8)))
-        before = enc.forward(x, "eval").data
+        xd = rng.normal(size=(3, 2, 8))
+        x = Tensor(xd.transpose(0, 2, 1))
+        before = enc.forward(x, "eval").data.transpose(0, 2, 1)
         for unit in enc.units:
             unit.stats.mean += 0.5
             unit.stats.var *= 2.0
             unit.gamma.data *= -1.5
             unit.beta.data += 0.25
             unit.kern.weights.data += 0.1
-        got = enc.forward(x, "eval").data
-        want = chained_encoder_forward(enc, x, "eval").data
+        got = enc.forward(x, "eval").data.transpose(0, 2, 1)
+        want = chained_encoder_forward(enc, Tensor(xd), "eval").data
         assert not np.allclose(got, before)
         assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(want).max()
 
@@ -460,6 +495,7 @@ class TestFusedUnits:
         enc = AtcnEncoder(NBR_CONFIG, np.random.default_rng(11))
         x = Tensor(np.ones((2, 2, 5)), requires_grad=True)
         leaves = 1 + len(enc.parameters())
-        # plus the two layout swaps at the encoder's [B, C, T] boundary
-        assert graph_nodes(enc.forward(x, mode)) == len(enc.units) + 2 + leaves
+        # one node per unit: the encoder runs its channels-last input as is
+        assert graph_nodes(enc.forward(Tensor(np.ones((2, 5, 2)), requires_grad=True),
+                                       mode)) == len(enc.units) + leaves
         assert graph_nodes(chained_encoder_forward(enc, x, mode)) == 3 * len(enc.units) + leaves

@@ -451,17 +451,17 @@ class TestValidation:
 
 class TestConv2d:
     def test_all_ones_3x3(self):
-        x = Tensor(np.ones((1, 3, 3)))
+        x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         out = conv2d(x, w, Tensor(np.zeros(1)))
-        assert out.shape == (1, 1, 1)
+        assert out.shape == (1, 1, 1, 1)
         assert np.allclose(out.data, 9.0)
 
     def test_stride_2_windows(self):
-        x = Tensor(np.ones((1, 4, 4)))
+        x = Tensor(np.ones((1, 1, 4, 4)))
         w = Tensor(np.ones((1, 1, 2, 2)))
         out = conv2d(x, w, Tensor(np.zeros(1)), stride=(2, 2))
-        assert np.allclose(out.data, np.full((1, 2, 2), 4.0))
+        assert np.allclose(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(9)
@@ -486,17 +486,17 @@ class TestConv2d:
             width = int(rng.integers(max(1, kw - 2 * padding[1]), 6))
             x = rng.normal(size=(batch, c_in, height, width))
             w = rng.normal(size=(c_out, c_in, kh, kw))
-            b = rng.normal(size=c_out) if case % 3 else None
-            unbatched = case % 5 == 0
-            got = conv2d(Tensor(x[0] if unbatched else x), Tensor(w),
-                         None if b is None else Tensor(b), stride, padding).data
+            b = rng.normal(size=c_out) if case % 3 else np.zeros(c_out)
+            unbatched = case % 5 == 0  # one grid, as a batch of one
+            got = conv2d(Tensor(x[0][None] if unbatched else x), Tensor(w), Tensor(b),
+                         stride, padding).data
             want = naive_conv2d(x, w, b, stride, padding)
             if unbatched:
-                want = want[0]
+                want = want[0][None]
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-9, (case, x.shape, w.shape, stride, padding)
             shapes.add((unbatched, kh, kw) + stride + padding)
-        # the sweep reaches the unbatched input, both model kernels, both
+        # the sweep reaches a single grid, both model kernels, both
         # strides and both paddings
         assert any(s[0] for s in shapes)
         assert any(s[1:3] == (3, 3) for s in shapes) and any(s[1:3] == (3, 1) for s in shapes)
@@ -506,7 +506,7 @@ class TestConv2d:
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
         ((2, 3, 5, 3), (4, 3, 3, 3), (1, 1), (1, 1)),
         ((3, 2, 6, 3), (3, 2, 3, 1), (2, 1), (1, 0)),
-        ((2, 5, 4), (2, 2, 2, 2), (2, 2), (0, 1)),
+        ((1, 2, 5, 4), (2, 2, 2, 2), (2, 2), (0, 1)),
         ((2, 3, 4, 2), (4, 3, 1, 1), (1, 1), (0, 0)),
     ])
     def test_gradients_match_finite_differences(self, x_shape, w_shape, stride, padding):
@@ -519,4 +519,5 @@ class TestConv2d:
 
     def test_oversized_window_rejected(self):
         with pytest.raises(ConfigurationError):
-            conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+            conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))),
+                   Tensor(np.zeros(1)))

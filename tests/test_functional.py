@@ -80,7 +80,7 @@ class TestDense:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            dense(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            dense(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(4)))
 
 
 class TestBatchNorm:
@@ -177,8 +177,8 @@ class TestConvUnit:
         kern, gamma, beta, stats = self.unit(rng)
         x = Tensor(rng.normal(size=(4, 2, 7)))
         chain_stats = stats.copy()
-        out = conv_unit(x.swapaxes(1, 2), kern, gamma, beta, stats, "train", "tanh",
-                        momentum=0.3, eps=1e-3)
+        out = conv_unit(Tensor(x.data.swapaxes(1, 2)), kern, gamma, beta, stats, "train",
+                        "tanh", momentum=0.3, eps=1e-3)
         want = tanh(batch_norm(dilated_conv1d(x, kern), gamma, beta, chain_stats, "train",
                                momentum=0.3, eps=1e-3))
         assert out.data.tobytes() == want.data.swapaxes(1, 2).tobytes()
@@ -440,7 +440,8 @@ class TestMaxPool:
 
     def test_padding_must_be_smaller_than_window(self):
         with pytest.raises(ConfigurationError):
-            max_pool2d(Tensor(np.ones((1, 1, 4, 4))), window=(2, 2), padding=(2, 0))
+            max_pool2d(Tensor(np.ones((1, 1, 4, 4))), window=(2, 2), stride=(2, 2),
+                       padding=(2, 0))
 
     def test_window_of_padding_only_rejected(self):
         # a zero-height grid padded by 1 would give a window of padding alone

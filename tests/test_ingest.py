@@ -626,7 +626,7 @@ def test_the_data_path_builds_no_neighbor_rows(tmp_path, monkeypatch):
     assert loaded == samples
     parts = split_dataset(loaded, seed=1)
     batches = [collate(part, ModelConfig()) for part in parts if part]
-    assert sum(b.nbr_tracks.shape[0] for b in batches) == stats.neighbors_in_grid
+    assert sum(b.nbr_history.shape[0] for b in batches) == stats.neighbors_in_grid
     assert built == []
     loaded[0].neighbors[0]  # the spy sees a row when one is read
     assert len(built) == 1

@@ -96,14 +96,14 @@ class TestCollate:
         samples = [make_sample(cfg, rng, vid=i, n_in_grid=i % 4, n_outside=1)
                    for i in range(6)]
         batch = collate(samples, cfg)
-        want = np.stack([n.track.T.astype(np.dtype(dtype))
+        want = np.stack([n.track.astype(np.dtype(dtype))
                          for s in samples for n in s.neighbors if n.cell is not None])
-        assert batch.nbr_tracks.dtype == want.dtype
-        assert np.array_equal(batch.nbr_tracks, want)
+        assert batch.nbr_history.dtype == want.dtype
+        assert np.array_equal(batch.nbr_history, want)
         assert batch.nbr_batch.tolist() == [i for i, s in enumerate(samples)
                                             for n in s.neighbors if n.cell is not None]
-        assert batch.ego.tobytes() == np.stack(
-            [s.ego_history.T for s in samples]).astype(np.dtype(dtype)).tobytes()
+        assert batch.ego_history.tobytes() == np.stack(
+            [s.ego_history for s in samples]).astype(np.dtype(dtype)).tobytes()
 
     def test_seeded_sweep_equals_the_per_neighbor_loop(self, tmp_path):
         # bit for bit, layout included: float64 and float32, samples with no
@@ -124,12 +124,24 @@ class TestCollate:
                 loaded = load_samples(tmp_path / "s.bin")
                 samples = [a if rng.random() < 0.5 else b for a, b in zip(samples, loaded)]
             got, want = collate(samples, cfg), reference_collate(samples, cfg)
-            for name in ("ego", "future", "nbr_tracks", "nbr_batch", "nbr_cells"):
-                a, b = getattr(got, name), getattr(want, name)
+            # the histories are the oracle's channels-first arrays transposed,
+            # and C-contiguous; the channels-first views of them equal the
+            # oracle's arrays and share the histories' memory
+            for name, field in (("ego", "ego_history"), ("future", "future"),
+                                ("nbr_tracks", "nbr_history"), ("nbr_batch", "nbr_batch"),
+                                ("nbr_cells", "nbr_cells")):
+                a, b = getattr(got, field), getattr(want, name)
+                if field != name:
+                    view, ref = getattr(got, name), b
+                    b = np.ascontiguousarray(ref.transpose(0, 2, 1))
+                    assert (view.dtype, view.shape, view.tobytes()) \
+                        == (ref.dtype, ref.shape, ref.tobytes()), (trial, name)
+                    assert a.flags.c_contiguous, (trial, field)
+                    assert a.size == 0 or np.shares_memory(view, a), (trial, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
-                    (trial, name)
+                    (trial, field)
                 assert a.size == 0 or [st for st, n in zip(a.strides, a.shape) if n > 1] \
-                    == [st for st, n in zip(b.strides, b.shape) if n > 1], (trial, name)
+                    == [st for st, n in zip(b.strides, b.shape) if n > 1], (trial, field)
             in_grid = [len(s.neighbors) and int((s.neighbors.cell[:, 0] >= 0).sum())
                        for s in samples]
             seen.add(cfg.dtype)

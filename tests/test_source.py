@@ -7,7 +7,8 @@ use, or gives a parameter a default that no call overrides. Only
 use ``struct`` or ``np.frombuffer``, and only the windowing module builds
 ``NeighborTrack`` rows. Every differentiable op has a
 finite-difference test, and the temporal and grid convolutions each reach
-one core of their own."""
+one core of their own. Sequences keep one layout, channels-last, from
+``collate`` through the encoders: no axis swap on the way."""
 
 import ast
 import math
@@ -496,3 +497,48 @@ def test_one_convolution_core_per_layout():
     assert {"conv_unit", "dilated_conv1d"} <= tap_shift
     assert not {"conv_unit", "dilated_conv1d"} & im2col
     assert im2col == {"_conv_forward", "conv2d"}
+
+
+AXIS_SWAPS = ("swapaxes", "transpose", "moveaxis")
+
+
+def axis_swaps(source: str):
+    """(line, scope) of every axis swap in the module: a call of
+    ``swapaxes``, ``transpose`` or ``moveaxis``, bare or as an attribute, or
+    a read of ``.T``. ``scope`` is the dotted name of the innermost
+    enclosing class or function, such as ``Batch.ego``; "" is module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id in AXIS_SWAPS
+                    or isinstance(child.func, ast.Attribute) and child.func.attr in AXIS_SWAPS) \
+                    or isinstance(child, ast.Attribute) and child.attr == "T":
+                found.append((child.lineno, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_checker_finds_axis_swaps():
+    source = ('import numpy as np\n'
+              'x = np.swapaxes(a, 0, 1)\n'
+              'class Batch:\n'
+              '    @property\n    def ego(self):\n        return self.h.transpose(0, 2, 1)\n'
+              'def f(t):\n    def g(u):\n        return moveaxis(u, 0, -1)\n'
+              '    return t.T, t.Tx, t.swapaxes, transposed(t)\n')
+    assert axis_swaps(source) == [(2, ""), (6, "Batch.ego"), (9, "f.g"), (10, "f")]
+
+
+def test_sequences_keep_one_layout():
+    # samples, batches and encoder units are all channels-last; the only
+    # swaps left are Batch's two channels-first views, kept for the benchmark
+    package = SRC / "deeptrack"
+    tensor = (package / "numcore" / "tensor.py").read_text(encoding="utf-8")
+    assert "swapaxes" not in {name for _, name in public_members(tensor)}
+    assert axis_swaps((package / "atcn.py").read_text(encoding="utf-8")) == []
+    scopes = {scope for _, scope in axis_swaps((package / "model.py").read_text(encoding="utf-8"))}
+    assert scopes == {"Batch.ego", "Batch.nbr_tracks"}
