@@ -15,7 +15,7 @@ Forward pass over one batch:
    graph node (``lstm_unroll``, working in buffers allocated once per
    call), or one ``lstm_cell`` node per step on its own output (zeros
    before the first) when configured autoregressive; one shared dense head
-   maps each hidden state to an (x, y) offset. A default train step is 94
+   maps each hidden state to an (x, y) offset. A default train step is 92
    graph nodes.
 
 All outputs are meters relative to the ego position at the anchor frame.
@@ -330,11 +330,11 @@ class DeepTrack:
 
         context = concat([social, ego_mapped], axis=1)
         z = act(dense(context, self.init_fc1_w, self.init_fc1_b))
-        z = dense(z, self.init_fc2_w, self.init_fc2_b)
+        z = dense(z, self.init_fc2_w, self.init_fc2_b)  # the decoder state (h | c)
         hidden = cfg.decoder_hidden
-        h, c = z[:, :hidden], z[:, hidden:]
 
         if cfg.autoregressive:
+            h, c = z[:, :hidden], z[:, hidden:]
             # nothing to feed back before the first step: a zero input
             prev = Tensor(np.zeros((b, cfg.output_dim), dtype=self.dtype))
             steps: List[Tensor] = []
@@ -345,7 +345,7 @@ class DeepTrack:
                 prev = y
             return stack(steps, axis=1)
 
-        hs = lstm_unroll(h, c, self.decoder, cfg.horizon_steps)
+        hs = lstm_unroll(z, self.decoder, cfg.horizon_steps)
         out = dense(hs.reshape(b * cfg.horizon_steps, hidden), self.head_w, self.head_b)
         return out.reshape(b, cfg.horizon_steps, cfg.output_dim)
 
@@ -364,8 +364,10 @@ class DeepTrack:
         """Eval-mode predictions as a plain ``[N, horizon, 2]`` array.
 
         No graph is recorded, so each batch's intermediates are freed as the
-        forward pass moves on.
+        forward pass moves on. ``batch_size`` must be at least 1.
         """
+        if batch_size < 1:
+            raise ConfigurationError(f"predict batch_size must be at least 1, got {batch_size!r}")
         chunks = []
         with no_grad():
             for lo in range(0, len(samples), batch_size):

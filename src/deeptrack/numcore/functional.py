@@ -15,12 +15,15 @@ length, and :func:`pad_sides` alone splits it:
 * ``"symmetric"`` — ``ceil((k-1)*d / 2)`` zeros on the left, the rest on
   the right.
 
-Every temporal convolution runs through ``_tap_shift``, one GEMM per kernel
-tap on the contiguous rows with no padded copy, and returns its own
-backward; ``conv_unit`` runs it with batch norm and an activation as one
-node. The grid convolution runs through ``_conv_forward``, an im2col GEMM;
-``_tap_window`` alone maps grid taps to input cells, for it and for max
-pooling.
+Every op is one graph node whose backward function returns one gradient
+per parent, in parent order, and accumulates nothing (see
+``Tensor._node``). Every temporal convolution runs through ``_tap_shift``,
+one GEMM per kernel tap on the contiguous rows with no padded copy, and
+returns its own backward in that form; ``conv_unit`` runs it with batch
+norm and an activation as one node. The grid convolution runs through
+``_conv_forward``, an im2col GEMM, whose backward ``conv2d`` hands to its
+node as it is; ``_tap_window`` alone maps grid taps to input cells, for it
+and for max pooling.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def _identity(v: np.ndarray, inplace: bool):
 def _activation_node(x: Tensor, forward) -> Tensor:
     x = as_tensor(x)
     out, grad = forward(x.data, False)
-    return Tensor._node(out, (x,), lambda g: x.accumulate_grad(grad(g)))
+    return Tensor._node(out, (x,), lambda g: (grad(g),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -171,12 +174,8 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"dense bias shape {bias.data.shape} does not match out width {weight.data.shape[0]}")
     out_data = x.data @ weight.data.T + bias.data
 
-    def backward(g):
-        x.accumulate_grad(g @ weight.data)
-        weight.accumulate_grad(g.T @ x.data)
-        bias.accumulate_grad(g.sum(axis=0))
-
-    return Tensor._node(out_data, (x, weight, bias), backward)
+    return Tensor._node(out_data, (x, weight, bias),
+                        lambda g: (g @ weight.data, g.T @ x.data, g.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +337,13 @@ def dilated_conv1d(x: Tensor, kern: Kernel1D, pad_mode: str = "causal") -> Tenso
         raise ConfigurationError(f"conv input must be [C, T] or [B, C, T], got {x.shape}")
     out, grads = _tap_shift(np.swapaxes(x.data, -1, -2), w.data, None if b is None else b.data,
                             kern.dilation, kern.groups, pad_mode)
+    parents = (x, w) if b is None else (x, w, b)
 
     def swapped(g):
         gx, gw, gb = grads(np.swapaxes(g, -1, -2))
-        return np.swapaxes(gx, -1, -2), gw, gb
+        return (np.swapaxes(gx, -1, -2), gw, gb)[:len(parents)]
 
-    return _conv_node(x, w, b, np.swapaxes(out, -1, -2), swapped)
-
-
-def _conv_node(x: Tensor, weight: Tensor, bias: Optional[Tensor], out: np.ndarray, grads) -> Tensor:
-    """A convolution's output as one graph node over ``x``, ``weight`` and
-    ``bias`` (None for none); ``grads`` maps the output gradient to theirs."""
-    def backward(g):
-        gx, gw, gb = grads(g)
-        x.accumulate_grad(gx)
-        weight.accumulate_grad(gw)
-        if bias is not None:
-            bias.accumulate_grad(gb)
-
-    return Tensor._node(out, (x, weight) if bias is None else (x, weight, bias), backward)
+    return Tensor._node(np.swapaxes(out, -1, -2), parents, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +367,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     if bias.data.shape != (c_out,):
         raise ConfigurationError(
             f"conv2d bias shape {bias.data.shape} does not match out channels {c_out}")
-    return _conv_node(x, weight, bias, *_conv_forward(
-        x.data, weight.data, bias.data, ((ph, ph), (pw, pw)), stride))
+    out, grads = _conv_forward(x.data, weight.data, bias.data, ((ph, ph), (pw, pw)), stride)
+    return Tensor._node(out, (x, weight, bias), grads)
 
 
 def max_pool2d(x: Tensor, window, stride, padding=(0, 0)) -> Tensor:
@@ -411,7 +398,7 @@ def max_pool2d(x: Tensor, window, stride, padding=(0, 0)) -> Tensor:
         gwin = _tap_window(gxp, (wh, ww), (sh, sw))
         for tap, (p, q) in enumerate(product(range(wh), range(ww))):
             gwin[..., p, q] += np.where(idx == tap, g, 0.0)
-        x.accumulate_grad(gxp[:, :, ph: ph + height, pw: pw + width])
+        return (gxp[:, :, ph: ph + height, pw: pw + width],)
 
     return Tensor._node(out, (x,), backward)
 
@@ -594,9 +581,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         xh = (x2 - mean) * inv_sd if xhat is None else xhat
         g2 = np.moveaxis(grad, c_axis, -1).reshape(-1, channels)
         gx, ggamma, gbeta = _batch_norm_backward(g2, xh, g * inv_sd, xhat is not None)
-        gamma.accumulate_grad(ggamma)
-        beta.accumulate_grad(gbeta)
-        x.accumulate_grad(np.moveaxis(gx.reshape(last.shape), -1, c_axis))
+        return np.moveaxis(gx.reshape(last.shape), -1, c_axis), ggamma, gbeta
 
     return Tensor._node(np.moveaxis(out.reshape(last.shape), -1, c_axis), (x, gamma, beta),
                         backward)
@@ -671,13 +656,7 @@ def conv_unit(x: Tensor, kern: Kernel1D, gamma: Optional[Tensor], beta: Optional
             gbeta = gb
             ggamma = ((gw * w.data).sum(axis=(1, 2)) - gb * mean) / sd
             gw = gw * scale[:, None, None]
-        x.accumulate_grad(gx)
-        w.accumulate_grad(gw)
-        if norm:
-            gamma.accumulate_grad(ggamma)
-            beta.accumulate_grad(gbeta)
-        else:
-            b.accumulate_grad(gb)
+        return (gx, gw, ggamma, gbeta) if norm else (gx, gw, gb)
 
     return Tensor._node(out.reshape(z.shape), parents, backward)
 
@@ -775,20 +754,18 @@ def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
 
     def backward(grad):
         da = np.empty_like(act)
-        c_prev.accumulate_grad(_lstm_step_backward(grad[0], grad[1], act, c_prev.data, tc, da))
-        h_prev.accumulate_grad(da @ w_hh.data)
-        w_hh.accumulate_grad(da.T @ h_prev.data)
-        bias.accumulate_grad(da.sum(axis=0))
-        x_t.accumulate_grad(da @ w_ih.data)
-        w_ih.accumulate_grad(da.T @ x_t.data)
+        dc = _lstm_step_backward(grad[0], grad[1], act, c_prev.data, tc, da)
+        return (da @ w_hh.data, dc, da.T @ h_prev.data, da.sum(axis=0),
+                da @ w_ih.data, da.T @ x_t.data)
 
     step = Tensor._node(out, (h_prev, c_prev, w_hh, bias, x_t, w_ih), backward)
     return step[0], step[1]
 
 
-def lstm_unroll(h0: Tensor, c0: Tensor, weights: LstmWeights, steps: int) -> Tensor:
-    """``steps`` LSTM steps without input from ``(h0, c0)`` as one graph node:
-    the hidden state of every step, ``[B, steps, h]``.
+def lstm_unroll(state: Tensor, weights: LstmWeights, steps: int) -> Tensor:
+    """``steps`` LSTM steps without input from ``state`` ``[B, 2h]``, laid out
+    ``(h0 | c0)``, as one graph node: the hidden state of every step,
+    ``[B, steps, h]``.
 
     The output equals a chain of ``lstm_cell`` calls on a zero input bit
     for bit. Every step runs in buffers allocated once per call (never kept
@@ -797,26 +774,28 @@ def lstm_unroll(h0: Tensor, c0: Tensor, weights: LstmWeights, steps: int) -> Ten
     for its backward through time, which computes the ``w_hh`` gradient as
     one GEMM over all ``steps * B`` rows and so sums in another order than
     the chain. ``w_ih`` takes no part, where the chain gives it an all-zero
-    gradient.
+    gradient. ``h0`` and ``c0`` are read as views of ``state``, and its
+    gradient is theirs side by side.
     """
-    h0, c0 = as_tensor(h0), as_tensor(c0)
-    h, rows = weights.hidden, h0.data.shape[:1]
+    state = as_tensor(state)
+    h = weights.hidden
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1 \
-            or h0.data.shape != rows + (h,) or c0.data.shape != h0.data.shape:
+            or state.data.ndim != 2 or state.data.shape[1] != 2 * h:
         raise ConfigurationError(
-            f"lstm_unroll needs steps >= 1 and h, c of shape [B, {h}]: "
-            f"steps {steps!r}, h {h0.shape}, c {c0.shape}")
+            f"lstm_unroll needs steps >= 1 and a state of shape [B, {2 * h}]: "
+            f"steps {steps!r}, state {state.shape}")
     w_hh, bias = weights.w_hh, weights.bias
-    parents = (h0, c0, w_hh, bias)
+    parents = (state, w_hh, bias)
     keep = steps if Tensor._records(parents) else 1  # one slot, reused, when nothing records
-    dtype = np.result_type(h0.data, c0.data, w_hh.data, bias.data)
-    batch = rows[0]
+    dtype = np.result_type(state.data, w_hh.data, bias.data)
+    batch = state.data.shape[0]
+    h0, c0 = state.data[:, :h], state.data[:, h:]
     gates = np.empty((batch, 4 * h), dtype)
     acts = np.empty((keep, batch, 4 * h), dtype)
     cs = np.empty((keep, batch, h), dtype)
     tcs = np.empty((keep, batch, h), dtype)
     hs = np.empty((batch, steps, h), dtype)
-    w_t, b, h_prev, c_prev = w_hh.data.T, bias.data, h0.data, c0.data
+    w_t, b, h_prev, c_prev = w_hh.data.T, bias.data, h0, c0
     with np.errstate(over="ignore"):
         for t in range(steps):
             np.matmul(h_prev, w_t, out=gates)
@@ -830,14 +809,12 @@ def lstm_unroll(h0: Tensor, c0: Tensor, weights: LstmWeights, steps: int) -> Ten
         dh = dc = None  # nothing reads the last cell state
         for t in reversed(range(steps)):
             dh = grad[:, t] if dh is None else grad[:, t] + dh
-            dc = _lstm_step_backward(dh, dc, acts[t], c0.data if t == 0 else cs[t - 1],
+            dc = _lstm_step_backward(dh, dc, acts[t], c0 if t == 0 else cs[t - 1],
                                      tcs[t], da[t])
             dh = da[t] @ w_hh.data
-        h0.accumulate_grad(dh)
-        c0.accumulate_grad(dc)
-        h_read = np.concatenate([h0.data[None], hs[:, :-1].transpose(1, 0, 2)])
-        w_hh.accumulate_grad(da.reshape(-1, 4 * h).T @ h_read.reshape(-1, h))
-        bias.accumulate_grad(da.sum(axis=(0, 1)))
+        h_read = np.concatenate([h0[None], hs[:, :-1].transpose(1, 0, 2)])
+        return (np.concatenate([dh, dc], axis=1),
+                da.reshape(-1, 4 * h).T @ h_read.reshape(-1, h), da.sum(axis=(0, 1)))
 
     return Tensor._node(hs, parents, backward)
 
@@ -852,17 +829,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not ts:
         raise ConfigurationError("concat needs at least one tensor")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    bounds = np.cumsum([0] + sizes)
-
-    def backward(g):
-        g = np.asarray(g)
-        index = [slice(None)] * g.ndim
-        for t, lo, hi in zip(ts, bounds[:-1], bounds[1:]):
-            index[axis] = slice(int(lo), int(hi))
-            t.accumulate_grad(g[tuple(index)])
-
-    return Tensor._node(out, ts, backward)
+    bounds = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
+    return Tensor._node(out, ts, lambda g: np.split(np.asarray(g), bounds, axis=axis))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -871,13 +839,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not ts:
         raise ConfigurationError("stack needs at least one tensor")
     out = np.stack([t.data for t in ts], axis=axis)
-
-    def backward(g):
-        pieces = np.moveaxis(np.asarray(g), axis, 0)
-        for t, piece in zip(ts, pieces):
-            t.accumulate_grad(piece)
-
-    return Tensor._node(out, ts, backward)
+    return Tensor._node(out, ts, lambda g: np.moveaxis(np.asarray(g), axis, 0))
 
 
 def scatter_grid(features: Tensor, batch_index: np.ndarray, cells: np.ndarray,
@@ -911,7 +873,5 @@ def scatter_grid(features: Tensor, batch_index: np.ndarray, cells: np.ndarray,
     out = np.zeros(grid_shape, dtype=features.data.dtype)
     out[bi, :, cl[:, 0], cl[:, 1]] = features.data
 
-    def backward(g):
-        features.accumulate_grad(np.asarray(g)[bi, :, cl[:, 0], cl[:, 1]])
-
-    return Tensor._node(out, (features,), backward)
+    return Tensor._node(out, (features,),
+                        lambda g: (np.asarray(g)[bi, :, cl[:, 0], cl[:, 1]],))

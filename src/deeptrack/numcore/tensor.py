@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a float ndarray and, when gradients are requested, records
-the operation that produced it (parents plus a backward closure). Calling
-``backward()`` on a scalar result walks the recorded graph once in reverse
-topological order and accumulates gradients into every reachable leaf.
+the operation that produced it (parents plus a backward function). An op's
+backward function maps the gradient of its output to one gradient per
+parent, in parent order, or None for a parent it sends nothing; it touches
+no tensor. Calling ``backward()`` on a scalar result walks the recorded graph
+once in reverse topological order and is the one place that accumulates
+those gradients, into every reachable tensor that requires them.
 
 Threading contract: tensors are immutable during inference and may be read
 concurrently; a training step is the single writer of parameter data and
@@ -129,6 +132,10 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+# maps an op's output gradient to one gradient per parent, None for none
+BackwardFn = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
+
+
 class Tensor:
     """An ndarray with an optional handle into the differentiation graph."""
 
@@ -139,19 +146,20 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
         self._parents: Tuple["Tensor", ...] = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+        self._backward_fn: Optional[BackwardFn] = None
 
     # -- construction of graph nodes -------------------------------------
 
     @staticmethod
     def _node(data: np.ndarray, parents: Sequence["Tensor"],
-              backward_fn: Callable[[np.ndarray], None]) -> "Tensor":
+              backward_fn: BackwardFn) -> "Tensor":
         """Wrap ``data`` as the result of an op over ``parents``.
 
-        The backward closure receives the upstream gradient and is
-        responsible for calling ``parent.accumulate_grad``. Nodes are only
-        recorded when at least one parent participates in the graph, and
-        never inside :func:`no_grad`.
+        ``backward_fn`` receives the gradient of ``data`` and returns one
+        gradient per parent, in parent order, each of its parent's shape, or
+        None for a parent it sends nothing; :meth:`backward` accumulates
+        them. Nodes are only recorded when at least one parent participates
+        in the graph, and never inside :func:`no_grad`.
         """
         out = Tensor(data)
         if Tensor._records(parents):
@@ -166,9 +174,11 @@ class Tensor:
         return _graph.recording and any(p.requires_grad for p in parents)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
+        """Add ``grad``, of this tensor's shape, into ``self.grad`` in this
+        tensor's dtype; nothing when the tensor requires no gradient."""
         if not self.requires_grad:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
             # materialize views so the slot owns its memory
             self.grad = grad if grad.base is None else grad.copy()
@@ -225,7 +235,9 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+                for parent, grad in zip(node._parents, node._backward_fn(node.grad), strict=True):
+                    if grad is not None:
+                        parent.accumulate_grad(grad)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -233,9 +245,12 @@ class Tensor:
         other = as_tensor(other, dtype=self.data.dtype)
         out_data = fwd(self.data, other.data)
 
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(bwd_self(g, self.data, other.data))
-            other.accumulate_grad(bwd_other(g, self.data, other.data))
+        def backward(g):
+            # the one op whose operands broadcast: each gradient, cast to its
+            # operand's dtype, is summed back down to the operand's shape
+            return [_unbroadcast(np.asarray(bwd(g, self.data, other.data), dtype=t.data.dtype),
+                                 t.data.shape)
+                    for t, bwd in ((self, bwd_self), (other, bwd_other))]
 
         return Tensor._node(out_data, (self, other), backward)
 
@@ -259,12 +274,7 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise ConfigurationError("only scalar exponents are supported")
         e = float(exponent)
-        out_data = self.data ** e
-
-        def backward(g):
-            self.accumulate_grad(g * e * self.data ** (e - 1.0))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Tensor._node(self.data ** e, (self,), lambda g: (g * e * self.data ** (e - 1.0),))
 
     # -- reductions and shape ops -------------------------------------------
 
@@ -276,7 +286,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 g = np.expand_dims(g, axes)
-            self.accumulate_grad(np.broadcast_to(g, self.data.shape))
+            return (np.broadcast_to(g, self.data.shape),)
 
         return Tensor._node(out_data, (self,), backward)
 
@@ -291,12 +301,8 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(g):
-            self.accumulate_grad(g.reshape(self.data.shape))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Tensor._node(self.data.reshape(shape), (self,),
+                            lambda g: (g.reshape(self.data.shape),))
 
     def __getitem__(self, key) -> "Tensor":
         """Basic indexing only (ints, slices, ``Ellipsis``, ``None``): it names
@@ -311,7 +317,7 @@ class Tensor:
         def backward(g):
             gx = np.zeros_like(self.data)
             gx[key] = g
-            self.accumulate_grad(gx)
+            return (gx,)
 
         return Tensor._node(out_data, (self,), backward)
 

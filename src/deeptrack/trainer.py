@@ -43,11 +43,7 @@ def _mean_loss(pred: Tensor, target: np.ndarray, term: Callable, slope: Callable
     """Mean of ``term(d)``, ``d = pred - target``, as one node; ``slope`` is term's derivative."""
     d = pred.data - np.asarray(target, dtype=pred.data.dtype)
     scale = np.array([1.0 / d.size], dtype=d.dtype)
-
-    def backward(g):
-        pred.accumulate_grad(slope(d) * (g * scale))
-
-    return Tensor._node(term(d).sum() * scale, (pred,), backward)
+    return Tensor._node(term(d).sum() * scale, (pred,), lambda g: (slope(d) * (g * scale),))
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -305,6 +301,8 @@ class EvalReport:
 def _metric_report(pred: np.ndarray, truth: np.ndarray,
                    steps: Sequence[int]) -> EvalReport:
     n, horizon = truth.shape[0], truth.shape[1]
+    if not len(steps):
+        raise ConfigurationError(f"metric steps must name at least one step, got {steps!r}")
     for step in steps:
         if not 1 <= step <= horizon:
             raise ConfigurationError(

@@ -345,13 +345,14 @@ def composed_lstm_cell(x_t, h_prev, c_prev, weights):
     return o * tanh(c_t), c_t
 
 
-def chained_lstm_cells(h0, c0, weights, steps):
+def chained_lstm_cells(state, weights, steps):
     """``lstm_unroll`` as a chain of ``steps`` ``lstm_cell`` calls on a zero
-    input, hidden states stacked to ``[B, steps, h]``: a graph of about three
-    nodes a step. The zero input gives ``w_ih`` an all-zero gradient where
-    the unroll leaves it out."""
-    zero = Tensor(np.zeros((h0.shape[0], weights.input_size), dtype=h0.data.dtype))
-    h, c, hs = h0, c0, []
+    input from the two halves ``(h | c)`` of ``state``, hidden states stacked
+    to ``[B, steps, h]``: a graph of about three nodes a step. The zero input
+    gives ``w_ih`` an all-zero gradient where the unroll leaves it out."""
+    hidden = weights.hidden
+    zero = Tensor(np.zeros((state.shape[0], weights.input_size), dtype=state.data.dtype))
+    h, c, hs = state[:, :hidden], state[:, hidden:], []
     for _ in range(steps):
         h, c = lstm_cell(zero, h, c, weights)
         hs.append(h)

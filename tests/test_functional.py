@@ -331,21 +331,27 @@ class TestLstmUnroll:
     @staticmethod
     def run(unroll, batch, hidden, steps, dtype, seed, record=True):
         """The hidden states of ``unroll`` and the gradients of h0, c0,
-        w_ih, w_hh and bias under a seeded linear loss on every step."""
+        w_ih, w_hh and bias under a seeded linear loss on every step; h0 and
+        c0 enter as the two halves of one state ``(h0 | c0)``."""
         rng = np.random.default_rng(seed)
 
+        def draw(*shape):
+            return rng.normal(size=shape).astype(dtype)
+
         def leaf(*shape):
-            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            return Tensor(draw(*shape), requires_grad=True)
 
         weights = LstmWeights(leaf(4 * hidden, 2), leaf(4 * hidden, hidden), leaf(4 * hidden))
-        h0, c0 = leaf(batch, hidden), leaf(batch, hidden)
+        h0, c0 = draw(batch, hidden), draw(batch, hidden)
+        state = Tensor(np.concatenate([h0, c0], axis=1), requires_grad=True)
         upstream = Tensor(rng.normal(size=(batch, steps, hidden)).astype(dtype))
         if not record:
             with no_grad():
-                return unroll(h0, c0, weights, steps).data, None
-        hs = unroll(h0, c0, weights, steps)
+                return unroll(state, weights, steps).data, None
+        hs = unroll(state, weights, steps)
         (hs * upstream).sum().backward()
-        return hs.data, [t.grad for t in (h0, c0, weights.w_ih, weights.w_hh, weights.bias)]
+        return hs.data, [state.grad[:, :hidden], state.grad[:, hidden:]] + [
+            t.grad for t in (weights.w_ih, weights.w_hh, weights.bias)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("record", [True, False], ids=["graph", "no-graph"])
@@ -379,24 +385,23 @@ class TestLstmUnroll:
         weights = LstmWeights(Tensor(np.ones((8, 3)), requires_grad=True),
                               Tensor(np.ones((8, 2)), requires_grad=True),
                               Tensor(np.zeros(8), requires_grad=True))
-        h0 = Tensor(np.ones((4, 2)), requires_grad=True)
-        c0 = Tensor(np.ones((4, 2)), requires_grad=True)
-        hs = lstm_unroll(h0, c0, weights, 25)
+        state = Tensor(np.ones((4, 4)), requires_grad=True)  # (h0 | c0) as one leaf
+        hs = lstm_unroll(state, weights, 25)
         assert hs.shape == (4, 25, 2)
-        assert hs._parents == (h0, c0, weights.w_hh, weights.bias)
-        assert graph_nodes(hs) == 5
+        assert hs._parents == (state, weights.w_hh, weights.bias)
+        assert graph_nodes(hs) == 4
         with no_grad():
-            assert lstm_unroll(h0, c0, weights, 25)._parents == ()
+            assert lstm_unroll(state, weights, 25)._parents == ()
 
     def test_each_call_owns_its_output(self):
         rng = np.random.default_rng(5)
         weights = LstmWeights(Tensor(rng.normal(size=(8, 1))), Tensor(rng.normal(size=(8, 2))),
                               Tensor(rng.normal(size=8)))
-        first = lstm_unroll(Tensor(rng.normal(size=(3, 2))), Tensor(np.zeros((3, 2))),
-                            weights, 4)
+        first = lstm_unroll(Tensor(np.concatenate([rng.normal(size=(3, 2)), np.zeros((3, 2))],
+                                                  axis=1)), weights, 4)
         kept = first.data.copy()
-        second = lstm_unroll(Tensor(rng.normal(size=(3, 2))), Tensor(np.ones((3, 2))),
-                             weights, 4)
+        second = lstm_unroll(Tensor(np.concatenate([rng.normal(size=(3, 2)), np.ones((3, 2))],
+                                                   axis=1)), weights, 4)
         assert not np.shares_memory(first.data, second.data)
         assert np.array_equal(first.data, kept)
 
@@ -404,24 +409,24 @@ class TestLstmUnroll:
         hidden = 2
         weights = LstmWeights(Tensor(np.zeros((8, 1))), Tensor(np.full((8, 2), 500.0)),
                               Tensor(np.full(8, -1000.0)))
-        h0 = Tensor(np.array([[1.0, -1.0]]))
+        state = Tensor(np.array([[1.0, -1.0] + [1.0] * hidden]))  # (h0 | c0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hs = lstm_unroll(h0, Tensor(np.ones((1, hidden))), weights, 3)
+            hs = lstm_unroll(state, weights, 3)
         assert np.isfinite(hs.data).all()
-        assert np.array_equal(hs.data, chained_lstm_cells(
-            h0, Tensor(np.ones((1, hidden))), weights, 3).data)
+        assert np.array_equal(hs.data, chained_lstm_cells(state, weights, 3).data)
 
     def test_shapes_and_steps_checked(self):
         weights = LstmWeights(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))),
                               Tensor(np.zeros(8)))
-        h0, c0 = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
-        for bad_h, bad_c, steps in ((h0, c0, 0), (h0, c0, True), (h0, c0, 2.0),
-                                    (Tensor(np.zeros((1, 3))), c0, 2),
-                                    (h0, Tensor(np.zeros((2, 2))), 2),
-                                    (Tensor(np.zeros(2)), Tensor(np.zeros(2)), 2)):
+        state = Tensor(np.zeros((1, 4)))
+        for bad_state, steps in ((state, 0), (state, True), (state, 2.0),
+                                 (Tensor(np.zeros((1, 5))), 2),
+                                 (Tensor(np.zeros((1, 3))), 2),
+                                 (Tensor(np.zeros(4)), 2),
+                                 (Tensor(np.zeros((1, 1, 4))), 2)):
             with pytest.raises(ConfigurationError):
-                lstm_unroll(bad_h, bad_c, weights, steps)
+                lstm_unroll(bad_state, weights, steps)
 
 
 class TestMaxPool:

@@ -213,12 +213,12 @@ class TestLstmGradients:
 
     def test_unroll_all_inputs(self):
         hidden, steps = 3, 4
-        h0, c0 = t((2, hidden)), t((2, hidden))
+        state = t((2, 2 * hidden))
         weights = LstmWeights(t((4 * hidden, 2)), t((4 * hidden, hidden)),
                               t((4 * hidden,)))
         upstream = Tensor(RNG.normal(size=(2, steps, hidden)))
-        check_gradients(lambda: (lstm_unroll(h0, c0, weights, steps) * upstream).sum(),
-                        {"h0": h0, "c0": c0, "w_hh": weights.w_hh, "bias": weights.bias})
+        check_gradients(lambda: (lstm_unroll(state, weights, steps) * upstream).sum(),
+                        {"state": state, "w_hh": weights.w_hh, "bias": weights.bias})
 
 
 class TestStructuralGradients:

@@ -534,6 +534,12 @@ class TestPredictRecordsNoGraph:
         assert empty.shape == (0, model.config.horizon_steps, model.config.output_dim)
         assert empty.dtype == model.predict(samples).dtype == np.dtype(dtype)
 
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        model, samples = self._model_and_samples()
+        with pytest.raises(ConfigurationError, match=f"got {batch_size}"):
+            model.predict(samples[:4], batch_size=batch_size)
+
     def test_predict_outputs_have_no_parents(self, monkeypatch):
         model, samples = self._model_and_samples()
         outputs = []
@@ -622,12 +628,12 @@ class TestGraphSize:
     def test_default_train_step_node_count(self):
         # each of the 14 encoder units (conv, batch norm and activation) is
         # one node with three leaves and no conv bias, the 25-step decoder
-        # unroll one node that the head reads through one reshape, and the
-        # loss one node
+        # unroll one node that reads the decoder state whole and that the
+        # head reads through one reshape, and the loss one node
         model = DeepTrack(default_model_config(), seed=0)
         batch = collate(constant_velocity_samples(32, seed=0), model.config)
         loss = mse_loss(model.forward_batch(batch, "train"), batch.future)
-        assert graph_nodes(loss) == 94
+        assert graph_nodes(loss) == 92
 
 
 class TestInvariantsUnderOptimize:

@@ -5,7 +5,8 @@ function, class, method, property or module constant that only the tests
 use, or gives a parameter a default that no call overrides. Only
 ``configio.py`` writes JSON, only the archive and checkpoint modules
 use ``struct`` or ``np.frombuffer``, and only the windowing module builds
-``NeighborTrack`` rows. Every differentiable op has a
+``NeighborTrack`` rows, and only ``Tensor.backward`` accumulates
+gradients: ops return theirs. Every differentiable op has a
 finite-difference test, and the temporal and grid convolutions each reach
 one core of their own. Sequences keep one layout, channels-last, from
 ``collate`` through the encoders: no axis swap on the way."""
@@ -227,6 +228,45 @@ def test_only_the_neighbor_table_builds_neighbor_rows():
              for line in calls_of(path.read_text(encoding="utf-8"), "NeighborTrack")]
     assert not found, "NeighborTrack built outside ingest/windows.py:\n" + "\n".join(found)
     assert calls_of((SRC / owner).read_text(encoding="utf-8"), "NeighborTrack")
+
+
+def callers_of(source: str, name: str):
+    """The dotted name of the innermost function around each call of ``name``
+    (``<module>`` outside any), in the order of :func:`calls_of`."""
+    spans = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    spans.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return [min((span for span in spans if span[0] <= line <= span[1]),
+                key=lambda span: span[1] - span[0], default=(0, 0, "<module>"))[2]
+            for line in calls_of(source, name)]
+
+
+def test_checker_names_the_function_around_each_call():
+    source = ('class T:\n    def backward(self):\n        self.add(1)\n'
+              '    def op(self):\n        def inner(g):\n            return g.add(2)\n'
+              '        return inner\n'
+              'add(3)\nf = T.add\n')
+    assert callers_of(source, "add") == ["T.backward", "T.op.inner", "<module>"]
+
+
+def test_only_tensor_backward_accumulates_gradients():
+    # an op's backward returns one gradient per parent; the graph walk alone adds them up
+    found = [f"{path.relative_to(SRC)}:{caller}" for path in sorted(SRC.rglob("*.py"))
+             for caller in callers_of(path.read_text(encoding="utf-8"), "accumulate_grad")]
+    assert found == ["deeptrack/numcore/tensor.py:Tensor.backward"], \
+        "accumulate_grad called outside Tensor.backward:\n" + "\n".join(found)
+    # and the one op whose operands broadcast sums its own gradients back down
+    tensor = (SRC / "deeptrack" / "numcore" / "tensor.py").read_text(encoding="utf-8")
+    assert callers_of(tensor, "_unbroadcast") == ["Tensor._binary.backward"]
 
 
 def public_names(source: str):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from deeptrack.numcore import ConfigurationError, GraphError, Tensor
+from deeptrack.numcore import ConfigurationError, GraphError, Tensor, concat
 from deeptrack.numcore.tensor import no_grad
 
 from helpers import check_gradients
@@ -77,6 +77,43 @@ class TestBackwardMechanics:
         (x * 2.0).sum().backward()
         x.zero_grad()
         assert x.grad is None
+
+
+class TestOpContract:
+    """An op's backward returns one gradient per parent; ``backward`` adds them."""
+
+    def test_none_leaves_its_parent_untouched_and_the_other_accumulates(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        out = Tensor._node(a.data + b.data, (a, b), lambda g: (None, 2.0 * g))
+        out.sum().backward()
+        assert a.grad is None
+        assert np.array_equal(b.grad, [2.0, 2.0])
+
+    def test_one_gradient_per_parent_or_an_error(self):
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([3.0], requires_grad=True)
+        out = Tensor._node(a.data + b.data, (a, b), lambda g: (g,))
+        with pytest.raises(ValueError):
+            out.sum().backward()
+
+    def test_a_parent_named_twice_receives_both_contributions(self):
+        x = Tensor([1.5, -2.0], requires_grad=True)
+        (x * x).sum().backward()
+        assert np.array_equal(x.grad, 2.0 * x.data)
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 5.0, 7.0, 11.0])
+        (concat([a, a]) * w).sum().backward()
+        assert np.array_equal(a.grad, [3.0 + 7.0, 5.0 + 11.0])
+
+    def test_float32_leaf_keeps_its_dtype_under_float64_gradients(self):
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        out = Tensor._node(a.data.astype(np.float64), (a,), lambda g: (g.astype(np.float64),))
+        out.sum().backward()
+        assert a.grad.dtype == np.float32 and np.array_equal(a.grad, [1.0, 1.0, 1.0])
+        b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        (b * Tensor(np.full((1, 3), 0.5))).sum().backward()  # a float64 product
+        assert b.grad.dtype == np.float32 and np.array_equal(b.grad, np.full((2, 3), 0.5))
 
 
 class TestBroadcasting:

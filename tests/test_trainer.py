@@ -378,6 +378,20 @@ class TestMetrics:
         with pytest.raises(ConfigurationError):
             evaluate(DeepTrack(tiny_model_config(), seed=0), [], steps=STEPS)
 
+    def test_evaluate_rejects_batch_size_below_one(self):
+        model = DeepTrack(tiny_model_config(), seed=0)
+        with pytest.raises(ConfigurationError, match="got -1"):
+            evaluate(model, dataset(4), steps=STEPS, batch_size=-1)
+
+    def test_evaluate_rejects_empty_steps(self):
+        model = DeepTrack(tiny_model_config(), seed=0)
+        with pytest.raises(ConfigurationError, match=r"got \(\)"):
+            evaluate(model, dataset(4), steps=())
+
+    def test_zero_baseline_rejects_empty_steps(self):
+        with pytest.raises(ConfigurationError, match=r"got \(\)"):
+            zero_baseline(dataset(4), steps=())
+
     def test_report_round_trip_and_text(self):
         report = zero_baseline(dataset(5), steps=STEPS)
         d = json.loads(json.dumps(config_to_dict(report)))
